@@ -182,16 +182,16 @@ def _load_spectrum_file(path: str):
     return spectrum_from_record(record)
 
 
-def _bound_row(params: SignalSpaceParams, spectrum, n_dim_override=None) -> list:
+def _bound_reports(params: SignalSpaceParams, spectrum, n_dim_override=None):
+    """Working dimension, volume correction (None without a spectrum) and reports."""
+    source = params if spectrum is None else spectrum
+    n_dim = n_dim_override or max(1, round(source.nominal_dimension))
+    z = None if spectrum is None else volume_correction(spectrum, n_dim)
+    return n_dim, z, finite_reports(params, n_dim=n_dim, zeta_value=z)
+
+
+def _bound_row(params: SignalSpaceParams, n_dim: int, z, reports: dict) -> list:
     """One row of bound columns; shared by `bounds` and `sweep`."""
-    if spectrum is not None:
-        n_dim = n_dim_override or max(1, round(spectrum.nominal_dimension))
-        z = volume_correction(spectrum, n_dim)
-        reports = finite_reports(params, n_dim=n_dim, zeta_value=z)
-    else:
-        n_dim = n_dim_override or max(1, round(params.nominal_dimension))
-        z = None
-        reports = finite_reports(params, n_dim=n_dim, zeta_value=None)
     c2, cd, he = (
         reports["capacity_2eps"],
         reports["capacity_eps_delta"],
@@ -227,7 +227,7 @@ def _bound_row(params: SignalSpaceParams, spectrum, n_dim_override=None) -> list
 
 def _cmd_spectrum(args) -> int:
     omega = _omega_value(args)
-    spectrum = build_spectrum(omega, args.t_obs, args.order)
+    spectrum = build_spectrum(omega, args.t_obs, args.order, vectors=bool(args.save_vectors))
     if args.save_vectors:
         path = resolve_output_path(args.save_vectors)
         np.savez(
@@ -288,14 +288,8 @@ def _cmd_bounds(args) -> int:
         raise ConfigurationError(
             "spectrum file was computed for different omega/t_obs than requested"
         )
-    row = _bound_row(params, spectrum, n_dim_override=args.n_dim)
-    if spectrum is not None:
-        n_dim = args.n_dim or max(1, round(spectrum.nominal_dimension))
-        z = volume_correction(spectrum, n_dim)
-        reports = finite_reports(params, n_dim=n_dim, zeta_value=z)
-    else:
-        n_dim = args.n_dim or max(1, round(params.nominal_dimension))
-        reports = finite_reports(params, n_dim=n_dim, zeta_value=None)
+    n_dim, z, reports = _bound_reports(params, spectrum, args.n_dim)
+    row = _bound_row(params, n_dim, z, reports)
     manifest = _manifest(args, "bounds")
     payload = {
         "params": vars(params) | {"nominal_dimension": params.nominal_dimension},
@@ -566,7 +560,7 @@ def _sweep_row(point: dict, fixed: dict, spectra: dict) -> list:
         delta=point["delta"],
     )
     spectrum = spectra.get((point["omega"], point["t_obs"]))
-    row = _bound_row(params, spectrum, n_dim_override=fixed.get("n_dim"))
+    row = _bound_row(params, *_bound_reports(params, spectrum, fixed.get("n_dim")))
     if fixed.get("simulate"):
         config = ExperimentConfig(
             params=params,

@@ -16,9 +16,20 @@ with nodes t_i and weights w_i on [-T/2, T/2], the symmetrized matrix
 
     K_ij = sqrt(w_i w_j) * (Omega/pi) * sinc(Omega (t_i - t_j))
 
-has the same eigenvalues as the quadrature-discretized operator, and its
-trace equals (Omega/pi) * sum(w_i) = N0 exactly, which gives a free
-self-check on the solve.
+has the same eigenvalues as the quadrature-discretized operator. Its
+trace equals (Omega/pi) * sum(w_i) = N0 exactly; the recorded trace_error
+compares the eigenvalue sum with N0, but since that sum always equals the
+trace, the check is tautological and cannot catch a wrong solve.
+
+The kernel is even and the Gauss nodes are symmetric about 0, so K is
+centrosymmetric (K = J K J, J the reversal matrix). With K split into
+blocks A = K[:m, :m] and B = K[:m, -m:], m = order // 2, it is similar to
+the direct sum of the half-size blocks A + B J (even functions) and
+A - B J (odd functions); an odd order adds the middle node to the even
+block with a sqrt(2) coupling. This is the even/odd split of the prolate
+functions (Slepian & Pollak 1961). Each block is solved for eigenvalues
+only; eigenvectors are built, through [I; +-J] / sqrt(2), only when they
+are asked for, and never change the eigenvalues.
 
 Index conventions follow the classical literature: eigenvalues are
 1-based in formulas (lambda_1 is the largest) and stored 0-based in
@@ -30,10 +41,11 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
+from numpy.polynomial import legendre
+from scipy.linalg import eigh, eigvalsh_tridiagonal
 from scipy.special import expit
 
 from .errors import ConfigurationError, InsufficientSpectrumError, NumericalError
@@ -51,15 +63,31 @@ CLIP_FLOOR = 1e-15
 _SINC_SERIES_CUTOFF = 1e-6
 
 
-def _sinc(arg: np.ndarray) -> np.ndarray:
-    """sin(x)/x with a series branch near zero; _sinc(0) == 1.0 exactly."""
-    arg = np.asarray(arg, dtype=float)
-    small = np.abs(arg) < _SINC_SERIES_CUTOFF
-    safe = np.where(small, 1.0, arg)
-    direct = np.sin(safe) / safe
-    x2 = arg * arg
-    series = 1.0 - x2 / 6.0 + x2 * x2 / 120.0
-    return np.where(small, series, direct)
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], bit-identical to leggauss.
+
+    This is numpy's ``leggauss`` algorithm with one step changed: the first
+    guess at the roots comes from a tridiagonal eigensolve of the symmetric
+    Legendre companion matrix (whose diagonal is zero) instead of a dense
+    one, which makes it O(order^2) instead of O(order^3). The Newton polish
+    and the weight formula are numpy's.
+    """
+    c = np.zeros(order + 1)
+    c[-1] = 1.0
+    scl = 1.0 / np.sqrt(2 * np.arange(order) + 1)
+    x = eigvalsh_tridiagonal(
+        np.zeros(order), np.arange(1, order) * scl[: order - 1] * scl[1:order]
+    )
+    df = legendre.legval(x, legendre.legder(c))
+    x -= legendre.legval(x, c) / df
+    fm = legendre.legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1.0 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return x, w
 
 
 def default_quad_order(omega: float, t_obs: float) -> int:
@@ -88,19 +116,22 @@ class KernelMatrix:
 
 @dataclass(frozen=True)
 class EigenSpectrum:
-    """Descending eigenvalues and node-sampled eigenfunctions.
+    """Descending eigenvalues and, on request, node-sampled eigenfunctions.
 
     lambdas:     eigenvalues sorted descending, clipped to
                  [clip_floor, 1 - clip_floor]
-    eigvecs:     column n holds psi_{n+1} evaluated at the nodes, scaled so
-                 that the L2 norm over the whole line is 1, equivalently
-                 sum_i w_i psi_n(t_i)^2 == lambda_n (concentration on the
-                 observation window)
-    trace_error: |sum of raw eigenvalues - N0|, a discretization self-check
+    eigvecs:     None unless vectors were requested (build_spectrum(...,
+                 vectors=True)); then column n holds psi_{n+1} evaluated at
+                 the nodes, assembled from the even/odd block eigenvectors
+                 and scaled so that the L2 norm over the whole line is 1,
+                 equivalently sum_i w_i psi_n(t_i)^2 == lambda_n
+                 (concentration on the observation window)
+    trace_error: |sum of raw eigenvalues - N0|; the sum equals the matrix
+                 trace by construction, so this check cannot fail
     """
 
     lambdas: np.ndarray
-    eigvecs: np.ndarray
+    eigvecs: np.ndarray | None
     nodes: np.ndarray
     weights: np.ndarray
     omega: float
@@ -147,14 +178,27 @@ def build_kernel_matrix(
             "the eigenvalue transition band would be unresolved"
         )
 
-    x, w = np.polynomial.legendre.leggauss(quad_order)
+    x, w = gauss_legendre(quad_order)
     nodes = x * (t_obs / 2.0)
     weights = w * (t_obs / 2.0)
 
-    diff = nodes[:, None] - nodes[None, :]
-    kernel = (omega / math.pi) * _sinc(omega * diff)
-    matrix = kernel * np.sqrt(np.outer(weights, weights))
-    matrix = 0.5 * (matrix + matrix.T)
+    # (Omega/pi) sinc(Omega (t_i - t_j)) sqrt(w_i w_j), built in place; the
+    # Taylor branch sin(x)/x = 1 - x^2/6 + x^4/120 is taken only where
+    # |x| < cutoff, which keeps it exact to double precision.
+    arg = np.subtract.outer(nodes, nodes)
+    arg *= omega
+    small = np.abs(arg) < _SINC_SERIES_CUTOFF
+    x2 = arg[small] ** 2
+    arg[small] = 1.0
+    matrix = np.sin(arg)
+    matrix /= arg
+    matrix[small] = 1.0 - x2 / 6.0 + x2 * x2 / 120.0
+    matrix *= omega / math.pi
+    root_w = np.multiply.outer(weights, weights, out=arg)
+    matrix *= np.sqrt(root_w, out=root_w)
+    del arg, root_w
+    matrix += matrix.T
+    matrix *= 0.5
     if not np.all(np.isfinite(matrix)):
         raise NumericalError("kernel matrix contains non-finite entries")
     return KernelMatrix(
@@ -167,31 +211,79 @@ def build_kernel_matrix(
     )
 
 
+def _parity_blocks(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd half-size blocks of a symmetric centrosymmetric matrix.
+
+    With m = n // 2, A = K[:m, :m] and (B J)[i, j] = K[i, n-1-j], the even
+    block is A + B J and the odd block A - B J. For odd n the middle node
+    joins the even block, coupled to the others through sqrt(2) K[:m, m].
+    """
+    n = len(matrix)
+    m = n // 2
+    a = matrix[:m, :m]
+    bj = matrix[:m, : n - m - 1 : -1]
+    even = np.empty((n - m, n - m))
+    np.add(a, bj, out=even[:m, :m])
+    if n % 2:
+        even[:m, m] = even[m, :m] = math.sqrt(2.0) * matrix[:m, m]
+        even[m, m] = matrix[m, m]
+    return even, a - bj
+
+
+def _parity_eigvecs(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """Orthonormal eigenvectors of the full matrix, by descending eigenvalue.
+
+    Block eigenvectors x map back as [x; J x] / sqrt(2) (even) and
+    [x; -J x] / sqrt(2) (odd); the middle entry of an odd order's even
+    vector is carried over as is.
+    """
+    # divide and conquer keeps the vectors of the clustered roundoff tail
+    # orthogonal to ~1e-15, where the default MRRR driver drifts to ~1e-13
+    vals_even, vecs_even = eigh(even, driver="evd")
+    vals_odd, vecs_odd = eigh(odd, driver="evd")
+    m, n_even = len(odd), len(even)
+    n = n_even + m
+    half = math.sqrt(0.5)
+    vecs = np.zeros((n, n))
+    vecs[:m, :n_even] = half * vecs_even[:m]
+    vecs[n - m :, :n_even] = half * vecs_even[:m][::-1]
+    if n % 2:
+        vecs[m, :n_even] = vecs_even[m]
+    vecs[:m, n_even:] = half * vecs_odd
+    vecs[n - m :, n_even:] = -half * vecs_odd[::-1]
+    order = np.argsort(np.concatenate([vals_even, vals_odd]), kind="stable")[::-1]
+    return vecs[:, order]
+
+
 def compute_spectrum(
-    kernel: KernelMatrix, clip_floor: float = CLIP_FLOOR
+    kernel: KernelMatrix, clip_floor: float = CLIP_FLOOR, vectors: bool = False
 ) -> EigenSpectrum:
     """Solve the symmetric eigenproblem and postprocess the spectrum.
 
-    Eigenvalues are sorted descending and clipped into
-    [clip_floor, 1 - clip_floor]; clipping events are counted and logged
-    because they mark where the discretized tail is pure roundoff.
-    Eigenvector columns are rescaled from the symmetrized coordinates back
-    to function values at the nodes, normalized to unit energy on the
-    whole line.
+    The matrix is split into its even and odd parity blocks (see the
+    module docstring), each solved for eigenvalues only. Eigenvalues are
+    sorted descending and clipped into [clip_floor, 1 - clip_floor];
+    clipping events are counted and logged because they mark where the
+    discretized tail is pure roundoff. With ``vectors=True`` the blocks are
+    solved a second time for eigenvectors, whose columns are rescaled from
+    the symmetrized coordinates back to function values at the nodes,
+    normalized to unit energy on the whole line; the eigenvalues always
+    come from the eigenvalues-only solve.
     """
     if not (0 < clip_floor < 0.5):
         raise ValueError(f"clip_floor must lie in (0, 0.5), got {clip_floor}")
+    even, odd = _parity_blocks(kernel.matrix)
     try:
-        raw_lambdas, raw_vecs = eigh(kernel.matrix)
+        raw_lambdas = np.concatenate(
+            [eigh(even, eigvals_only=True), eigh(odd, eigvals_only=True)]
+        )
+        raw_vecs = _parity_eigvecs(even, odd) if vectors else None
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on
         # symmetric input essentially cannot fail, but surface it as ours
         raise NumericalError(f"eigensolve failed: {exc}") from exc
     if not np.all(np.isfinite(raw_lambdas)):
         raise NumericalError("eigensolve returned non-finite eigenvalues")
-
-    # eigh returns ascending order
-    raw_lambdas = raw_lambdas[::-1]
-    raw_vecs = raw_vecs[:, ::-1]
+    raw_lambdas = np.sort(raw_lambdas)[::-1]
 
     n0 = kernel.omega * kernel.t_obs / math.pi
     trace_error = abs(float(raw_lambdas.sum()) - n0)
@@ -208,10 +300,12 @@ def compute_spectrum(
         )
     lambdas = np.clip(raw_lambdas, clip_floor, 1.0 - clip_floor)
 
-    # Back out function values: the symmetric solve works in sqrt(w)-scaled
-    # coordinates, and sqrt(lambda) converts interval-normalized functions
-    # to line-normalized ones (energy lambda_n falls inside the window).
-    eigvecs = (raw_vecs / np.sqrt(kernel.weights)[:, None]) * np.sqrt(lambdas)[None, :]
+    eigvecs = None
+    if raw_vecs is not None:
+        # Back out function values: the symmetric solve works in sqrt(w)-scaled
+        # coordinates, and sqrt(lambda) converts interval-normalized functions
+        # to line-normalized ones (energy lambda_n falls inside the window).
+        eigvecs = (raw_vecs / np.sqrt(kernel.weights)[:, None]) * np.sqrt(lambdas)[None, :]
 
     return EigenSpectrum(
         lambdas=lambdas,
@@ -227,10 +321,14 @@ def compute_spectrum(
 
 
 def build_spectrum(
-    omega: float, t_obs: float, quad_order: int | None = None
+    omega: float, t_obs: float, quad_order: int | None = None, vectors: bool = False
 ) -> EigenSpectrum:
-    """Convenience wrapper: discretize and solve in one call."""
-    return compute_spectrum(build_kernel_matrix(omega, t_obs, quad_order))
+    """Convenience wrapper: discretize and solve in one call.
+
+    Eigenvectors are built only with ``vectors=True``; the eigenvalues are
+    the same either way.
+    """
+    return compute_spectrum(build_kernel_matrix(omega, t_obs, quad_order), vectors=vectors)
 
 
 # --- scalar functionals of the spectrum ---
@@ -352,7 +450,11 @@ def spectrum_from_record(record: dict) -> EigenSpectrum:
 
     Eigenvector and node data are not round-tripped; the result supports
     the scalar functionals (zeta, n_width, degrees_of_freedom, residuals)
-    but has empty eigvecs/nodes/weights arrays.
+    but has no eigvecs and empty nodes/weights arrays.
+
+    Raises ValueError unless the eigenvalues form a non-empty,
+    non-increasing list of finite values in (0, 1]; 1 itself is accepted
+    because 12-digit printing rounds the plateau's 1 - 1e-15 up to it.
     """
     try:
         lambdas = np.asarray(record["lambdas"], dtype=float)
@@ -361,10 +463,25 @@ def spectrum_from_record(record: dict) -> EigenSpectrum:
         quad_order = int(record["quad_order"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed spectrum record: {exc}") from exc
+    if lambdas.ndim != 1 or lambdas.size == 0:
+        raise ValueError("spectrum record needs a non-empty list of eigenvalues")
+    bad = np.flatnonzero(~((lambdas > 0.0) & (lambdas <= 1.0)))
+    if bad.size:
+        raise ValueError(
+            f"spectrum record has lambda_{bad[0] + 1} = {float(lambdas[bad[0]])!r}; "
+            "every eigenvalue must be finite and lie in (0, 1]"
+        )
+    rises = np.flatnonzero(np.diff(lambdas) > 0.0)
+    if rises.size:
+        raise ValueError(
+            f"spectrum record eigenvalues increase from lambda_{rises[0] + 1} "
+            f"to lambda_{rises[0] + 2}; "
+            "they must be sorted non-increasing"
+        )
     clip_floor = float(record.get("clip_floor", CLIP_FLOOR))
     return EigenSpectrum(
         lambdas=lambdas,
-        eigvecs=np.empty((0, 0)),
+        eigvecs=None,
         nodes=np.empty(0),
         weights=np.empty(0),
         omega=omega,

@@ -24,3 +24,9 @@ def spec_t40():
 def spec_t20_512():
     # fixed high quadrature order for frozen-value comparisons
     return build_spectrum(math.pi, 20.0, 512)
+
+
+@pytest.fixture(scope="session")
+def spec_t20_vectors():
+    # eigenvectors are built only on request
+    return build_spectrum(math.pi, 20.0, vectors=True)

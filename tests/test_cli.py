@@ -1,11 +1,14 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from epscap.cli import main
+from epscap.manifest import round_float
 
 PI_ARG = "3.14159265"
 
@@ -117,6 +120,47 @@ def test_bounds_with_spectrum_artifact(tmp_path):
         ]
     )
     assert code == 2
+
+
+def test_spectrum_bytes_independent_of_save_vectors(tmp_path, monkeypatch):
+    # same relative --out in two directories, so the manifests match too
+    argv = ["spectrum", "--omega", PI_ARG, "--t-obs", "10", "--out", "spectrum.json"]
+    for name, extra in (("plain", []), ("vectors", ["--save-vectors", "vectors.npz"])):
+        (tmp_path / name).mkdir()
+        monkeypatch.setenv("EPSCAP_OUTPUT_DIR", str(tmp_path / name))
+        assert main(argv + extra) == 0
+
+    def comparable(name):
+        text = (tmp_path / name / "spectrum.json").read_text()
+        text = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', text)
+        # the manifest records the --save-vectors argument itself
+        return re.sub(r'"save_vectors": (null|"[^"]*")', '"save_vectors": ""', text)
+
+    assert comparable("plain") == comparable("vectors")
+    printed = json.loads((tmp_path / "plain" / "spectrum.json").read_text())["lambdas"]
+    with np.load(tmp_path / "vectors" / "vectors.npz") as arrays:
+        assert [round_float(v) for v in arrays["lambdas"].tolist()] == printed
+        assert arrays["eigvecs"].shape == (len(printed), len(printed))
+
+
+@pytest.mark.parametrize(
+    "index, value, message",
+    [(-1, -1e-3, "must be finite and lie in"), (5, 0.5, "increase from lambda_6 to lambda_7")],
+)
+def test_bounds_refuses_invalid_spectrum_file(tmp_path, capsys, index, value, message):
+    spec_file = tmp_path / "spec10.json"
+    assert main(["spectrum", "--omega", PI_ARG, "--t-obs", "10", "--out", str(spec_file)]) == 0
+    record = json.loads(spec_file.read_text())
+    record["lambdas"][index] = value
+    spec_file.write_text(json.dumps(record))
+    code = main(
+        [
+            "bounds", "--omega", PI_ARG, "--t-obs", "10", "--energy", "1",
+            "--eps", "0.25", "--delta", "0.1", "--use-spectrum", str(spec_file),
+        ]
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_oracle_pack_and_errors(tmp_path):

@@ -1,8 +1,10 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from epscap import (
     ConfigurationError,
@@ -21,6 +23,7 @@ from epscap import (
     volume_correction,
 )
 from epscap.params import DofQuery
+from epscap.spectrum import CLIP_FLOOR, gauss_legendre
 
 # Nystrom-Gauss-Legendre values at omega=pi, t_obs=20, order 512, frozen
 # from an independent run cross-checked against a DPSS (Slepian sequence)
@@ -98,15 +101,50 @@ def test_quadrature_order_precondition():
 
 
 def test_kernel_matrix_symmetric():
-    km = build_kernel_matrix(math.pi, 6.0, quad_order=64)
-    assert np.array_equal(km.matrix, km.matrix.T)
+    for order in (64, 65):
+        km = build_kernel_matrix(math.pi, 6.0, quad_order=order)
+        assert np.array_equal(km.matrix, km.matrix.T)
+        # centrosymmetry is what the parity split rests on
+        assert np.array_equal(km.matrix, km.matrix[::-1, ::-1])
 
 
-def test_eigvec_weighted_gram(spec_t20):
+def test_eigvec_weighted_gram(spec_t20_vectors):
     # the scaled vectors satisfy sum_i w_i psi_n(t_i) psi_m(t_i) = lam_n delta_nm
-    v = spec_t20.eigvecs[:, :8]
-    gram = v.T @ (spec_t20.weights[:, None] * v)
-    np.testing.assert_allclose(gram, np.diag(spec_t20.lambdas[:8]), atol=1e-10)
+    v = spec_t20_vectors.eigvecs[:, :8]
+    gram = v.T @ (spec_t20_vectors.weights[:, None] * v)
+    np.testing.assert_allclose(gram, np.diag(spec_t20_vectors.lambdas[:8]), atol=1e-10)
+
+
+def test_eigvecs_only_on_request(spec_t20, spec_t20_vectors):
+    assert spec_t20.eigvecs is None
+    np.testing.assert_array_equal(spec_t20.lambdas, spec_t20_vectors.lambdas)
+
+
+@pytest.mark.parametrize("t_obs, order", [(6.0, 64), (6.0, 65), (20.0, 256), (20.0, 512)])
+def test_parity_split_matches_dense_eigensolve(t_obs, order):
+    # oracle: the dense, unsplit matrix solved without the parity split
+    km = build_kernel_matrix(math.pi, t_obs, order)
+    dense = np.clip(scipy.linalg.eigvalsh(km.matrix)[::-1], CLIP_FLOOR, 1.0 - CLIP_FLOOR)
+    np.testing.assert_allclose(compute_spectrum(km).lambdas, dense, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("order", [64, 65, 256])
+def test_eigvecs_solve_the_kernel_matrix(order):
+    km = build_kernel_matrix(math.pi, 6.0, order)
+    spec = compute_spectrum(km, vectors=True)
+    # undo the function-value scaling to get the orthonormal vectors
+    u = spec.eigvecs * np.sqrt(km.weights)[:, None] / np.sqrt(spec.lambdas)[None, :]
+    residual = km.matrix @ u - u * spec.lambdas[None, :]
+    assert np.max(np.abs(residual)) <= 1e-12
+    assert np.max(np.abs(u.T @ u - np.eye(order))) <= 1e-12
+
+
+@pytest.mark.parametrize("order", [64, 65, 256, 400, 512, 800, 1600])
+def test_gauss_legendre_matches_numpy(order):
+    x, w = gauss_legendre(order)
+    x_ref, w_ref = np.polynomial.legendre.leggauss(order)
+    assert np.array_equal(x, x_ref)
+    assert np.array_equal(w, w_ref)
 
 
 def test_scaling_covariance():
@@ -213,6 +251,28 @@ def test_record_roundtrip(spec_t10):
     assert back.t_obs == spec_t10.t_obs
     assert back.quad_order == spec_t10.quad_order
     assert back.trace_error == spec_t10.trace_error
+
+
+@pytest.mark.parametrize(
+    "index, value, message",
+    [
+        (-1, -1e-15, "lambda_256 = -1e-15; every eigenvalue must be finite"),
+        (3, math.nan, "lambda_4 = nan"),
+        (11, 0.5, "increase from lambda_11 to lambda_12"),
+    ],
+)
+def test_record_rejects_invalid_eigenvalues(spec_t10, index, value, message):
+    record = spectrum_record(spec_t10)
+    record["lambdas"][index] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        spectrum_from_record(record)
+
+
+def test_record_accepts_rounded_plateau(spec_t10):
+    # 12-digit artifacts print 1 - 1e-15 as exactly 1
+    record = spectrum_record(spec_t10)
+    record["lambdas"][:3] = [1.0, 1.0, 1.0]
+    assert spectrum_from_record(record).lambdas[0] == 1.0
 
 
 def test_random_spectra_properties():
