@@ -14,7 +14,14 @@ Everything downstream of that picture is numeric and testable:
 - :mod:`epscap.comparison` lines the deterministic quantities up against
   the classical stochastic (Gaussian-noise) benchmarks.
 - :mod:`epscap.cli` exposes all of it as the ``epscap`` command.
+
+Bound formulas, wide-window rates, the working-dimension rule and the
+ball and ellipsoid samplers live in :mod:`epscap.geometry`; the input
+checks shared by every module live in :mod:`epscap.params`.
 """
+
+# set before the submodules load: epscap.manifest reads it at import time
+__version__ = "0.1.0"
 
 from .comparison import (
     ComparisonRow,
@@ -46,6 +53,8 @@ from .geometry import (
     oracle_cover_interval,
     oracle_pack_interval,
     per_unit_time_report,
+    sample_uniform_ball,
+    sample_uniform_ellipsoid,
     verify_pairwise_distance_inequality,
 )
 from .params import DofQuery, SignalSpaceParams
@@ -60,8 +69,6 @@ from .simulation import (
     estimate_error_fraction,
     generate_codebook,
     run_random_code_experiment,
-    sample_uniform_ball,
-    sample_uniform_ellipsoid,
     wilson_interval,
 )
 from .spectrum import (
@@ -79,8 +86,6 @@ from .spectrum import (
     transition_limit,
     volume_correction,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",

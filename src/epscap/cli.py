@@ -13,6 +13,7 @@ instead (multiplied by 2*pi internally).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -24,18 +25,20 @@ from .comparison import comparison_table
 from .errors import ConfigurationError, NumericalError
 from .geometry import (
     Ellipsoid,
-    finite_reports,
     greedy_pack,
     oracle_cover_interval,
     oracle_pack_interval,
+    per_unit_time_report,
+    working_dimension,
 )
 from .manifest import (
+    MANIFEST_PREFIX,
     RunManifest,
     csv_bytes,
+    csv_line,
     json_bytes,
-    normalize,
+    manifest_line,
     resolve_output_path,
-    round_float,
 )
 from .params import DofQuery, SignalSpaceParams
 from .simulation import (
@@ -118,6 +121,16 @@ def _omega_value(args) -> float:
     return args.omega * (2.0 * math.pi) if getattr(args, "hz", False) else args.omega
 
 
+def _signal_params(args, t_obs: float) -> SignalSpaceParams:
+    return SignalSpaceParams(
+        omega=_omega_value(args),
+        t_obs=t_obs,
+        energy=args.energy,
+        eps=args.eps,
+        delta=args.delta,
+    )
+
+
 def _manifest(args, command: str) -> RunManifest:
     skip = {"handler", "seed"}
     parameters = {k: v for k, v in vars(args).items() if k not in skip}
@@ -182,22 +195,13 @@ def _load_spectrum_file(path: str):
     return spectrum_from_record(record)
 
 
-def _bound_reports(params: SignalSpaceParams, spectrum, n_dim_override=None):
-    """Working dimension, volume correction (None without a spectrum) and reports."""
-    source = params if spectrum is None else spectrum
-    n_dim = n_dim_override or max(1, round(source.nominal_dimension))
-    z = None if spectrum is None else volume_correction(spectrum, n_dim)
-    return n_dim, z, finite_reports(params, n_dim=n_dim, zeta_value=z)
-
-
-def _bound_row(params: SignalSpaceParams, n_dim: int, z, reports: dict) -> list:
+def _bound_row(params: SignalSpaceParams, reports: dict) -> list:
     """One row of bound columns; shared by `bounds` and `sweep`."""
     c2, cd, he = (
         reports["capacity_2eps"],
         reports["capacity_eps_delta"],
         reports["entropy_eps"],
     )
-    entropy_valid = not any("outside the covering bound regime" in n for n in he.notes)
     return [
         params.omega,
         params.t_obs,
@@ -205,15 +209,15 @@ def _bound_row(params: SignalSpaceParams, n_dim: int, z, reports: dict) -> list:
         params.eps,
         params.delta,
         params.nominal_dimension,
-        n_dim,
-        1.0 if z is None else z,
+        c2.n_dim,
+        1.0 if c2.zeta_value is None else c2.zeta_value,
         c2.lower_bits,
         c2.upper_bits,
         cd.lower_bits,
         cd.upper_bits,
         he.lower_bits,
         he.upper_bits,
-        entropy_valid,
+        he.valid,
         c2.lower_rate,
         c2.upper_rate,
         cd.lower_rate,
@@ -248,7 +252,7 @@ def _cmd_spectrum(args) -> int:
             ["quad_order", spectrum.quad_order],
             ["trace_error", spectrum.trace_error],
             ["lambda_1", float(spectrum.lambdas[0])],
-            ["volume_correction(N0)", volume_correction(spectrum, max(1, round(spectrum.nominal_dimension)))],
+            ["volume_correction(N0)", volume_correction(spectrum, working_dimension(spectrum.nominal_dimension))],
         ],
     )
     return _emit_payload(args, manifest, payload, (columns, rows), table)
@@ -273,23 +277,16 @@ def _cmd_dof(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    omega = _omega_value(args)
-    params = SignalSpaceParams(
-        omega=omega,
-        t_obs=args.t_obs,
-        energy=args.energy,
-        eps=args.eps,
-        delta=args.delta,
-    )
+    params = _signal_params(args, args.t_obs)
     spectrum = _load_spectrum_file(args.use_spectrum) if args.use_spectrum else None
     if spectrum is not None and (
-        abs(spectrum.omega - omega) > 1e-9 or abs(spectrum.t_obs - args.t_obs) > 1e-9
+        abs(spectrum.omega - params.omega) > 1e-9 or abs(spectrum.t_obs - args.t_obs) > 1e-9
     ):
         raise ConfigurationError(
             "spectrum file was computed for different omega/t_obs than requested"
         )
-    n_dim, z, reports = _bound_reports(params, spectrum, args.n_dim)
-    row = _bound_row(params, n_dim, z, reports)
+    reports = per_unit_time_report(params, spectrum, args.n_dim)
+    row = _bound_row(params, reports)
     manifest = _manifest(args, "bounds")
     payload = {
         "params": vars(params) | {"nominal_dimension": params.nominal_dimension},
@@ -341,14 +338,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    omega = _omega_value(args)
-    params = SignalSpaceParams(
-        omega=omega,
-        t_obs=args.t_obs,
-        energy=args.energy,
-        eps=args.eps,
-        delta=args.delta,
-    )
+    params = _signal_params(args, args.t_obs)
     spectrum = _load_spectrum_file(args.use_spectrum) if args.use_spectrum else None
     config = ExperimentConfig(
         params=params,
@@ -405,14 +395,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_exponent_sweep(args) -> int:
-    omega = _omega_value(args)
-    params = SignalSpaceParams(
-        omega=omega,
-        t_obs=args.t_list[0],
-        energy=args.energy,
-        eps=args.eps,
-        delta=args.delta,
-    )
+    params = _signal_params(args, args.t_list[0])
     sweep = empirical_exponent_sweep(
         params,
         rate=args.rate,
@@ -488,6 +471,10 @@ _FIXED_KEYS = {
     "rate": float,
     "n_codewords": int,
 }
+# fixed keys that ExperimentConfig takes under the same name
+_EXPERIMENT_KEYS = set(_FIXED_KEYS) & {
+    f.name for f in dataclasses.fields(ExperimentConfig)
+}
 
 
 def _parse_sweep_config(path: str) -> tuple[dict, dict]:
@@ -552,26 +539,14 @@ def _sweep_grid(axes: dict) -> list[dict]:
 
 
 def _sweep_row(point: dict, fixed: dict, spectra: dict) -> list:
-    params = SignalSpaceParams(
-        omega=point["omega"],
-        t_obs=point["t_obs"],
-        energy=point["energy"],
-        eps=point["eps"],
-        delta=point["delta"],
-    )
+    params = SignalSpaceParams(**point)
     spectrum = spectra.get((point["omega"], point["t_obs"]))
-    row = _bound_row(params, *_bound_reports(params, spectrum, fixed.get("n_dim")))
+    row = _bound_row(params, per_unit_time_report(params, spectrum, fixed.get("n_dim")))
     if fixed.get("simulate"):
         config = ExperimentConfig(
             params=params,
             dim_override=fixed.get("n_dim"),
-            rate=fixed.get("rate"),
-            n_codewords=fixed.get("n_codewords"),
-            samples=fixed.get("samples", 1000),
-            seed=fixed.get("seed", 0),
-            max_codewords=fixed.get("max_codewords", 2**18),
-            retries=fixed.get("retries", 3),
-            max_eval_codewords=fixed.get("max_eval_codewords", 512),
+            **{key: fixed[key] for key in _EXPERIMENT_KEYS if key in fixed},
         )
         outcome = run_random_code_experiment(config, spectrum)
         if outcome.rate_too_low:
@@ -589,12 +564,6 @@ def _sweep_row(point: dict, fixed: dict, spectra: dict) -> list:
                 res.verdict,
             ]
     return row
-
-
-def _format_csv_row(row: list) -> str:
-    from .manifest import _format_cell
-
-    return ",".join(_format_cell(v) for v in row)
 
 
 def _cmd_sweep(args) -> int:
@@ -626,10 +595,8 @@ def _cmd_sweep(args) -> int:
     if fixed.get("simulate"):
         columns += _SIM_COLUMNS
 
-    manifest_line = "# manifest: " + json.dumps(
-        normalize(manifest.to_dict()), sort_keys=True, allow_nan=False
-    )
-    header_line = ",".join(columns)
+    first_line = manifest_line(manifest)
+    header = csv_line(columns)
 
     skip = 0
     out_fh = None
@@ -637,7 +604,7 @@ def _cmd_sweep(args) -> int:
         if args.out:
             path = resolve_output_path(args.out)
             if args.resume:
-                skip = _resume_offset(path, manifest_line, header_line)
+                skip = _resume_offset(path, first_line, header)
                 out_fh = open(path, "a", encoding="utf-8")
             else:
                 out_fh = open(path, "w", encoding="utf-8")
@@ -646,49 +613,62 @@ def _cmd_sweep(args) -> int:
                 raise ConfigurationError("--resume needs --out")
             out_fh = sys.stdout
 
-        if skip == 0:
-            print(manifest_line, file=out_fh, flush=True)
-            print(header_line, file=out_fh, flush=True)
+        # a resumed file keeps the manifest and header it already has
+        if out_fh is sys.stdout or out_fh.tell() == 0:
+            print(first_line, file=out_fh, flush=True)
+            print(header, end="", file=out_fh, flush=True)
 
         todo = points[skip:]
         if args.jobs > 1 and todo:
             with ThreadPoolExecutor(max_workers=args.jobs) as pool:
                 futures = [pool.submit(_sweep_row, p, fixed, spectra) for p in todo]
                 for fut in futures:  # grid order regardless of completion order
-                    print(_format_csv_row(fut.result()), file=out_fh, flush=True)
+                    print(csv_line(fut.result()), end="", file=out_fh, flush=True)
         else:
             for p in todo:
-                print(_format_csv_row(_sweep_row(p, fixed, spectra)), file=out_fh, flush=True)
+                print(csv_line(_sweep_row(p, fixed, spectra)), end="", file=out_fh, flush=True)
     finally:
         if out_fh is not None and out_fh is not sys.stdout:
             out_fh.close()
     return 0
 
 
-def _resume_offset(path: str, manifest_line: str, header_line: str) -> int:
-    """Rows already present in a partial sweep file (manifest must match)."""
+def _resume_offset(path: str, first_line: str, header: str) -> int:
+    """Rows already complete in a partial sweep file (manifest must match).
+
+    A run cut off mid-write leaves a final line without its newline; that
+    partial line is cut from the file, and a file without a complete
+    header line is emptied, so the resumed run writes whole lines only.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
+        with open(path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
         return 0
-    if not lines:
+    if not data:
         return 0
-    if not lines[0].startswith("# manifest: "):
+    if not data.startswith(MANIFEST_PREFIX.encode()):
         raise ConfigurationError(f"{path} is not a sweep artifact; refusing to resume")
-    old = json.loads(lines[0][len("# manifest: ") :])
-    new = json.loads(manifest_line[len("# manifest: ") :])
-    for record in (old, new):
-        record.pop("timestamp", None)
-        # same grid under a renamed file is still the same sweep
-        record.get("parameters", {}).pop("out", None)
-    if old != new:
-        raise ConfigurationError(
-            f"{path} was produced by a different sweep configuration; "
-            "refusing to resume"
-        )
-    if len(lines) >= 2 and lines[1] != header_line:
+    complete = data[: data.rfind(b"\n") + 1]
+    lines = complete.decode("utf-8").splitlines(keepends=True)
+    if lines:
+        old = json.loads(lines[0][len(MANIFEST_PREFIX) :])
+        new = json.loads(first_line[len(MANIFEST_PREFIX) :])
+        for record in (old, new):
+            record.pop("timestamp", None)
+            # same grid under a renamed file is still the same sweep
+            record.get("parameters", {}).pop("out", None)
+        if old != new:
+            raise ConfigurationError(
+                f"{path} was produced by a different sweep configuration; "
+                "refusing to resume"
+            )
+    if len(lines) >= 2 and lines[1] != header:
         raise ConfigurationError(f"{path} has a different column set; refusing to resume")
+    keep = len(complete) if len(lines) >= 2 else 0
+    if keep < len(data):
+        with open(path, "r+b") as fh:
+            fh.truncate(keep)
     return max(0, len(lines) - 2)
 
 

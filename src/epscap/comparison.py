@@ -10,6 +10,9 @@ convention for side-by-side reading, not an equivalence of the models.
 Jagerman's classical lattice-based bounds are included as the historical
 reference point; their per-unit-time content vanishes as the window
 grows, which is exactly the weakness the volume-ratio bounds fix.
+
+The deterministic column reads the wide-window rates of
+:mod:`epscap.geometry` at energy = snr and eps = 1.
 """
 
 from __future__ import annotations
@@ -17,19 +20,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .geometry import wide_window_rates
+from .params import require_finite
+
 
 def shannon_capacity(omega: float, snr: float) -> float:
     """AWGN capacity (Omega/pi)*log2(sqrt(1 + snr)) in bits/s."""
-    _check_omega(omega)
-    if not (snr >= 0 and math.isfinite(snr)):
-        raise ValueError(f"snr must be nonnegative and finite, got {snr}")
+    require_finite("omega", omega)
+    require_finite("snr", snr, nonnegative=True)
     return (omega / math.pi) * math.log2(math.sqrt(1.0 + snr))
 
 def shannon_rate_distortion(omega: float, snr: float) -> float:
     """Quadratic-distortion rate (Omega/pi)*log2(sqrt(snr)), clamped at 0."""
-    _check_omega(omega)
-    if not (snr > 0 and math.isfinite(snr)):
-        raise ValueError(f"snr must be positive and finite, got {snr}")
+    require_finite("omega", omega)
+    require_finite("snr", snr)
     return max(0.0, (omega / math.pi) * math.log2(math.sqrt(snr)))
 
 
@@ -40,32 +44,26 @@ def jagerman_capacity_lower(nominal_dim: float, snr: float) -> float:
     inscribed in the energy ball. Grows only like sqrt(N0) at fixed snr,
     so its per-unit-time rate tends to zero.
     """
-    if not (nominal_dim >= 1 and math.isfinite(nominal_dim)):
-        raise ValueError(f"nominal_dim must be >= 1, got {nominal_dim}")
-    if not (snr > 0 and math.isfinite(snr)):
-        raise ValueError(f"snr must be positive and finite, got {snr}")
-    return nominal_dim * math.log2(
-        (2.0 / math.sqrt(10.0)) * math.sqrt(snr / nominal_dim) + 1.0
-    )
+    return nominal_dim * _lattice_bits_per_dimension(nominal_dim, snr)
 
 
 def jagerman_capacity_lower_rate(omega: float, nominal_dim: float, snr: float) -> float:
     """The same bound divided by the window T = N0*pi/Omega, in bits/s."""
-    _check_omega(omega)
+    require_finite("omega", omega)
+    return (omega / math.pi) * _lattice_bits_per_dimension(nominal_dim, snr)
+
+
+def _lattice_bits_per_dimension(nominal_dim: float, snr: float) -> float:
     if not (nominal_dim >= 1 and math.isfinite(nominal_dim)):
         raise ValueError(f"nominal_dim must be >= 1, got {nominal_dim}")
-    if not (snr > 0 and math.isfinite(snr)):
-        raise ValueError(f"snr must be positive and finite, got {snr}")
-    return (omega / math.pi) * math.log2(
-        (2.0 / math.sqrt(10.0)) * math.sqrt(snr / nominal_dim) + 1.0
-    )
+    require_finite("snr", snr)
+    return math.log2((2.0 / math.sqrt(10.0)) * math.sqrt(snr / nominal_dim) + 1.0)
 
 
 def jagerman_entropy_upper(omega: float, snr: float) -> float:
     """Width-based entropy upper bound (Omega/pi)*log2(2*sqrt(snr) + 1), bits/s."""
-    _check_omega(omega)
-    if not (snr > 0 and math.isfinite(snr)):
-        raise ValueError(f"snr must be positive and finite, got {snr}")
+    require_finite("omega", omega)
+    require_finite("snr", snr)
     return (omega / math.pi) * math.log2(2.0 * math.sqrt(snr) + 1.0)
 
 
@@ -80,10 +78,12 @@ def capacity_crossover_dimension(snr: float) -> int:
         raise ValueError(
             f"snr must exceed 4 for the volume-ratio bound to win, got {snr}"
         )
+    # at Omega = pi one second carries one nominal dimension, so the
+    # 2eps-capacity lower rate there is the bound's bits per dimension
+    per_dim = wide_window_rates(math.pi, math.sqrt(snr))["capacity_2eps"][0]
 
     def advantage(n0: float) -> float:
-        ours = n0 * (math.log2(math.sqrt(snr)) - 1.0)
-        return ours - jagerman_capacity_lower(n0, snr)
+        return n0 * per_dim - jagerman_capacity_lower(n0, snr)
 
     hi = 1
     while advantage(hi) <= 0:
@@ -144,31 +144,29 @@ def comparison_table(
     Rows are per-unit-time quantities; with nominal_dim given, the
     finite-window Jagerman capacity row is added for scale.
     """
-    _check_omega(omega)
-    if not (snr > 0 and math.isfinite(snr)):
-        raise ValueError(f"snr must be positive and finite, got {snr}")
-    r = omega / math.pi
-    s = math.sqrt(snr)
+    require_finite("omega", omega)
+    require_finite("snr", snr)
+    rates = wide_window_rates(omega, math.sqrt(snr))
     rows = [
         ComparisonRow(
             label="capacity (bits/s)",
             stochastic_value=shannon_capacity(omega, snr),
-            deterministic_lower=max(0.0, r * math.log2(s)),
-            deterministic_upper=r * math.log2(1.0 + s),
+            deterministic_lower=rates["capacity_eps_delta"][0],
+            deterministic_upper=rates["capacity_eps_delta"][1],
             note="deterministic side: eps-delta capacity per unit time",
         ),
         ComparisonRow(
             label="source rate at fixed fidelity (bits/s)",
             stochastic_value=shannon_rate_distortion(omega, snr),
-            deterministic_lower=max(0.0, r * math.log2(s)),
-            deterministic_upper=max(0.0, r * math.log2(s)),
+            deterministic_lower=rates["entropy_eps"][0],
+            deterministic_upper=rates["entropy_eps"][1],
             note="deterministic side: eps-entropy per unit time (exact limit)",
         ),
         ComparisonRow(
             label="zero-error capacity (bits/s)",
             stochastic_value=0.0,
-            deterministic_lower=max(0.0, r * (math.log2(s) - 1.0)),
-            deterministic_upper=r * math.log2(1.0 + s / math.sqrt(2.0)),
+            deterministic_lower=rates["capacity_2eps"][0],
+            deterministic_upper=rates["capacity_2eps"][1],
             note="stochastic zero-error capacity of the AWGN channel is 0",
         ),
     ]
@@ -180,13 +178,9 @@ def comparison_table(
                 deterministic_lower=jagerman_capacity_lower_rate(
                     omega, nominal_dim, snr
                 ),
-                deterministic_upper=r * math.log2(1.0 + s),
+                deterministic_upper=rates["capacity_eps_delta"][1],
                 note=f"at nominal dimension {nominal_dim:g}; vanishes as the window grows",
             )
         )
     return rows
 
-
-def _check_omega(omega: float):
-    if not (omega > 0 and math.isfinite(omega)):
-        raise ValueError(f"omega must be positive and finite, got {omega}")

@@ -8,6 +8,10 @@ eps-bounded noise; covering it with eps-balls bounds how many bits
 describe any signal to accuracy eps. All bound formulas here are exact
 finite-N statements in bits (log2); the per-unit-time report divides out
 the observation window and takes the wide-window limit.
+
+The bound formulas, the wide-window rates that the comparison table and
+the error exponent read, the working-dimension rule N = round(N0) and the
+uniform ball and ellipsoid samplers all live here.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import ConfigurationError
-from .params import SignalSpaceParams
+from .params import SignalSpaceParams, require_finite, require_positive_int
+from .spectrum import _check_index, volume_correction
 
 _LN2 = math.log(2.0)
 
@@ -47,30 +52,23 @@ class Ellipsoid:
 
     @classmethod
     def ball(cls, dim: int, radius: float) -> "Ellipsoid":
-        if not isinstance(dim, (int, np.integer)) or dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {dim}")
+        require_positive_int("dim", dim)
         return cls(np.full(int(dim), float(radius)))
 
     @classmethod
     def from_spectrum(cls, spectrum, energy: float, n_dim: int) -> "Ellipsoid":
         """Energy ellipsoid of the first n_dim modes: semi-axes sqrt(E*lambda)."""
-        from .spectrum import _check_index  # shared index validation
-
-        if not (energy > 0 and math.isfinite(energy)):
-            raise ValueError(f"energy must be positive and finite, got {energy}")
+        require_finite("energy", energy)
         n_dim = _check_index(spectrum, n_dim)
         return cls(np.sqrt(energy * spectrum.lambdas[:n_dim]))
 
 
 def log_ball_volume(dim: int, radius: float) -> float:
     """log2 of the volume of the dim-ball of the given radius."""
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise ValueError(f"dim must be a positive integer, got {dim}")
-    if not (radius > 0 and math.isfinite(radius)):
-        raise ValueError(f"radius must be positive and finite, got {radius}")
+    require_positive_int("dim", dim)
+    require_finite("radius", radius)
     dim = int(dim)
-    log2_unit = (dim / 2.0) * math.log2(math.pi) - gammaln(dim / 2.0 + 1.0) / _LN2
-    return log2_unit + dim * math.log2(radius)
+    return _log2_unit_ball_volume(dim) + dim * math.log2(radius)
 
 
 def log_ellipsoid_volume(ellipsoid: Ellipsoid | np.ndarray) -> float:
@@ -78,22 +76,54 @@ def log_ellipsoid_volume(ellipsoid: Ellipsoid | np.ndarray) -> float:
     if not isinstance(ellipsoid, Ellipsoid):
         ellipsoid = Ellipsoid(ellipsoid)
     dim = ellipsoid.dim
-    log2_unit = (dim / 2.0) * math.log2(math.pi) - gammaln(dim / 2.0 + 1.0) / _LN2
-    return log2_unit + float(np.sum(np.log2(ellipsoid.radii)))
+    return _log2_unit_ball_volume(dim) + float(np.sum(np.log2(ellipsoid.radii)))
+
+
+def _log2_unit_ball_volume(dim: int) -> float:
+    return (dim / 2.0) * math.log2(math.pi) - gammaln(dim / 2.0 + 1.0) / _LN2
+
+
+# --- samplers ---
+
+
+def sample_uniform_ball(
+    dim: int, radius: float, rng: np.random.Generator, size: int | None = None
+):
+    """Uniform points in the dim-ball: isotropic direction times U^(1/dim) radius.
+
+    Returns shape (dim,) for size=None, else (size, dim).
+    """
+    require_positive_int("dim", dim)
+    require_finite("radius", radius, nonnegative=True)
+    n = 1 if size is None else int(size)
+    if n < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
+    direction = rng.standard_normal((n, int(dim)))
+    norms = np.linalg.norm(direction, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0  # probability-zero guard
+    scale = radius * rng.random((n, 1)) ** (1.0 / dim)
+    points = direction / norms * scale
+    return points[0] if size is None else points
+
+
+def sample_uniform_ellipsoid(
+    radii, rng: np.random.Generator, size: int | None = None
+):
+    """Uniform points in an axis-aligned ellipsoid (ball sample scaled per axis)."""
+    radii = Ellipsoid(radii).radii if not isinstance(radii, Ellipsoid) else radii.radii
+    ball = sample_uniform_ball(len(radii), 1.0, rng, size=size)
+    return ball * radii
 
 
 # --- finite-dimensional bound formulas (bits) ---
 
 
 def _check_bound_args(n_dim, zeta_value, energy, eps):
-    if not isinstance(n_dim, (int, np.integer)) or n_dim < 1:
-        raise ValueError(f"n_dim must be a positive integer, got {n_dim}")
+    require_positive_int("n_dim", n_dim)
     if not (0.0 < zeta_value <= 1.0):
         raise ValueError(f"zeta_value must lie in (0, 1], got {zeta_value}")
-    if not (energy > 0 and math.isfinite(energy)):
-        raise ValueError(f"energy must be positive and finite, got {energy}")
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    require_finite("energy", energy)
+    require_finite("eps", eps)
 
 
 def capacity_2eps_bounds(
@@ -137,8 +167,7 @@ def covering_overhead(n_dim: int) -> float:
     only meaningful once ln N > 2; below that the factor is undefined and
     NaN is returned.
     """
-    if not isinstance(n_dim, (int, np.integer)) or n_dim < 1:
-        raise ValueError(f"n_dim must be a positive integer, got {n_dim}")
+    require_positive_int("n_dim", n_dim)
     ln_n = math.log(n_dim)
     if ln_n <= 2.0:
         return math.nan
@@ -167,6 +196,47 @@ def entropy_eps_bounds(
     return lower, upper, valid
 
 
+# --- wide-window rates (bits/s) and the working dimension ---
+
+
+def entropy_rate(omega: float, sqrt_snr: float) -> float:
+    """(Omega/pi)*log2(sqrt_snr) bits/s: the eps-entropy rate, not clamped at 0.
+
+    Clamped, it is also the eps-delta capacity lower rate; the error
+    exponent reads it unclamped, negative when sqrt_snr < 1.
+    """
+    return (omega / math.pi) * math.log2(sqrt_snr)
+
+
+def wide_window_rates(omega: float, sqrt_snr: float) -> dict[str, tuple[float, float]]:
+    """(lower, upper) bits/s of each quantity in the wide-window limit.
+
+    The rates depend only on the bandwidth and s = sqrt(snr) (not on
+    delta, and not on the eigenvalues, since zeta -> 1).
+    """
+    r = omega / math.pi
+    h_rate = max(0.0, entropy_rate(omega, sqrt_snr))
+    return {
+        "capacity_2eps": (
+            max(0.0, r * (math.log2(sqrt_snr) - 1.0)),
+            r * math.log2(1.0 + sqrt_snr / math.sqrt(2.0)),
+        ),
+        "capacity_eps_delta": (h_rate, r * math.log2(1.0 + sqrt_snr)),
+        "entropy_eps": (h_rate, h_rate),
+    }
+
+
+def working_dimension(nominal_dimension: float, n_dim: int | None = None) -> int:
+    """The dimension finite-N bounds are taken at: n_dim if given, else round(N0).
+
+    A given n_dim must be a positive integer; round(N0) is raised to 1.
+    """
+    if n_dim is not None:
+        require_positive_int("n_dim", n_dim)
+        return int(n_dim)
+    return max(1, round(nominal_dimension))
+
+
 # --- consolidated reports ---
 
 
@@ -176,7 +246,9 @@ class BoundReport:
 
     Either pair may be absent (None); NaN marks a formula outside its
     domain. formula_tags names the method behind each populated field;
-    notes carries validity caveats.
+    notes carries validity caveats. valid is False when the bits lie
+    outside the regime their derivation covers (the entropy bound's, see
+    entropy_eps_bounds); to_dict leaves it out, the notes say it in words.
     """
 
     quantity: str
@@ -188,6 +260,7 @@ class BoundReport:
     zeta_value: float | None = None
     formula_tags: dict = field(default_factory=dict)
     notes: tuple = ()
+    valid: bool = True
 
     def __post_init__(self):
         for lo, hi, label in (
@@ -217,36 +290,18 @@ class BoundReport:
         }
 
 
-def _rate_bounds(params: SignalSpaceParams) -> dict[str, tuple[float, float]]:
-    r = params.omega / math.pi
-    s = params.sqrt_snr
-    h_rate = max(0.0, r * math.log2(s)) if s > 0 else 0.0
-    return {
-        "capacity_2eps": (
-            max(0.0, r * (math.log2(s) - 1.0)),
-            r * math.log2(1.0 + s / math.sqrt(2.0)),
-        ),
-        "capacity_eps_delta": (h_rate, r * math.log2(1.0 + s)),
-        "entropy_eps": (h_rate, h_rate),
-    }
-
-
 def per_unit_time_report(
-    params: SignalSpaceParams, spectrum=None
+    params: SignalSpaceParams, spectrum=None, n_dim: int | None = None
 ) -> dict[str, BoundReport]:
-    """Bound reports per quantity; rates always, bits when a spectrum is given.
+    """Bound reports per quantity: wide-window rates and finite-N bits.
 
-    The wide-window rates depend only on the snr (not on delta, and not on
-    the eigenvalues, since zeta -> 1). With a spectrum, finite-N bits are
-    evaluated at N = round(N0) with the measured zeta(N).
+    The bits are taken at the working dimension: n_dim if given, else
+    round(N0) of the spectrum (of params without one). They use the
+    spectrum's measured zeta(N), or the zeta = 1 idealization without one.
     """
-    n_dim = None
-    zeta_value = None
-    if spectrum is not None:
-        from .spectrum import volume_correction
-
-        n_dim = max(1, round(spectrum.nominal_dimension))
-        zeta_value = volume_correction(spectrum, n_dim)
+    source = params if spectrum is None else spectrum
+    n_dim = working_dimension(source.nominal_dimension, n_dim)
+    zeta_value = None if spectrum is None else volume_correction(spectrum, n_dim)
     return finite_reports(params, n_dim=n_dim, zeta_value=zeta_value)
 
 
@@ -260,11 +315,12 @@ def finite_reports(
     zeta_value defaults to 1 (the idealized wide-window value) when bits
     are requested without a measured spectrum.
     """
-    rates = _rate_bounds(params)
+    rates = wide_window_rates(params.omega, params.sqrt_snr)
     tags_rate = {"lower_rate": "per-unit-time-limit", "upper_rate": "per-unit-time-limit"}
 
     bits: dict[str, tuple] = {}
     notes: dict[str, tuple] = {k: () for k in rates}
+    valid = dict.fromkeys(rates, True)
     if n_dim is not None:
         z = 1.0 if zeta_value is None else zeta_value
         c2 = capacity_2eps_bounds(n_dim, z, params.energy, params.eps)
@@ -285,6 +341,7 @@ def finite_reports(
             )
         h_lo, h_hi, h_valid = entropy_eps_bounds(n_dim, z, params.energy, params.eps)
         bits["entropy_eps"] = (h_lo, h_hi)
+        valid["entropy_eps"] = h_valid
         if not h_valid:
             notes["entropy_eps"] = (
                 "outside the covering bound regime (need N >= 9 and "
@@ -325,6 +382,7 @@ def finite_reports(
             zeta_value=(zeta_value if lo_bits is not None else None),
             formula_tags=tags,
             notes=notes[key],
+            valid=valid[key],
         )
     return reports
 
@@ -333,7 +391,7 @@ def finite_reports(
 
 
 def verify_pairwise_distance_inequality(
-    center: np.ndarray, points: np.ndarray, rel_tol: float = 1e-12
+    center: np.ndarray, points: np.ndarray
 ) -> tuple[bool, float]:
     """Check sum_jk |x_j - x_k|^2 <= 2m * sum_j |c - x_j|^2 by brute force.
 
@@ -354,7 +412,7 @@ def verify_pairwise_distance_inequality(
         lhs += float(np.sum((points - points[j]) ** 2))
     rhs = 2.0 * m * float(np.sum((points - center) ** 2))
     slack = rhs - lhs
-    holds = slack >= -rel_tol * max(1.0, abs(rhs))
+    holds = slack >= -1e-12 * max(1.0, abs(rhs))
     return holds, slack
 
 
@@ -379,10 +437,8 @@ def oracle_cover_interval(sqrt_energy: float, eps: float) -> int:
 
 
 def _check_oracle_args(sqrt_energy, eps):
-    if not (sqrt_energy > 0 and math.isfinite(sqrt_energy)):
-        raise ValueError(f"sqrt_energy must be positive and finite, got {sqrt_energy}")
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    require_finite("sqrt_energy", sqrt_energy)
+    require_finite("eps", eps)
 
 
 def greedy_pack(
@@ -407,15 +463,11 @@ def greedy_pack(
             f"greedy_pack supports dim <= 6, got {ellipsoid.dim}; higher "
             "dimensions need exponentially many candidates to saturate"
         )
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    require_finite("eps", eps)
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     if attempts < 1 or candidates < 1:
         raise ConfigurationError("attempts and candidates must be >= 1")
-
-    # local import: simulation depends on this module for bound reports
-    from .simulation import sample_uniform_ellipsoid
 
     min_sep_sq = (2.0 * eps) ** 2
     best = 0

@@ -23,8 +23,12 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from . import __version__
+
 SIGNIFICANT_DIGITS = 12
 OUTPUT_DIR_ENV = "EPSCAP_OUTPUT_DIR"
+# CSV artifacts open with this prefix and the manifest's JSON
+MANIFEST_PREFIX = "# manifest: "
 
 
 @dataclass(frozen=True)
@@ -37,8 +41,6 @@ class RunManifest:
 
     @classmethod
     def create(cls, command: str, parameters: dict, seed: int | None = None) -> "RunManifest":
-        from . import __version__
-
         return cls(
             command=command,
             parameters=dict(parameters),
@@ -100,18 +102,26 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def csv_bytes(columns: list[str], rows: list[list], manifest: RunManifest) -> bytes:
-    """CSV rendering with the manifest embedded as a leading comment line."""
-    buf = io.StringIO()
+def manifest_line(manifest: RunManifest) -> str:
+    """The leading comment line of a CSV artifact, without its newline."""
     manifest_json = json.dumps(
         normalize(manifest.to_dict()), sort_keys=True, allow_nan=False
     )
-    buf.write(f"# manifest: {manifest_json}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_format_cell(v) for v in row])
-    return buf.getvalue().encode()
+    return f"{MANIFEST_PREFIX}{manifest_json}"
+
+
+def csv_line(row: list) -> str:
+    """One CSV record, cells formatted as in every artifact, newline included."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([_format_cell(v) for v in row])
+    return buf.getvalue()
+
+
+def csv_bytes(columns: list[str], rows: list[list], manifest: RunManifest) -> bytes:
+    """CSV rendering with the manifest embedded as a leading comment line."""
+    lines = [manifest_line(manifest) + "\n", csv_line(columns)]
+    lines += [csv_line(row) for row in rows]
+    return "".join(lines).encode()
 
 
 def resolve_output_path(path: str) -> str:

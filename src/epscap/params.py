@@ -1,9 +1,24 @@
-"""Parameter containers for the signal space and common derived ratios."""
+"""Parameter containers for the signal space, and the package's input checks."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
+
+
+def require_finite(name: str, value, nonnegative: bool = False) -> None:
+    """Refuse a value that is not finite and positive (>= 0 with nonnegative)."""
+    if not ((value >= 0 if nonnegative else value > 0) and math.isfinite(value)):
+        sign = "nonnegative" if nonnegative else "positive"
+        raise ValueError(f"{name} must be {sign} and finite, got {value}")
+
+
+def require_positive_int(name: str, value) -> None:
+    """Refuse anything but an integer >= 1 (a Python or numpy integer)."""
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value}")
 
 
 @dataclass(frozen=True)
@@ -25,14 +40,10 @@ class SignalSpaceParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        if not (self.omega > 0 and math.isfinite(self.omega)):
-            raise ValueError(f"omega must be positive and finite, got {self.omega}")
-        if not (self.t_obs > 0 and math.isfinite(self.t_obs)):
-            raise ValueError(f"t_obs must be positive and finite, got {self.t_obs}")
-        if not (self.energy > 0 and math.isfinite(self.energy)):
-            raise ValueError(f"energy must be positive and finite, got {self.energy}")
-        if not (self.eps > 0 and math.isfinite(self.eps)):
-            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+        require_finite("omega", self.omega)
+        require_finite("t_obs", self.t_obs)
+        require_finite("energy", self.energy)
+        require_finite("eps", self.eps)
         if not (0.0 <= self.delta < 1.0):
             raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
 
@@ -63,7 +74,5 @@ class DofQuery:
     mu: float
 
     def __post_init__(self):
-        if not (self.energy > 0 and math.isfinite(self.energy)):
-            raise ValueError(f"energy must be positive and finite, got {self.energy}")
-        if not (self.mu > 0 and math.isfinite(self.mu)):
-            raise ValueError(f"mu must be positive and finite, got {self.mu}")
+        require_finite("energy", self.energy)
+        require_finite("mu", self.mu)

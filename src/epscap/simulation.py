@@ -12,6 +12,10 @@ Randomness is reproducible and order-independent: each codeword gets its
 own generator seeded from a content hash of (global seed, codeword
 bytes), so permuting the codebook permutes the per-codeword results
 without changing any of them.
+
+The uniform ball and ellipsoid samplers, the bound reports, the
+wide-window rate behind the error exponent and the working-dimension
+rule all live in :mod:`epscap.geometry`.
 """
 
 from __future__ import annotations
@@ -24,8 +28,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import BoundReport, Ellipsoid, finite_reports
-from .params import DofQuery, SignalSpaceParams
+from .geometry import (
+    BoundReport,
+    Ellipsoid,
+    entropy_rate,
+    finite_reports,
+    sample_uniform_ball,
+    sample_uniform_ellipsoid,
+    working_dimension,
+)
+from .params import DofQuery, SignalSpaceParams, require_finite
+from .spectrum import build_spectrum, degrees_of_freedom, volume_correction
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -35,39 +48,8 @@ _NEIGHBOR_SLACK = 1e-12
 
 _MIN_SAMPLES = 100
 
-
-# --- samplers ---
-
-
-def sample_uniform_ball(
-    dim: int, radius: float, rng: np.random.Generator, size: int | None = None
-):
-    """Uniform points in the dim-ball: isotropic direction times U^(1/dim) radius.
-
-    Returns shape (dim,) for size=None, else (size, dim).
-    """
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise ValueError(f"dim must be a positive integer, got {dim}")
-    if not (radius >= 0 and math.isfinite(radius)):
-        raise ValueError(f"radius must be nonnegative and finite, got {radius}")
-    n = 1 if size is None else int(size)
-    if n < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
-    direction = rng.standard_normal((n, int(dim)))
-    norms = np.linalg.norm(direction, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0  # probability-zero guard
-    scale = radius * rng.random((n, 1)) ** (1.0 / dim)
-    points = direction / norms * scale
-    return points[0] if size is None else points
-
-
-def sample_uniform_ellipsoid(
-    radii, rng: np.random.Generator, size: int | None = None
-):
-    """Uniform points in an axis-aligned ellipsoid (ball sample scaled per axis)."""
-    radii = Ellipsoid(radii).radii if not isinstance(radii, Ellipsoid) else radii.radii
-    ball = sample_uniform_ball(len(radii), 1.0, rng, size=size)
-    return ball * radii
+# Evaluated codewords are compared with this many codewords at a time.
+_NEIGHBOR_CHUNK = 16384
 
 
 # --- codebooks ---
@@ -78,13 +60,11 @@ class Codebook:
     """Points to be distinguished under eps-bounded noise.
 
     radii, when present, is the generating ellipsoid; every point must lie
-    inside it (within roundoff). seed/method record provenance of the draw.
+    inside it (within roundoff).
     """
 
     points: np.ndarray
     radii: np.ndarray | None = None
-    seed: int | None = None
-    method: str = "explicit"
 
     def __post_init__(self):
         points = np.ascontiguousarray(np.atleast_2d(self.points), dtype="<f8")
@@ -114,20 +94,14 @@ class Codebook:
         return self.points.shape[1]
 
 
-def generate_codebook(radii, n_codewords: int, seed, method: str = "uniform_random") -> Codebook:
+def generate_codebook(radii, n_codewords: int, seed) -> Codebook:
     """Draw n_codewords points uniformly in the ellipsoid given by radii."""
-    if method != "uniform_random":
-        raise ValueError(
-            f"unknown method {method!r}; use generate_codebook for "
-            "'uniform_random' or construct Codebook directly for explicit points"
-        )
     if not isinstance(n_codewords, (int, np.integer)) or n_codewords < 1:
         raise ValueError(f"n_codewords must be >= 1, got {n_codewords}")
     radii = np.asarray(radii, dtype=float)
     rng = np.random.default_rng(seed)
     points = sample_uniform_ellipsoid(radii, rng, size=int(n_codewords))
-    scalar_seed = int(seed) if isinstance(seed, (int, np.integer)) else None
-    return Codebook(points=points, radii=radii, seed=scalar_seed, method=method)
+    return Codebook(points=points, radii=radii)
 
 
 def decode_error_indicator(codebook: Codebook, index: int, received) -> bool:
@@ -154,17 +128,17 @@ def decode_error_indicator(codebook: Codebook, index: int, received) -> bool:
 # --- error-fraction estimation ---
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval (95%) for a binomial proportion."""
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
     if not (0 <= successes <= trials):
         raise ValueError(f"successes {successes} outside [0, {trials}]")
     p = successes / trials
-    z2 = z * z
+    z2 = Z95 * Z95
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials**2)) / denom
+    half = Z95 * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials**2)) / denom
     # the exact endpoints at the degenerate counts; roundoff must not
     # push the interval off the point estimate
     lower = 0.0 if successes == 0 else max(0.0, center - half)
@@ -231,9 +205,7 @@ class SimulationResult:
         }
 
 
-def _neighbor_lists(
-    points: np.ndarray, eval_idx: np.ndarray, eps: float, chunk: int = 16384
-) -> list[np.ndarray]:
+def _neighbor_lists(points: np.ndarray, eval_idx: np.ndarray, eps: float) -> list[np.ndarray]:
     """Indices within 2*eps of each evaluated codeword (itself excluded).
 
     Blocked dense distance computation; at the scales used here this beats
@@ -245,8 +217,8 @@ def _neighbor_lists(
     sq_eval = sq_all[eval_idx]
     cutoff = (2.0 * eps) ** 2 * (1.0 + _NEIGHBOR_SLACK)
     hits: list[list[np.ndarray]] = [[] for _ in range(len(eval_idx))]
-    for start in range(0, m, chunk):
-        stop = min(start + chunk, m)
+    for start in range(0, m, _NEIGHBOR_CHUNK):
+        stop = min(start + _NEIGHBOR_CHUNK, m)
         block = points[start:stop]
         d2 = sq_eval[:, None] - 2.0 * (eval_pts @ block.T) + sq_all[start:stop][None, :]
         rows, cols = np.nonzero(d2 <= cutoff)
@@ -278,8 +250,7 @@ def estimate_error_fraction(
     pseudo-random subset independent of codebook order), and the mean's
     interval widens to cover codeword-to-codeword spread.
     """
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    require_finite("eps", eps)
     if not isinstance(samples, (int, np.integer)) or samples < _MIN_SAMPLES:
         raise ConfigurationError(
             f"samples must be an integer >= {_MIN_SAMPLES}, got {samples}"
@@ -391,8 +362,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.dim_override is not None and self.dim_override < 1:
             raise ValueError(f"dim_override must be >= 1, got {self.dim_override}")
-        if self.rate is not None and not (self.rate >= 0 and math.isfinite(self.rate)):
-            raise ValueError(f"rate must be nonnegative and finite, got {self.rate}")
+        if self.rate is not None:
+            require_finite("rate", self.rate, nonnegative=True)
         if self.n_codewords is not None and self.n_codewords < 1:
             raise ValueError(f"n_codewords must be >= 1, got {self.n_codewords}")
         if self.rate is not None and self.n_codewords is not None:
@@ -454,25 +425,18 @@ def run_random_code_experiment(
     retries a drawn codebook should pass the verdict.
     """
     params = config.params
+    if spectrum is not None and config.dim_override is None:
+        query = DofQuery(params.energy, config.mu if config.mu else params.eps)
+        n_dim = max(1, degrees_of_freedom(spectrum, query))
+    else:
+        n_dim = working_dimension(params.nominal_dimension, config.dim_override)
     if spectrum is not None:
-        from .spectrum import degrees_of_freedom, volume_correction
-
-        if config.dim_override is not None:
-            n_dim = int(config.dim_override)
-        else:
-            query = DofQuery(params.energy, config.mu if config.mu else params.eps)
-            n_dim = max(1, degrees_of_freedom(spectrum, query))
         zeta_value = volume_correction(spectrum, n_dim)
-        radii = np.sqrt(params.energy * spectrum.lambdas[:n_dim])
+        body = Ellipsoid.from_spectrum(spectrum, params.energy, n_dim)
         radii_source = "spectrum"
     else:
-        n_dim = (
-            int(config.dim_override)
-            if config.dim_override is not None
-            else max(1, round(params.nominal_dimension))
-        )
         zeta_value = 1.0
-        radii = np.full(n_dim, math.sqrt(params.energy))
+        body = Ellipsoid.ball(n_dim, math.sqrt(params.energy))
         radii_source = "ball"
 
     # codebook size
@@ -500,36 +464,23 @@ def run_random_code_experiment(
     reports = finite_reports(params, n_dim=n_dim, zeta_value=zeta_value)
     bound = reports["capacity_eps_delta" if params.delta > 0 else "capacity_2eps"]
 
-    if n_codewords < 1:
-        return ExperimentOutcome(
-            result=None,
-            bound=bound,
-            n_dim=n_dim,
-            zeta_value=zeta_value,
-            n_codewords=0,
-            log2_target_size=log2_target,
-            capped=False,
-            attempts=0,
-            rate_too_low=True,
-            radii_source=radii_source,
-        )
-
     target = params.delta if params.delta > 0 else None
     result = None
     attempts = 0
-    for attempt in range(config.retries):
-        attempts = attempt + 1
-        codebook = generate_codebook(radii, n_codewords, [config.seed, attempt])
-        result = estimate_error_fraction(
-            codebook,
-            params.eps,
-            config.samples,
-            config.seed,
-            target_delta=target,
-            max_eval_codewords=config.max_eval_codewords,
-        )
-        if result.verdict is None or result.verdict:
-            break
+    if n_codewords > 0:  # else the size floored to zero: nothing to simulate
+        for attempt in range(config.retries):
+            attempts = attempt + 1
+            codebook = generate_codebook(body.radii, n_codewords, [config.seed, attempt])
+            result = estimate_error_fraction(
+                codebook,
+                params.eps,
+                config.samples,
+                config.seed,
+                target_delta=target,
+                max_eval_codewords=config.max_eval_codewords,
+            )
+            if result.verdict is None or result.verdict:
+                break
     return ExperimentOutcome(
         result=result,
         bound=bound,
@@ -539,7 +490,7 @@ def run_random_code_experiment(
         log2_target_size=log2_target,
         capped=capped,
         attempts=attempts,
-        rate_too_low=False,
+        rate_too_low=n_codewords == 0,
         radii_source=radii_source,
     )
 
@@ -563,15 +514,11 @@ def error_exponent(omega: float, energy: float, eps: float, rate: float) -> floa
     codebook's error fraction shrinks like 2^(-T * exponent) as the window
     grows.
     """
-    if not (omega > 0 and math.isfinite(omega)):
-        raise ValueError(f"omega must be positive and finite, got {omega}")
-    if not (energy > 0 and math.isfinite(energy)):
-        raise ValueError(f"energy must be positive and finite, got {energy}")
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    if not (rate >= 0 and math.isfinite(rate)):
-        raise ValueError(f"rate must be nonnegative and finite, got {rate}")
-    return (omega / math.pi) * math.log2(math.sqrt(energy) / eps) - rate
+    require_finite("omega", omega)
+    require_finite("energy", energy)
+    require_finite("eps", eps)
+    require_finite("rate", rate, nonnegative=True)
+    return entropy_rate(omega, math.sqrt(energy) / eps) - rate
 
 
 @dataclass(frozen=True)
@@ -629,7 +576,7 @@ def empirical_exponent_sweep(
     bound (Omega/pi)*log2(sqrt(snr)); otherwise no decay is predicted and
     the sweep is refused.
     """
-    cap_lower = (params.omega / math.pi) * math.log2(params.sqrt_snr)
+    cap_lower = entropy_rate(params.omega, params.sqrt_snr)
     if not (0 <= rate < cap_lower):
         raise ValueError(
             f"rate {rate} must lie in [0, {cap_lower:.6g}) so the error "
@@ -644,11 +591,7 @@ def empirical_exponent_sweep(
     points = []
     for t_obs in t_values:
         p = replace(params, t_obs=t_obs)
-        spectrum = None
-        if use_spectrum:
-            from .spectrum import build_spectrum
-
-            spectrum = build_spectrum(p.omega, p.t_obs)
+        spectrum = build_spectrum(p.omega, p.t_obs) if use_spectrum else None
         config = ExperimentConfig(
             params=p,
             rate=rate,

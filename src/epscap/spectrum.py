@@ -53,7 +53,7 @@ from scipy.linalg import eigh, eigvalsh_tridiagonal
 from scipy.special import expit
 
 from .errors import ConfigurationError, InsufficientSpectrumError, NumericalError
-from .params import DofQuery
+from .params import DofQuery, require_finite
 
 logger = logging.getLogger(__name__)
 
@@ -167,10 +167,8 @@ def build_kernel_matrix(
     Returns:
         KernelMatrix with the symmetric matrix, nodes, and weights.
     """
-    if not (omega > 0 and math.isfinite(omega)):
-        raise ValueError(f"omega must be positive and finite, got {omega}")
-    if not (t_obs > 0 and math.isfinite(t_obs)):
-        raise ValueError(f"t_obs must be positive and finite, got {t_obs}")
+    require_finite("omega", omega)
+    require_finite("t_obs", t_obs)
     n0 = omega * t_obs / math.pi
     if quad_order is None:
         quad_order = default_quad_order(omega, t_obs)
@@ -259,14 +257,12 @@ def _parity_eigvecs(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
     return vecs[:, order]
 
 
-def compute_spectrum(
-    kernel: KernelMatrix, clip_floor: float = CLIP_FLOOR, vectors: bool = False
-) -> EigenSpectrum:
+def compute_spectrum(kernel: KernelMatrix, vectors: bool = False) -> EigenSpectrum:
     """Solve the symmetric eigenproblem and postprocess the spectrum.
 
     The matrix is split into its even and odd parity blocks (see the
     module docstring), each solved for eigenvalues only. Eigenvalues are
-    sorted descending and clipped into [clip_floor, 1 - clip_floor];
+    sorted descending and clipped into [CLIP_FLOOR, 1 - CLIP_FLOOR];
     clipping events are counted and logged because they mark where the
     discretized tail is pure roundoff. With ``vectors=True`` the blocks are
     solved a second time for eigenvectors, whose columns are rescaled from
@@ -274,8 +270,6 @@ def compute_spectrum(
     normalized to unit energy on the whole line; the eigenvalues always
     come from the eigenvalues-only solve.
     """
-    if not (0 < clip_floor < 0.5):
-        raise ValueError(f"clip_floor must lie in (0, 0.5), got {clip_floor}")
     even, odd = _parity_blocks(kernel.matrix)
     try:
         raw_lambdas = np.concatenate(
@@ -292,17 +286,17 @@ def compute_spectrum(
     n0 = kernel.omega * kernel.t_obs / math.pi
     trace_error = abs(float(raw_lambdas.sum()) - n0)
 
-    below = int(np.sum(raw_lambdas < clip_floor))
-    above = int(np.sum(raw_lambdas > 1.0 - clip_floor))
+    below = int(np.sum(raw_lambdas < CLIP_FLOOR))
+    above = int(np.sum(raw_lambdas > 1.0 - CLIP_FLOOR))
     if below or above:
         logger.debug(
             "clipped %d eigenvalues below %g and %d above %g",
             below,
-            clip_floor,
+            CLIP_FLOOR,
             above,
-            1.0 - clip_floor,
+            1.0 - CLIP_FLOOR,
         )
-    lambdas = np.clip(raw_lambdas, clip_floor, 1.0 - clip_floor)
+    lambdas = np.clip(raw_lambdas, CLIP_FLOOR, 1.0 - CLIP_FLOOR)
 
     eigvecs = None
     if raw_vecs is not None:
@@ -319,7 +313,7 @@ def compute_spectrum(
         omega=kernel.omega,
         t_obs=kernel.t_obs,
         quad_order=kernel.quad_order,
-        clip_floor=clip_floor,
+        clip_floor=CLIP_FLOOR,
         trace_error=trace_error,
     )
 
@@ -357,8 +351,7 @@ def n_width(spectrum: EigenSpectrum, energy: float, n_dim: int) -> float:
     for signals of energy at most `energy`; n_dim = 0 gives the trivial
     subspace and d_0 = sqrt(energy * lambda_1).
     """
-    if not (energy > 0 and math.isfinite(energy)):
-        raise ValueError(f"energy must be positive and finite, got {energy}")
+    require_finite("energy", energy)
     if not isinstance(n_dim, (int, np.integer)) or n_dim < 0:
         raise ValueError(f"n_dim must be a nonnegative integer, got {n_dim}")
     if n_dim >= len(spectrum.lambdas):
@@ -402,8 +395,7 @@ def dof_asymptotic(n0: float, energy: float, mu: float) -> float:
     """
     if not (n0 > 1 and math.isfinite(n0)):
         raise ValueError(f"n0 must exceed 1, got {n0}")
-    if not (energy > 0 and math.isfinite(energy)):
-        raise ValueError(f"energy must be positive and finite, got {energy}")
+    require_finite("energy", energy)
     if not (mu > 0 and mu * mu < energy):
         raise ValueError(
             f"mu must satisfy 0 < mu^2 < energy, got mu={mu}, energy={energy}"

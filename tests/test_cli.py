@@ -374,6 +374,29 @@ def test_sweep_resume_completes_partial_file(tmp_path):
     assert main(["sweep", "--config", cfg2, "--out", str(partial), "--resume"]) == 2
 
 
+def test_sweep_resume_after_a_cut_at_any_byte(tmp_path):
+    cfg = write_config(tmp_path, BASE_CFG)
+    full = tmp_path / "full.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(full)]) == 0
+    data = full.read_bytes()
+    header_end = data.index(b"\n", data.index(b"\n") + 1) + 1
+    partial = tmp_path / "partial.csv"
+    for cut in range(header_end, len(data)):
+        partial.write_bytes(data[:cut])
+        assert main(["sweep", "--config", cfg, "--out", str(partial), "--resume"]) == 0
+        # the resumed file keeps its own manifest line, timestamp included
+        assert partial.read_bytes() == data, f"cut at byte {cut}"
+
+
+def test_zero_working_dimension_is_refused(tmp_path, capsys):
+    bounds = ["bounds", "--omega", PI_ARG, "--t-obs", "20", "--energy", "1", "--eps", "0.125"]
+    assert main(bounds + ["--n-dim", "0"]) == 2
+    assert "n_dim must be a positive integer, got 0" in capsys.readouterr().err
+    cfg = write_config(tmp_path, BASE_CFG + "n_dim = 0\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "zero.csv")]) == 2
+    assert "n_dim must be a positive integer, got 0" in capsys.readouterr().err
+
+
 def test_sweep_resume_requires_out(tmp_path):
     cfg = write_config(tmp_path, BASE_CFG)
     assert main(["sweep", "--config", cfg, "--resume"]) == 2

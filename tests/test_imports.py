@@ -1,0 +1,21 @@
+"""The package imports in one direction: every import sits at module level."""
+
+import ast
+import pathlib
+
+import epscap
+
+PACKAGE_DIR = pathlib.Path(epscap.__file__).parent
+
+
+def test_no_module_imports_inside_a_function():
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found.append(f"{path.name}:{node.lineno} in {func.name}")
+    assert not found, f"function-level imports: {found}"
