@@ -13,7 +13,10 @@ instead (multiplied by 2*pi internally).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
+import itertools
 import json
 import math
 import sys
@@ -40,9 +43,10 @@ from .manifest import (
     manifest_line,
     resolve_output_path,
 )
-from .params import DofQuery, SignalSpaceParams
+from .params import DofQuery, SignalSpaceParams, require_positive_int
 from .simulation import (
     ExperimentConfig,
+    SweepPoint,
     empirical_exponent_sweep,
     run_random_code_experiment,
 )
@@ -112,13 +116,13 @@ def main(argv=None) -> int:
 # --- shared plumbing ---
 
 
-def _add_emit(parser, default="json", choices=("json", "csv", "table")):
-    parser.add_argument("--emit", choices=list(choices), default=default)
+def _add_emit(parser, default="json"):
+    parser.add_argument("--emit", choices=["json", "csv", "table"], default=default)
     parser.add_argument("--out", default=None, help="output file (default stdout)")
 
 
 def _omega_value(args) -> float:
-    return args.omega * (2.0 * math.pi) if getattr(args, "hz", False) else args.omega
+    return args.omega * (2.0 * math.pi) if args.hz else args.omega
 
 
 def _signal_params(args, t_obs: float) -> SignalSpaceParams:
@@ -131,35 +135,26 @@ def _signal_params(args, t_obs: float) -> SignalSpaceParams:
     )
 
 
-def _manifest(args, command: str) -> RunManifest:
-    skip = {"handler", "seed"}
-    parameters = {k: v for k, v in vars(args).items() if k not in skip}
-    return RunManifest.create(command, parameters, seed=getattr(args, "seed", None))
+def _emit(args, payload: dict, columns: list[str], rows: list[list], table=None) -> int:
+    """Write one artifact: the payload as JSON, the rows as CSV, or table lines.
 
-
-def _write_bytes(args, data: bytes) -> None:
+    The manifest records every parsed argument of the subcommand; the
+    table defaults to the rows rendered under their column names.
+    """
+    parameters = {k: v for k, v in vars(args).items() if k not in ("handler", "seed")}
+    manifest = RunManifest.create(args.command, parameters, seed=getattr(args, "seed", None))
+    if args.emit == "json":
+        data = json_bytes(payload | {"manifest": manifest.to_dict()})
+    elif args.emit == "csv":
+        data = csv_bytes(columns, rows, manifest)
+    else:
+        lines = _render_table(columns, rows) if table is None else table
+        data = ("\n".join(lines) + "\n").encode()
     if args.out:
-        path = resolve_output_path(args.out)
-        with open(path, "wb") as fh:
+        with open(resolve_output_path(args.out), "wb") as fh:
             fh.write(data)
     else:
         sys.stdout.buffer.write(data)
-
-
-def _emit_payload(args, manifest, payload: dict, csv_table=None, table_lines=None) -> int:
-    payload = dict(payload)
-    payload["manifest"] = manifest.to_dict()
-    if args.emit == "json":
-        _write_bytes(args, json_bytes(payload))
-    elif args.emit == "csv":
-        if csv_table is None:
-            raise ConfigurationError("this command has no CSV rendering")
-        columns, rows = csv_table
-        _write_bytes(args, csv_bytes(columns, rows, manifest))
-    else:
-        if table_lines is None:
-            raise ConfigurationError("this command has no table rendering")
-        _write_bytes(args, ("\n".join(table_lines) + "\n").encode())
     return 0
 
 
@@ -189,10 +184,17 @@ def _render_table(headers: list[str], rows: list[list]) -> list[str]:
     return lines
 
 
-def _load_spectrum_file(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        record = json.load(fh)
-    return spectrum_from_record(record)
+def _load_spectrum(args, params: SignalSpaceParams):
+    """The --use-spectrum artifact, refused unless computed for params' omega and t_obs."""
+    if args.use_spectrum is None:
+        return None
+    with open(args.use_spectrum, "r", encoding="utf-8") as fh:
+        spectrum = spectrum_from_record(json.load(fh))
+    if abs(spectrum.omega - params.omega) > 1e-9 or abs(spectrum.t_obs - params.t_obs) > 1e-9:
+        raise ConfigurationError(
+            "spectrum file was computed for different omega/t_obs than requested"
+        )
+    return spectrum
 
 
 def _bound_row(params: SignalSpaceParams, reports: dict) -> list:
@@ -203,11 +205,7 @@ def _bound_row(params: SignalSpaceParams, reports: dict) -> list:
         reports["entropy_eps"],
     )
     return [
-        params.omega,
-        params.t_obs,
-        params.energy,
-        params.eps,
-        params.delta,
+        *vars(params).values(),
         params.nominal_dimension,
         c2.n_dim,
         1.0 if c2.zeta_value is None else c2.zeta_value,
@@ -241,9 +239,6 @@ def _cmd_spectrum(args) -> int:
             nodes=spectrum.nodes,
             weights=spectrum.weights,
         )
-    manifest = _manifest(args, "spectrum")
-    payload = spectrum_record(spectrum)
-    columns = ["n", "lambda"]
     rows = [[i + 1, lam] for i, lam in enumerate(spectrum.lambdas)]
     table = _render_table(
         ["quantity", "value"],
@@ -255,7 +250,7 @@ def _cmd_spectrum(args) -> int:
             ["volume_correction(N0)", volume_correction(spectrum, working_dimension(spectrum.nominal_dimension))],
         ],
     )
-    return _emit_payload(args, manifest, payload, (columns, rows), table)
+    return _emit(args, spectrum_record(spectrum), ["n", "lambda"], rows, table)
 
 
 def _cmd_dof(args) -> int:
@@ -264,30 +259,14 @@ def _cmd_dof(args) -> int:
     query = DofQuery(energy=args.energy, mu=args.mu)
     n_dof = degrees_of_freedom(spectrum, query)
     asymptotic = dof_asymptotic(spectrum.nominal_dimension, args.energy, args.mu)
-    manifest = _manifest(args, "dof")
-    payload = {
-        "n_dof": n_dof,
-        "n0": spectrum.nominal_dimension,
-        "asymptotic": asymptotic,
-    }
     columns = ["n_dof", "n0", "asymptotic"]
-    rows = [[n_dof, spectrum.nominal_dimension, asymptotic]]
-    table = _render_table(columns, rows)
-    return _emit_payload(args, manifest, payload, (columns, rows), table)
+    row = [n_dof, spectrum.nominal_dimension, asymptotic]
+    return _emit(args, dict(zip(columns, row)), columns, [row])
 
 
 def _cmd_bounds(args) -> int:
     params = _signal_params(args, args.t_obs)
-    spectrum = _load_spectrum_file(args.use_spectrum) if args.use_spectrum else None
-    if spectrum is not None and (
-        abs(spectrum.omega - params.omega) > 1e-9 or abs(spectrum.t_obs - args.t_obs) > 1e-9
-    ):
-        raise ConfigurationError(
-            "spectrum file was computed for different omega/t_obs than requested"
-        )
-    reports = per_unit_time_report(params, spectrum, args.n_dim)
-    row = _bound_row(params, reports)
-    manifest = _manifest(args, "bounds")
+    reports = per_unit_time_report(params, _load_spectrum(args, params), args.n_dim)
     payload = {
         "params": vars(params) | {"nominal_dimension": params.nominal_dimension},
         "reports": {k: v.to_dict() for k, v in reports.items()},
@@ -300,7 +279,7 @@ def _cmd_bounds(args) -> int:
         ["quantity", "lower_bits", "upper_bits", "lower_bits_per_s", "upper_bits_per_s"],
         table_rows,
     )
-    return _emit_payload(args, manifest, payload, (_BOUND_COLUMNS, [row]), table)
+    return _emit(args, payload, _BOUND_COLUMNS, [_bound_row(params, reports)], table)
 
 
 def _cmd_oracle(args) -> int:
@@ -323,23 +302,14 @@ def _cmd_oracle(args) -> int:
         raise ConfigurationError(
             "exact covering counts are only available in dimension 1"
         )
-    manifest = _manifest(args, "oracle")
-    payload = {
-        "count": count,
-        "method": method,
-        "mode": args.mode,
-        "dim": args.dim,
-        "radius": args.radius,
-        "eps": args.eps,
-    }
     columns = ["mode", "dim", "radius", "eps", "count", "method"]
-    rows = [[args.mode, args.dim, args.radius, args.eps, count, method]]
-    return _emit_payload(args, manifest, payload, (columns, rows), _render_table(columns, rows))
+    row = [args.mode, args.dim, args.radius, args.eps, count, method]
+    return _emit(args, dict(zip(columns, row)), columns, [row])
 
 
 def _cmd_simulate(args) -> int:
     params = _signal_params(args, args.t_obs)
-    spectrum = _load_spectrum_file(args.use_spectrum) if args.use_spectrum else None
+    spectrum = _load_spectrum(args, params)
     config = ExperimentConfig(
         params=params,
         dim_override=args.dim,
@@ -353,7 +323,6 @@ def _cmd_simulate(args) -> int:
         mu=args.mu,
     )
     outcome = run_random_code_experiment(config, spectrum)
-    manifest = _manifest(args, "simulate")
     payload = outcome.to_dict()
 
     if outcome.rate_too_low:
@@ -361,9 +330,7 @@ def _cmd_simulate(args) -> int:
             "rate too low: codebook size floored to zero "
             f"(log2 target size {outcome.log2_target_size:.6g}); nothing to simulate"
         ]
-        return _emit_payload(
-            args, manifest, payload, (["notice"], [["rate too low"]]), table
-        )
+        return _emit(args, payload, ["notice"], [["rate too low"]], table)
 
     result = outcome.result
     columns = ["codeword_index", "error_fraction", "ci_low", "ci_high"]
@@ -391,7 +358,7 @@ def _cmd_simulate(args) -> int:
             ["verdict", result.verdict],
         ],
     )
-    return _emit_payload(args, manifest, payload, (columns, rows), table)
+    return _emit(args, payload, columns, rows, table)
 
 
 def _cmd_exponent_sweep(args) -> int:
@@ -406,41 +373,18 @@ def _cmd_exponent_sweep(args) -> int:
         max_codewords=args.max_messages,
         max_eval_codewords=args.max_eval,
     )
-    manifest = _manifest(args, "exponent-sweep")
-    payload = sweep.to_dict()
-    columns = [
-        "t_obs",
-        "n_dim",
-        "n_codewords",
-        "capped",
-        "mean_error_fraction",
-        "ci_low",
-        "ci_high",
-        "fitted_slope",
-        "predicted_decay",
-    ]
+    columns = [f.name for f in dataclasses.fields(SweepPoint)]
+    columns += ["fitted_slope", "predicted_decay"]
     rows = [
-        [
-            p.t_obs,
-            p.n_dim,
-            p.n_codewords,
-            p.capped,
-            p.mean_error_fraction,
-            p.ci_low,
-            p.ci_high,
-            sweep.fitted_slope,
-            sweep.predicted_decay,
-        ]
+        [*vars(p).values(), sweep.fitted_slope, sweep.predicted_decay]
         for p in sweep.points
     ]
-    return _emit_payload(args, manifest, payload, (columns, rows), _render_table(columns, rows))
+    return _emit(args, sweep.to_dict(), columns, rows)
 
 
 def _cmd_compare(args) -> int:
     omega = _omega_value(args)
     rows_data = comparison_table(omega, args.snr, nominal_dim=args.n0)
-    manifest = _manifest(args, "compare")
-    payload = {"rows": [r.to_dict() for r in rows_data]}
     columns = [
         "label",
         "stochastic_bits_per_s",
@@ -448,11 +392,8 @@ def _cmd_compare(args) -> int:
         "deterministic_upper_bits_per_s",
         "note",
     ]
-    rows = [
-        [r.label, r.stochastic_value, r.deterministic_lower, r.deterministic_upper, r.note]
-        for r in rows_data
-    ]
-    return _emit_payload(args, manifest, payload, (columns, rows), _render_table(columns, rows))
+    rows = [list(vars(r).values()) for r in rows_data]
+    return _emit(args, {"rows": [r.to_dict() for r in rows_data]}, columns, rows)
 
 
 # --- sweep ---
@@ -531,38 +472,30 @@ def _parse_sweep_config(path: str) -> tuple[dict, dict]:
     return axes, fixed
 
 
-def _sweep_grid(axes: dict) -> list[dict]:
-    points = [{}]
-    for key in _GRID_KEYS:
-        points = [dict(p, **{key: v}) for p in points for v in axes[key]]
-    return points
+def _experiment_config(params: SignalSpaceParams, fixed: dict) -> ExperimentConfig:
+    return ExperimentConfig(
+        params=params,
+        dim_override=fixed.get("n_dim"),
+        **{key: fixed[key] for key in _EXPERIMENT_KEYS if key in fixed},
+    )
 
 
-def _sweep_row(point: dict, fixed: dict, spectra: dict) -> list:
-    params = SignalSpaceParams(**point)
-    spectrum = spectra.get((point["omega"], point["t_obs"]))
+def _sweep_row(params: SignalSpaceParams, fixed: dict, spectra: dict) -> list:
+    spectrum = spectra.get((params.omega, params.t_obs))
     row = _bound_row(params, per_unit_time_report(params, spectrum, fixed.get("n_dim")))
     if fixed.get("simulate"):
-        config = ExperimentConfig(
-            params=params,
-            dim_override=fixed.get("n_dim"),
-            **{key: fixed[key] for key in _EXPERIMENT_KEYS if key in fixed},
-        )
-        outcome = run_random_code_experiment(config, spectrum)
-        if outcome.rate_too_low:
-            row += [0, outcome.log2_target_size, False, 0, None, None, None, None]
+        outcome = run_random_code_experiment(_experiment_config(params, fixed), spectrum)
+        row += [
+            outcome.n_codewords,
+            outcome.log2_target_size,
+            outcome.capped,
+            outcome.attempts,
+        ]
+        res = outcome.result
+        if res is None:  # the codebook size floored to zero
+            row += [None, None, None, None]
         else:
-            res = outcome.result
-            row += [
-                outcome.n_codewords,
-                outcome.log2_target_size,
-                outcome.capped,
-                outcome.attempts,
-                res.mean_error_fraction,
-                res.mean_error_ci[0],
-                res.mean_error_ci[1],
-                res.verdict,
-            ]
+            row += [res.mean_error_fraction, *res.mean_error_ci, res.verdict]
     return row
 
 
@@ -579,7 +512,18 @@ def _cmd_sweep(args) -> int:
             "simulate = true needs delta > 0 at every grid point, or a "
             "fixed rate / n_codewords to size the codebooks"
         )
-    points = _sweep_grid(axes)
+    if args.resume and not args.out:
+        raise ConfigurationError("--resume needs --out")
+    # every grid point and fixed setting is checked before a byte is written;
+    # the experiment settings do not depend on the point, so one check covers all
+    points = [
+        SignalSpaceParams(**dict(zip(_GRID_KEYS, values)))
+        for values in itertools.product(*(axes[key] for key in _GRID_KEYS))
+    ]
+    if "n_dim" in fixed:
+        require_positive_int("n_dim", fixed["n_dim"])
+    if fixed.get("simulate"):
+        _experiment_config(points[0], fixed)
     manifest = RunManifest.create(
         "sweep",
         {"config": args.config, "axes": axes, "fixed": fixed, "out": args.out},
@@ -588,48 +532,31 @@ def _cmd_sweep(args) -> int:
 
     spectra: dict = {}
     if fixed.get("use_spectrum"):
-        for om, t in {(p["omega"], p["t_obs"]) for p in points}:
+        for om, t in {(p.omega, p.t_obs) for p in points}:
             spectra[(om, t)] = build_spectrum(om, t, fixed.get("order"))
 
-    columns = list(_BOUND_COLUMNS)
-    if fixed.get("simulate"):
-        columns += _SIM_COLUMNS
-
+    columns = _BOUND_COLUMNS + (_SIM_COLUMNS if fixed.get("simulate") else [])
     first_line = manifest_line(manifest)
     header = csv_line(columns)
 
     skip = 0
-    out_fh = None
-    try:
-        if args.out:
-            path = resolve_output_path(args.out)
-            if args.resume:
-                skip = _resume_offset(path, first_line, header)
-                out_fh = open(path, "a", encoding="utf-8")
-            else:
-                out_fh = open(path, "w", encoding="utf-8")
-        else:
-            if args.resume:
-                raise ConfigurationError("--resume needs --out")
-            out_fh = sys.stdout
-
+    out = contextlib.nullcontext(sys.stdout)
+    if args.out:
+        path = resolve_output_path(args.out)
+        if args.resume:
+            skip = _resume_offset(path, first_line, header)
+        out = open(path, "a" if args.resume else "w", encoding="utf-8")
+    with out as fh, ThreadPoolExecutor(max_workers=args.jobs) as pool:
         # a resumed file keeps the manifest and header it already has
-        if out_fh is sys.stdout or out_fh.tell() == 0:
-            print(first_line, file=out_fh, flush=True)
-            print(header, end="", file=out_fh, flush=True)
-
-        todo = points[skip:]
-        if args.jobs > 1 and todo:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                futures = [pool.submit(_sweep_row, p, fixed, spectra) for p in todo]
-                for fut in futures:  # grid order regardless of completion order
-                    print(csv_line(fut.result()), end="", file=out_fh, flush=True)
-        else:
-            for p in todo:
-                print(csv_line(_sweep_row(p, fixed, spectra)), end="", file=out_fh, flush=True)
-    finally:
-        if out_fh is not None and out_fh is not sys.stdout:
-            out_fh.close()
+        if fh is sys.stdout or fh.tell() == 0:
+            print(first_line, file=fh, flush=True)
+            print(header, end="", file=fh, flush=True)
+        # rows come back in grid order; an error or interrupt closes the map
+        # iterator, which cancels the rows not yet started, and the pool
+        # waits for the rows in flight, which are not written
+        row_of = functools.partial(_sweep_row, fixed=fixed, spectra=spectra)
+        for row in pool.map(row_of, points[skip:]):
+            print(csv_line(row), end="", file=fh, flush=True)
     return 0
 
 
@@ -682,6 +609,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
+
+
 def _t_list(text: str) -> list[float]:
     try:
         values = [float(part) for part in text.split(",") if part.strip()]
@@ -692,19 +626,25 @@ def _t_list(text: str) -> list[float]:
     return values
 
 
-def _add_signal_args(parser, with_delta=True):
-    parser.add_argument("--omega", type=_positive_float, required=True,
-                        help="one-sided angular bandwidth, rad/s (or cycles/s with --hz)")
-    parser.add_argument("--hz", action="store_true",
-                        help="interpret --omega in cycles/s (multiplied by 2*pi)")
-    parser.add_argument("--t-obs", type=_positive_float, required=True,
-                        help="observation window length, s")
-    parser.add_argument("--energy", type=_positive_float, required=True)
-    if with_delta:
-        parser.add_argument("--eps", type=_positive_float, required=True,
-                            help="noise / resolution radius")
-        parser.add_argument("--delta", type=float, default=0.0,
-                            help="allowed error-region fraction in [0, 1)")
+# the options that define the signal space, in the order --help lists them
+_SIGNAL_OPTIONS = {
+    "omega": dict(type=_positive_float, required=True,
+                  help="one-sided angular bandwidth, rad/s (or cycles/s with --hz)"),
+    "hz": dict(action="store_true",
+               help="interpret --omega in cycles/s (multiplied by 2*pi)"),
+    "t-obs": dict(type=_positive_float, required=True,
+                  help="observation window length, s"),
+    "energy": dict(type=_positive_float, required=True),
+    "eps": dict(type=_positive_float, required=True,
+                help="noise / resolution radius"),
+    "delta": dict(type=float, default=0.0,
+                  help="allowed error-region fraction in [0, 1)"),
+}
+
+
+def _add_signal_args(parser, names):
+    for name in names:
+        parser.add_argument(f"--{name}", **_SIGNAL_OPTIONS[name])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -719,9 +659,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="compute the sinc-kernel eigenvalue spectrum")
-    p.add_argument("--omega", type=_positive_float, required=True)
-    p.add_argument("--hz", action="store_true")
-    p.add_argument("--t-obs", type=_positive_float, required=True)
+    _add_signal_args(p, ("omega", "hz", "t-obs"))
     p.add_argument("--order", type=int, default=None, help="quadrature order")
     p.add_argument("--save-vectors", default=None,
                    help="also save eigenvectors/nodes/weights to this .npz file")
@@ -729,17 +667,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_spectrum)
 
     p = sub.add_parser("dof", help="degrees of freedom at an accuracy level")
-    p.add_argument("--omega", type=_positive_float, required=True)
-    p.add_argument("--hz", action="store_true")
-    p.add_argument("--t-obs", type=_positive_float, required=True)
-    p.add_argument("--energy", type=_positive_float, required=True)
+    _add_signal_args(p, ("omega", "hz", "t-obs", "energy"))
     p.add_argument("--mu", type=_positive_float, required=True)
     p.add_argument("--order", type=int, default=None)
     _add_emit(p)
     p.set_defaults(handler=_cmd_dof)
 
     p = sub.add_parser("bounds", help="capacity and entropy bounds at one parameter point")
-    _add_signal_args(p)
+    _add_signal_args(p, _SIGNAL_OPTIONS)
     p.add_argument("--n-dim", type=int, default=None,
                    help="working dimension for the finite-N bounds (default round(N0))")
     p.add_argument("--use-spectrum", default=None,
@@ -760,7 +695,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("simulate", help="random codebook error-fraction experiment")
-    _add_signal_args(p)
+    _add_signal_args(p, _SIGNAL_OPTIONS)
     p.add_argument("--rate", type=float, default=None, help="bits/s; sizes the codebook as 2^(T*rate)")
     p.add_argument("--messages", type=int, default=None, help="explicit codebook size")
     p.add_argument("--dim", type=int, default=None, help="override the working dimension")
@@ -777,11 +712,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("exponent-sweep", help="error-fraction decay across window lengths")
-    p.add_argument("--omega", type=_positive_float, required=True)
-    p.add_argument("--hz", action="store_true")
-    p.add_argument("--energy", type=_positive_float, required=True)
-    p.add_argument("--eps", type=_positive_float, required=True)
-    p.add_argument("--delta", type=float, default=0.0)
+    _add_signal_args(p, ("omega", "hz", "energy", "eps", "delta"))
     p.add_argument("--rate", type=float, required=True)
     p.add_argument("--t-list", type=_t_list, required=True,
                    help="comma-separated strictly increasing windows, e.g. 8,12,16,20")
@@ -795,8 +726,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_exponent_sweep)
 
     p = sub.add_parser("compare", help="stochastic vs deterministic rate table")
-    p.add_argument("--omega", type=_positive_float, required=True)
-    p.add_argument("--hz", action="store_true")
+    _add_signal_args(p, ("omega", "hz"))
     p.add_argument("--snr", type=_positive_float, required=True,
                    help="paired ratio: per-coordinate power (stochastic) = E/eps^2 (deterministic)")
     p.add_argument("--n0", type=_positive_float, default=None,
@@ -807,7 +737,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="grid sweep from a flat key=value config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--resume", action="store_true",
                    help="continue an interrupted sweep (requires --out)")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")

@@ -18,9 +18,9 @@ The deterministic column reads the wide-window rates of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .geometry import wide_window_rates
+from .geometry import entropy_rate, wide_window_rates
 from .params import require_finite
 
 
@@ -31,10 +31,10 @@ def shannon_capacity(omega: float, snr: float) -> float:
     return (omega / math.pi) * math.log2(math.sqrt(1.0 + snr))
 
 def shannon_rate_distortion(omega: float, snr: float) -> float:
-    """Quadratic-distortion rate (Omega/pi)*log2(sqrt(snr)), clamped at 0."""
+    """Quadratic-distortion rate: the eps-entropy rate at sqrt(snr), clamped at 0."""
     require_finite("omega", omega)
     require_finite("snr", snr)
-    return max(0.0, (omega / math.pi) * math.log2(math.sqrt(snr)))
+    return max(0.0, entropy_rate(omega, math.sqrt(snr)))
 
 
 def jagerman_capacity_lower(nominal_dim: float, snr: float) -> float:
@@ -127,13 +127,7 @@ class ComparisonRow:
                 )
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "stochastic_value": self.stochastic_value,
-            "deterministic_lower": self.deterministic_lower,
-            "deterministic_upper": self.deterministic_upper,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def comparison_table(

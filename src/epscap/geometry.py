@@ -23,7 +23,13 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import ConfigurationError
-from .params import SignalSpaceParams, require_finite, require_positive_int
+from .params import (
+    SignalSpaceParams,
+    require_finite,
+    require_positive_int,
+    require_seed,
+    require_setting,
+)
 from .spectrum import _check_index, volume_correction
 
 _LN2 = math.log(2.0)
@@ -180,8 +186,9 @@ def entropy_eps_bounds(
     """Bits needed to describe any signal in the body to accuracy eps.
 
     Lower: volume-ratio covering, N*log2(zeta*s), clamped at 0.
-    Upper: N*log2(s) plus the explicit covering overhead; NaN when the
-    overhead is undefined (N <= 7).
+    Upper: N*log2(s) plus the explicit covering overhead, clamped at 0
+    (at s <= 1 one eps-ball covers the body, so 0 bits is exact); NaN
+    when the overhead is undefined (N <= 7).
 
     The third element flags the regime where the upper bound's derivation
     holds: N >= 9 and 1 < s < N/ln N. Outside it the numbers are still
@@ -191,7 +198,7 @@ def entropy_eps_bounds(
     s = math.sqrt(energy) / eps
     lower = max(0.0, n_dim * math.log2(zeta_value * s))
     overhead = covering_overhead(n_dim)
-    upper = n_dim * math.log2(s) + overhead if not math.isnan(overhead) else math.nan
+    upper = max(0.0, n_dim * math.log2(s) + overhead) if not math.isnan(overhead) else math.nan
     valid = n_dim >= 9 and 1.0 < s < n_dim / math.log(n_dim)
     return lower, upper, valid
 
@@ -202,8 +209,9 @@ def entropy_eps_bounds(
 def entropy_rate(omega: float, sqrt_snr: float) -> float:
     """(Omega/pi)*log2(sqrt_snr) bits/s: the eps-entropy rate, not clamped at 0.
 
-    Clamped, it is also the eps-delta capacity lower rate; the error
-    exponent reads it unclamped, negative when sqrt_snr < 1.
+    Clamped, it is also the eps-delta capacity lower rate and Shannon's
+    rate-distortion rate; the error exponent reads it unclamped, negative
+    when sqrt_snr < 1.
     """
     return (omega / math.pi) * math.log2(sqrt_snr)
 
@@ -464,10 +472,9 @@ def greedy_pack(
             "dimensions need exponentially many candidates to saturate"
         )
     require_finite("eps", eps)
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    if attempts < 1 or candidates < 1:
-        raise ConfigurationError("attempts and candidates must be >= 1")
+    require_seed(seed)
+    require_setting("attempts", attempts)
+    require_setting("candidates", candidates)
 
     min_sep_sq = (2.0 * eps) ** 2
     best = 0

@@ -18,7 +18,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -50,13 +50,7 @@ class RunManifest:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "version": self.version,
-            "timestamp": self.timestamp,
-        }
+        return asdict(self)
 
 
 def round_float(value: float) -> float | None:

@@ -7,6 +7,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigurationError
+
+# Fewest Monte Carlo draws per evaluated codeword that a run accepts.
+MIN_SAMPLES = 100
+
+
+def nominal_dimension(omega: float, t_obs: float) -> float:
+    """Time-bandwidth product Omega*T/pi, the nominal dimensionality N0."""
+    return omega * t_obs / math.pi
+
 
 def require_finite(name: str, value, nonnegative: bool = False) -> None:
     """Refuse a value that is not finite and positive (>= 0 with nonnegative)."""
@@ -19,6 +29,18 @@ def require_positive_int(name: str, value) -> None:
     """Refuse anything but an integer >= 1 (a Python or numpy integer)."""
     if not isinstance(value, (int, np.integer)) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value}")
+
+
+def require_seed(seed) -> None:
+    """Refuse a seed that is not an integer >= 0."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+
+
+def require_setting(name: str, value, minimum: int = 1) -> None:
+    """Refuse a run setting that is not an integer >= minimum."""
+    if not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -50,7 +72,7 @@ class SignalSpaceParams:
     @property
     def nominal_dimension(self) -> float:
         """Time-bandwidth product Omega*T/pi, the nominal dimensionality."""
-        return self.omega * self.t_obs / math.pi
+        return nominal_dimension(self.omega, self.t_obs)
 
     @property
     def snr(self) -> float:

@@ -37,7 +37,15 @@ from .geometry import (
     sample_uniform_ellipsoid,
     working_dimension,
 )
-from .params import DofQuery, SignalSpaceParams, require_finite
+from .params import (
+    MIN_SAMPLES,
+    DofQuery,
+    SignalSpaceParams,
+    require_finite,
+    require_positive_int,
+    require_seed,
+    require_setting,
+)
 from .spectrum import build_spectrum, degrees_of_freedom, volume_correction
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -45,8 +53,6 @@ Z95 = 1.959963984540054  # two-sided 95% normal quantile
 # Codewords farther apart than 2*eps*(1 + slack) cannot contribute errors;
 # the slack absorbs roundoff in squared-distance computations.
 _NEIGHBOR_SLACK = 1e-12
-
-_MIN_SAMPLES = 100
 
 # Evaluated codewords are compared with this many codewords at a time.
 _NEIGHBOR_CHUNK = 16384
@@ -96,8 +102,7 @@ class Codebook:
 
 def generate_codebook(radii, n_codewords: int, seed) -> Codebook:
     """Draw n_codewords points uniformly in the ellipsoid given by radii."""
-    if not isinstance(n_codewords, (int, np.integer)) or n_codewords < 1:
-        raise ValueError(f"n_codewords must be >= 1, got {n_codewords}")
+    require_positive_int("n_codewords", n_codewords)
     radii = np.asarray(radii, dtype=float)
     rng = np.random.default_rng(seed)
     points = sample_uniform_ellipsoid(radii, rng, size=int(n_codewords))
@@ -251,16 +256,12 @@ def estimate_error_fraction(
     interval widens to cover codeword-to-codeword spread.
     """
     require_finite("eps", eps)
-    if not isinstance(samples, (int, np.integer)) or samples < _MIN_SAMPLES:
-        raise ConfigurationError(
-            f"samples must be an integer >= {_MIN_SAMPLES}, got {samples}"
-        )
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    require_setting("samples", samples, MIN_SAMPLES)
+    require_seed(seed)
     if target_delta is not None and not (0.0 < target_delta < 1.0):
         raise ValueError(f"target_delta must lie in (0, 1), got {target_delta}")
-    if max_eval_codewords is not None and max_eval_codewords < 1:
-        raise ConfigurationError("max_eval_codewords must be >= 1")
+    if max_eval_codewords is not None:
+        require_setting("max_eval_codewords", max_eval_codewords)
 
     points = codebook.points
     m, dim = points.shape
@@ -360,22 +361,20 @@ class ExperimentConfig:
     mu: float | None = None
 
     def __post_init__(self):
-        if self.dim_override is not None and self.dim_override < 1:
-            raise ValueError(f"dim_override must be >= 1, got {self.dim_override}")
+        if self.dim_override is not None:
+            require_positive_int("dim_override", self.dim_override)
         if self.rate is not None:
             require_finite("rate", self.rate, nonnegative=True)
-        if self.n_codewords is not None and self.n_codewords < 1:
-            raise ValueError(f"n_codewords must be >= 1, got {self.n_codewords}")
+        if self.n_codewords is not None:
+            require_positive_int("n_codewords", self.n_codewords)
         if self.rate is not None and self.n_codewords is not None:
             raise ValueError("give rate or n_codewords, not both")
-        if self.samples < _MIN_SAMPLES:
-            raise ConfigurationError(
-                f"samples must be >= {_MIN_SAMPLES}, got {self.samples}"
-            )
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.max_codewords < 1 or self.retries < 1:
-            raise ConfigurationError("max_codewords and retries must be >= 1")
+        require_setting("samples", self.samples, MIN_SAMPLES)
+        require_seed(self.seed)
+        require_setting("max_codewords", self.max_codewords)
+        require_setting("retries", self.retries)
+        if self.max_eval_codewords is not None:
+            require_setting("max_eval_codewords", self.max_eval_codewords)
         if self.mu is not None and self.mu <= 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
 
@@ -401,17 +400,9 @@ class ExperimentOutcome:
     radii_source: str
 
     def to_dict(self) -> dict:
-        return {
+        return vars(self) | {
             "result": None if self.result is None else self.result.to_dict(),
             "bound": self.bound.to_dict(),
-            "n_dim": self.n_dim,
-            "zeta_value": self.zeta_value,
-            "n_codewords": self.n_codewords,
-            "log2_target_size": self.log2_target_size,
-            "capped": self.capped,
-            "attempts": self.attempts,
-            "rate_too_low": self.rate_too_low,
-            "radii_source": self.radii_source,
         }
 
 

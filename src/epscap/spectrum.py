@@ -53,7 +53,7 @@ from scipy.linalg import eigh, eigvalsh_tridiagonal
 from scipy.special import expit
 
 from .errors import ConfigurationError, InsufficientSpectrumError, NumericalError
-from .params import DofQuery, require_finite
+from .params import DofQuery, nominal_dimension, require_finite, require_positive_int
 
 logger = logging.getLogger(__name__)
 
@@ -102,8 +102,7 @@ def default_quad_order(omega: float, t_obs: float) -> int:
     a wide margin (doubling the order moves the first 2*N0 eigenvalues
     by less than 1e-12 in practice).
     """
-    n0 = omega * t_obs / math.pi
-    return max(256, 8 * math.ceil(n0))
+    return max(256, 8 * math.ceil(nominal_dimension(omega, t_obs)))
 
 
 @dataclass(frozen=True)
@@ -146,7 +145,7 @@ class EigenSpectrum:
 
     @property
     def nominal_dimension(self) -> float:
-        return self.omega * self.t_obs / math.pi
+        return nominal_dimension(self.omega, self.t_obs)
 
     def __len__(self) -> int:
         return len(self.lambdas)
@@ -169,7 +168,7 @@ def build_kernel_matrix(
     """
     require_finite("omega", omega)
     require_finite("t_obs", t_obs)
-    n0 = omega * t_obs / math.pi
+    n0 = nominal_dimension(omega, t_obs)
     if quad_order is None:
         quad_order = default_quad_order(omega, t_obs)
     quad_order = int(quad_order)
@@ -283,7 +282,7 @@ def compute_spectrum(kernel: KernelMatrix, vectors: bool = False) -> EigenSpectr
         raise NumericalError("eigensolve returned non-finite eigenvalues")
     raw_lambdas = np.sort(raw_lambdas)[::-1]
 
-    n0 = kernel.omega * kernel.t_obs / math.pi
+    n0 = nominal_dimension(kernel.omega, kernel.t_obs)
     trace_error = abs(float(raw_lambdas.sum()) - n0)
 
     below = int(np.sum(raw_lambdas < CLIP_FLOOR))
@@ -400,7 +399,12 @@ def dof_asymptotic(n0: float, energy: float, mu: float) -> float:
         raise ValueError(
             f"mu must satisfy 0 < mu^2 < energy, got mu={mu}, energy={energy}"
         )
-    return n0 + math.log(energy / mu**2 - 1.0) * math.log(n0 * math.pi / 2.0) / math.pi**2
+    return n0 + math.log(energy / mu**2 - 1.0) * _transition_log(n0) / math.pi**2
+
+
+def _transition_log(n0: float) -> float:
+    """ln(N0*pi/2), the scale of the transition band's index offsets."""
+    return math.log(n0 * math.pi / 2.0)
 
 
 def transition_limit(k: float) -> float:
@@ -419,7 +423,7 @@ def phase_transition_residual(spectrum: EigenSpectrum, k: float) -> float:
     if not math.isfinite(k):
         raise ValueError(f"k must be finite, got {k}")
     n0 = spectrum.nominal_dimension
-    index_1b = math.floor(n0 + k * math.log(n0 * math.pi / 2.0))
+    index_1b = math.floor(n0 + k * _transition_log(n0))
     if index_1b < 1 or index_1b > len(spectrum.lambdas):
         raise ValueError(
             f"transition index {index_1b} for k={k} is outside the computed "
@@ -489,11 +493,8 @@ def spectrum_from_record(record: dict) -> EigenSpectrum:
 
 
 def _check_index(spectrum: EigenSpectrum, n_dim: int) -> int:
-    if not isinstance(n_dim, (int, np.integer)):
-        raise ValueError(f"n_dim must be an integer, got {n_dim!r}")
+    require_positive_int("n_dim", n_dim)
     n_dim = int(n_dim)
-    if n_dim < 1:
-        raise ValueError(f"n_dim must be >= 1, got {n_dim}")
     if n_dim > len(spectrum.lambdas):
         raise InsufficientSpectrumError(
             f"n_dim {n_dim} exceeds the {len(spectrum.lambdas)} computed "

@@ -3,6 +3,7 @@ import math
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -120,6 +121,34 @@ def test_bounds_with_spectrum_artifact(tmp_path):
         ]
     )
     assert code == 2
+
+
+def test_simulate_refuses_spectrum_of_another_window(tmp_path, capsys):
+    spec_file = tmp_path / "spec20.json"
+    assert main(["spectrum", "--omega", PI_ARG, "--t-obs", "20", "--out", str(spec_file)]) == 0
+    code = main(
+        [
+            "simulate", "--omega", PI_ARG, "--t-obs", "12", "--energy", "1",
+            "--eps", "0.25", "--delta", "0.2", "--samples", "200",
+            "--use-spectrum", str(spec_file),
+        ]
+    )
+    assert code == 2
+    assert "different omega/t_obs" in capsys.readouterr().err
+
+
+def test_bounds_below_unit_snr_gives_zero_entropy_bits(tmp_path):
+    # sqrt(snr) = 1/2: one eps-ball covers the whole body
+    payload = run_json(
+        tmp_path,
+        "small_snr",
+        [
+            "bounds", "--omega", PI_ARG, "--t-obs", "40", "--energy", "1",
+            "--eps", "2", "--delta", "0.3",
+        ],
+    )
+    entropy = payload["reports"]["entropy_eps"]
+    assert entropy["lower_bits"] == entropy["upper_bits"] == 0.0
 
 
 def test_spectrum_bytes_independent_of_save_vectors(tmp_path, monkeypatch):
@@ -395,6 +424,51 @@ def test_zero_working_dimension_is_refused(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE_CFG + "n_dim = 0\n")
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "zero.csv")]) == 2
     assert "n_dim must be a positive integer, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("eps = -0.1\n", "eps must be positive and finite, got -0.1"),
+        ("simulate = true\nsamples = 50\n", "samples must be an integer >= 100, got 50"),
+        ("n_dim = 0\n", "n_dim must be a positive integer, got 0"),
+    ],
+)
+def test_sweep_refuses_bad_input_before_writing(tmp_path, capsys, extra, message):
+    cfg = write_config(tmp_path, BASE_CFG + extra)
+    out = tmp_path / "bad.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_sweep_jobs_must_be_positive(tmp_path, jobs):
+    cfg = write_config(tmp_path, BASE_CFG)
+    out = tmp_path / "jobs.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 2
+    assert not out.exists()
+
+
+def test_sweep_stops_at_a_failed_row(tmp_path, monkeypatch):
+    axes = "".join(f"t_obs = {t}\n" for t in (10, 12, 14, 16))
+    axes += "".join(f"eps = {e}\n" for e in (0.2, 0.1, 0.05, 0.025))
+    cfg = write_config(tmp_path, f"omega = {PI_ARG}\nenergy = 1\n{axes}")
+    computed = []
+
+    def row(params, fixed, spectra):
+        computed.append(params)
+        if (params.t_obs, params.eps) == (10, 0.2):  # the first grid point
+            raise ValueError("first row fails")
+        time.sleep(0.1)
+        return []
+
+    monkeypatch.setattr("epscap.cli._sweep_row", row)
+    out = tmp_path / "failed.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", "2"]) == 2
+    # rows not yet started when the first one failed are never computed
+    assert len(computed) < 16
+    assert len(out.read_text().splitlines()) == 2  # manifest and header only
 
 
 def test_sweep_resume_requires_out(tmp_path):

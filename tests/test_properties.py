@@ -16,9 +16,6 @@ from epscap.params import SignalSpaceParams
 
 OMEGA = st.floats(min_value=1e-3, max_value=1e3)
 SNR = st.floats(min_value=1e-4, max_value=1e8)
-# below sqrt(snr) = 1 the entropy upper bits N*log2(s) + overhead can fall
-# under the lower bits' clamp at 0, and BoundReport refuses the pair
-SNR_AT_LEAST_ONE = st.floats(min_value=1.0, max_value=1e8)
 
 
 @settings(max_examples=200, deadline=None)
@@ -55,7 +52,7 @@ def test_error_exponent_is_eps_delta_lower_rate_minus_rate(omega, energy, s, rat
 @settings(max_examples=200, deadline=None)
 @given(
     n_dim=st.integers(min_value=1, max_value=2000),
-    snr=SNR_AT_LEAST_ONE,
+    snr=SNR,
     delta=st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=0.999)),
     zeta=st.floats(min_value=1e-3, max_value=1.0),
 )

@@ -196,6 +196,8 @@ def test_experiment_config_validation():
         ExperimentConfig(params=params, rate=1.0, n_codewords=100)
     with pytest.raises(ValueError):
         ExperimentConfig(params=params, dim_override=0)
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig(params=params, max_eval_codewords=0)
 
 
 def test_experiment_satisfying_size():
