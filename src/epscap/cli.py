@@ -51,6 +51,7 @@ from .simulation import (
     run_random_code_experiment,
 )
 from .spectrum import (
+    _check_index,
     build_spectrum,
     degrees_of_freedom,
     dof_asymptotic,
@@ -189,7 +190,13 @@ def _load_spectrum(args, params: SignalSpaceParams):
     if args.use_spectrum is None:
         return None
     with open(args.use_spectrum, "r", encoding="utf-8") as fh:
-        spectrum = spectrum_from_record(json.load(fh))
+        try:
+            record = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8 text
+            raise ValueError(
+                f"--use-spectrum {args.use_spectrum} is not a JSON spectrum artifact: {exc}"
+            ) from exc
+    spectrum = spectrum_from_record(record)
     if abs(spectrum.omega - params.omega) > 1e-9 or abs(spectrum.t_obs - params.t_obs) > 1e-9:
         raise ConfigurationError(
             "spectrum file was computed for different omega/t_obs than requested"
@@ -534,6 +541,8 @@ def _cmd_sweep(args) -> int:
     if fixed.get("use_spectrum"):
         for om, t in {(p.omega, p.t_obs) for p in points}:
             spectra[(om, t)] = build_spectrum(om, t, fixed.get("order"))
+            if "n_dim" in fixed:
+                _check_index(spectra[(om, t)], fixed["n_dim"])
 
     columns = _BOUND_COLUMNS + (_SIM_COLUMNS if fixed.get("simulate") else [])
     first_line = manifest_line(manifest)

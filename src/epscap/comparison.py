@@ -67,40 +67,6 @@ def jagerman_entropy_upper(omega: float, snr: float) -> float:
     return (omega / math.pi) * math.log2(2.0 * math.sqrt(snr) + 1.0)
 
 
-def capacity_crossover_dimension(snr: float) -> int:
-    """Smallest integer N0 where the volume-ratio capacity lower bound
-    overtakes the lattice-packing one.
-
-    Needs snr > 4 so the volume-ratio rate log2(sqrt(snr)) - 1 is
-    positive; past the crossover the advantage only grows with N0.
-    """
-    if not (snr > 4 and math.isfinite(snr)):
-        raise ValueError(
-            f"snr must exceed 4 for the volume-ratio bound to win, got {snr}"
-        )
-    # at Omega = pi one second carries one nominal dimension, so the
-    # 2eps-capacity lower rate there is the bound's bits per dimension
-    per_dim = wide_window_rates(math.pi, math.sqrt(snr))["capacity_2eps"][0]
-
-    def advantage(n0: float) -> float:
-        return n0 * per_dim - jagerman_capacity_lower(n0, snr)
-
-    hi = 1
-    while advantage(hi) <= 0:
-        hi *= 2
-        if hi > 2**40:  # unreachable for snr > 4, defensive
-            raise ArithmeticError("crossover search did not terminate")
-    lo = hi // 2
-    # advantage is negative at lo (or lo = 0), positive at hi; it crosses once
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mid < 1 or advantage(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
 @dataclass(frozen=True)
 class ComparisonRow:
     """One quantity rendered in both models.

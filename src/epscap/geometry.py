@@ -74,49 +74,40 @@ def log_ball_volume(dim: int, radius: float) -> float:
     require_positive_int("dim", dim)
     require_finite("radius", radius)
     dim = int(dim)
-    return _log2_unit_ball_volume(dim) + dim * math.log2(radius)
-
-
-def log_ellipsoid_volume(ellipsoid: Ellipsoid | np.ndarray) -> float:
-    """log2 of the volume of an axis-aligned ellipsoid."""
-    if not isinstance(ellipsoid, Ellipsoid):
-        ellipsoid = Ellipsoid(ellipsoid)
-    dim = ellipsoid.dim
-    return _log2_unit_ball_volume(dim) + float(np.sum(np.log2(ellipsoid.radii)))
-
-
-def _log2_unit_ball_volume(dim: int) -> float:
-    return (dim / 2.0) * math.log2(math.pi) - gammaln(dim / 2.0 + 1.0) / _LN2
+    log2_unit_ball = (dim / 2.0) * math.log2(math.pi) - gammaln(dim / 2.0 + 1.0) / _LN2
+    return log2_unit_ball + dim * math.log2(radius)
 
 
 # --- samplers ---
 
 
 def sample_uniform_ball(
-    dim: int, radius: float, rng: np.random.Generator, size: int | None = None
-):
+    dim: int, radius: float, rng: np.random.Generator, size: int
+) -> np.ndarray:
     """Uniform points in the dim-ball: isotropic direction times U^(1/dim) radius.
 
-    Returns shape (dim,) for size=None, else (size, dim).
+    Returns shape (size, dim).
     """
     require_positive_int("dim", dim)
     require_finite("radius", radius, nonnegative=True)
-    n = 1 if size is None else int(size)
+    n = int(size)
     if n < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     direction = rng.standard_normal((n, int(dim)))
     norms = np.linalg.norm(direction, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0  # probability-zero guard
     scale = radius * rng.random((n, 1)) ** (1.0 / dim)
-    points = direction / norms * scale
-    return points[0] if size is None else points
+    return direction / norms * scale
 
 
 def sample_uniform_ellipsoid(
-    radii, rng: np.random.Generator, size: int | None = None
-):
-    """Uniform points in an axis-aligned ellipsoid (ball sample scaled per axis)."""
-    radii = Ellipsoid(radii).radii if not isinstance(radii, Ellipsoid) else radii.radii
+    radii: np.ndarray, rng: np.random.Generator, size: int
+) -> np.ndarray:
+    """Uniform points in an axis-aligned ellipsoid (ball sample scaled per axis).
+
+    Returns shape (size, len(radii)).
+    """
+    radii = Ellipsoid(radii).radii
     ball = sample_uniform_ball(len(radii), 1.0, rng, size=size)
     return ball * radii
 
@@ -285,17 +276,7 @@ class BoundReport:
                 )
 
     def to_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "lower_bits": self.lower_bits,
-            "upper_bits": self.upper_bits,
-            "lower_rate": self.lower_rate,
-            "upper_rate": self.upper_rate,
-            "n_dim": self.n_dim,
-            "zeta_value": self.zeta_value,
-            "formula_tags": dict(self.formula_tags),
-            "notes": list(self.notes),
-        }
+        return {k: v for k, v in vars(self).items() if k != "valid"}
 
 
 def per_unit_time_report(
@@ -315,49 +296,46 @@ def per_unit_time_report(
 
 def finite_reports(
     params: SignalSpaceParams,
-    n_dim: int | None = None,
+    n_dim: int,
     zeta_value: float | None = None,
 ) -> dict[str, BoundReport]:
-    """Assemble the three BoundReports, optionally with finite-N bits.
+    """The three BoundReports: wide-window rates and finite-N bits at n_dim.
 
-    zeta_value defaults to 1 (the idealized wide-window value) when bits
-    are requested without a measured spectrum.
+    zeta_value is the spectrum's measured zeta(n_dim); without one (None)
+    the bits take the idealized wide-window value 1 and the notes say so.
     """
     rates = wide_window_rates(params.omega, params.sqrt_snr)
     tags_rate = {"lower_rate": "per-unit-time-limit", "upper_rate": "per-unit-time-limit"}
 
     bits: dict[str, tuple] = {}
     notes: dict[str, tuple] = {k: () for k in rates}
-    valid = dict.fromkeys(rates, True)
-    if n_dim is not None:
-        z = 1.0 if zeta_value is None else zeta_value
-        c2 = capacity_2eps_bounds(n_dim, z, params.energy, params.eps)
-        bits["capacity_2eps"] = c2
-        if params.delta > 0.0:
-            cd = capacity_eps_delta_bounds(
-                n_dim, z, params.energy, params.eps, params.delta
-            )
-            bits["capacity_eps_delta"] = cd
-            notes["capacity_eps_delta"] = (
-                "finite-N bits apply to the N-mode coefficient space; "
-                "the full-space statement is the per-unit-time limit",
-            )
-        else:
-            notes["capacity_eps_delta"] = (
-                "delta = 0: zero-error regime, finite-N bits given by the "
-                "2eps-capacity report",
-            )
-        h_lo, h_hi, h_valid = entropy_eps_bounds(n_dim, z, params.energy, params.eps)
-        bits["entropy_eps"] = (h_lo, h_hi)
-        valid["entropy_eps"] = h_valid
-        if not h_valid:
-            notes["entropy_eps"] = (
-                "outside the covering bound regime (need N >= 9 and "
-                "1 < sqrt(snr) < N/ln N); upper bits are indicative only",
-            )
-        if zeta_value is None:
-            for key in bits:
-                notes[key] = notes[key] + ("zeta = 1 idealization (no spectrum)",)
+    z = 1.0 if zeta_value is None else zeta_value
+    c2 = capacity_2eps_bounds(n_dim, z, params.energy, params.eps)
+    bits["capacity_2eps"] = c2
+    if params.delta > 0.0:
+        cd = capacity_eps_delta_bounds(
+            n_dim, z, params.energy, params.eps, params.delta
+        )
+        bits["capacity_eps_delta"] = cd
+        notes["capacity_eps_delta"] = (
+            "finite-N bits apply to the N-mode coefficient space; "
+            "the full-space statement is the per-unit-time limit",
+        )
+    else:
+        notes["capacity_eps_delta"] = (
+            "delta = 0: zero-error regime, finite-N bits given by the "
+            "2eps-capacity report",
+        )
+    h_lo, h_hi, h_valid = entropy_eps_bounds(n_dim, z, params.energy, params.eps)
+    bits["entropy_eps"] = (h_lo, h_hi)
+    if not h_valid:
+        notes["entropy_eps"] = (
+            "outside the covering bound regime (need N >= 9 and "
+            "1 < sqrt(snr) < N/ln N); upper bits are indicative only",
+        )
+    if zeta_value is None:
+        for key in bits:
+            notes[key] = notes[key] + ("zeta = 1 idealization (no spectrum)",)
 
     tags_bits = {
         "capacity_2eps": {
@@ -390,38 +368,12 @@ def finite_reports(
             zeta_value=(zeta_value if lo_bits is not None else None),
             formula_tags=tags,
             notes=notes[key],
-            valid=valid[key],
+            valid=h_valid if key == "entropy_eps" else True,
         )
     return reports
 
 
 # --- identities and oracles ---
-
-
-def verify_pairwise_distance_inequality(
-    center: np.ndarray, points: np.ndarray
-) -> tuple[bool, float]:
-    """Check sum_jk |x_j - x_k|^2 <= 2m * sum_j |c - x_j|^2 by brute force.
-
-    Returns (holds, slack) with slack = rhs - lhs. Equality holds exactly
-    when c is the centroid; moving c away only increases the right side,
-    which is what makes the inequality useful as a test oracle.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    center = np.asarray(center, dtype=float).ravel()
-    if points.shape[1] != len(center):
-        raise ValueError(
-            f"dimension mismatch: points are {points.shape[1]}-d, "
-            f"center is {len(center)}-d"
-        )
-    m = points.shape[0]
-    lhs = 0.0
-    for j in range(m):
-        lhs += float(np.sum((points - points[j]) ** 2))
-    rhs = 2.0 * m * float(np.sum((points - center) ** 2))
-    slack = rhs - lhs
-    holds = slack >= -1e-12 * max(1.0, abs(rhs))
-    return holds, slack
 
 
 def oracle_pack_interval(sqrt_energy: float, eps: float) -> int:
@@ -464,8 +416,6 @@ def greedy_pack(
     saturates well above the volume-ratio bound. Capped at dim <= 6,
     where saturation is reachable with modest candidate budgets.
     """
-    if not isinstance(ellipsoid, Ellipsoid):
-        ellipsoid = Ellipsoid(ellipsoid)
     if ellipsoid.dim > 6:
         raise ConfigurationError(
             f"greedy_pack supports dim <= 6, got {ellipsoid.dim}; higher "

@@ -109,27 +109,6 @@ def generate_codebook(radii, n_codewords: int, seed) -> Codebook:
     return Codebook(points=points, radii=radii)
 
 
-def decode_error_indicator(codebook: Codebook, index: int, received) -> bool:
-    """True when minimum-distance decoding of `received` misses codeword `index`.
-
-    A competitor at exactly the same distance counts as an error (ties are
-    resolved against the transmitted word).
-    """
-    points = codebook.points
-    if not isinstance(index, (int, np.integer)) or not (0 <= index < len(points)):
-        raise IndexError(f"index {index} out of range for {len(points)} codewords")
-    received = np.asarray(received, dtype=float).ravel()
-    if received.shape != (points.shape[1],):
-        raise ValueError(
-            f"received point has dimension {received.shape}, "
-            f"codebook is {points.shape[1]}-d"
-        )
-    d2 = np.sum((points - received) ** 2, axis=1)
-    own = d2[int(index)]
-    d2[int(index)] = np.inf
-    return bool(d2.min() <= own)
-
-
 # --- error-fraction estimation ---
 
 
@@ -192,21 +171,11 @@ class SimulationResult:
     verdict: bool | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "mean_error_fraction": self.mean_error_fraction,
-            "mean_error_ci": list(self.mean_error_ci),
-            "samples_per_codeword": self.samples_per_codeword,
-            "n_codewords": self.n_codewords,
+        """The fields; eval_indices goes out as n_evaluated and subsampled."""
+        record = {k: v for k, v in vars(self).items() if k != "eval_indices"}
+        return record | {
             "n_evaluated": len(self.error_fractions),
             "subsampled": self.eval_indices is not None,
-            "eps": self.eps,
-            "seed": self.seed,
-            "target_delta": self.target_delta,
-            "verdict": self.verdict,
-            "error_fractions": [float(v) for v in self.error_fractions],
-            "error_fraction_cis": [
-                [float(a), float(b)] for a, b in self.error_fraction_cis
-            ],
         }
 
 
@@ -452,7 +421,8 @@ def run_random_code_experiment(
         n_codewords = int(config.max_codewords)
         capped = True
 
-    reports = finite_reports(params, n_dim=n_dim, zeta_value=zeta_value)
+    # the report takes the measured zeta, or None for the zeta = 1 idealization
+    reports = finite_reports(params, n_dim, None if spectrum is None else zeta_value)
     bound = reports["capacity_eps_delta" if params.delta > 0 else "capacity_2eps"]
 
     target = params.delta if params.delta > 0 else None
@@ -541,14 +511,7 @@ class ExponentSweep:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "points": [vars(p) for p in self.points],
-            "fitted_slope": self.fitted_slope,
-            "predicted_decay": self.predicted_decay,
-            "rate": self.rate,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+        return vars(self) | {"points": [vars(p) for p in self.points]}
 
 
 def empirical_exponent_sweep(

@@ -50,7 +50,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import legendre
 from scipy.linalg import eigh, eigvalsh_tridiagonal
-from scipy.special import expit
 
 from .errors import ConfigurationError, InsufficientSpectrumError, NumericalError
 from .params import DofQuery, nominal_dimension, require_finite, require_positive_int
@@ -407,31 +406,6 @@ def _transition_log(n0: float) -> float:
     return math.log(n0 * math.pi / 2.0)
 
 
-def transition_limit(k: float) -> float:
-    """Limiting eigenvalue 1 / (1 + exp(k * pi^2)) at transition offset k."""
-    # expit form is overflow-safe for large |k|
-    return float(expit(-k * math.pi**2))
-
-
-def phase_transition_residual(spectrum: EigenSpectrum, k: float) -> float:
-    """Deviation of lambda at index floor(N0 + k*ln(N0*pi/2)) from its limit.
-
-    The limit is 1/(1 + exp(k*pi^2)); at k = 0 the eigenvalue nearest the
-    nominal dimensionality tends to 1/2. Convergence in N0 is logarithmic,
-    so finite-window residuals shrink slowly (about 0.17 at N0 = 20).
-    """
-    if not math.isfinite(k):
-        raise ValueError(f"k must be finite, got {k}")
-    n0 = spectrum.nominal_dimension
-    index_1b = math.floor(n0 + k * _transition_log(n0))
-    if index_1b < 1 or index_1b > len(spectrum.lambdas):
-        raise ValueError(
-            f"transition index {index_1b} for k={k} is outside the computed "
-            f"spectrum of length {len(spectrum.lambdas)}"
-        )
-    return float(spectrum.lambdas[index_1b - 1]) - transition_limit(k)
-
-
 def spectrum_record(spectrum: EigenSpectrum) -> dict:
     """JSON-ready summary of a spectrum (eigenvalues, not eigenvectors)."""
     return {
@@ -449,7 +423,7 @@ def spectrum_from_record(record: dict) -> EigenSpectrum:
     """Rebuild a spectrum from a summary record.
 
     Eigenvector and node data are not round-tripped; the result supports
-    the scalar functionals (zeta, n_width, degrees_of_freedom, residuals)
+    the scalar functionals (zeta, n_width, degrees_of_freedom)
     but has no eigvecs and empty nodes/weights arrays.
 
     Raises ValueError unless the eigenvalues form a non-empty,

@@ -12,26 +12,25 @@ import time
 import numpy as np
 import pytest
 
-from epscap import (
-    Codebook,
+from epscap import build_spectrum, finite_reports, volume_correction
+from epscap.cli import main
+from epscap.comparison import jagerman_capacity_lower, jagerman_capacity_lower_rate
+from epscap.geometry import (
     Ellipsoid,
-    ExperimentConfig,
-    build_spectrum,
     capacity_2eps_bounds,
-    empirical_exponent_sweep,
-    estimate_error_fraction,
-    finite_reports,
     greedy_pack,
-    jagerman_capacity_lower,
-    jagerman_capacity_lower_rate,
     oracle_cover_interval,
     oracle_pack_interval,
     per_unit_time_report,
-    run_random_code_experiment,
-    volume_correction,
 )
-from epscap.cli import main
 from epscap.params import SignalSpaceParams
+from epscap.simulation import (
+    Codebook,
+    ExperimentConfig,
+    empirical_exponent_sweep,
+    estimate_error_fraction,
+    run_random_code_experiment,
+)
 from test_geometry import (
     STRICT_GAP_THRESHOLD,
     brute_force_cover_interval,

@@ -137,6 +137,21 @@ def test_simulate_refuses_spectrum_of_another_window(tmp_path, capsys):
     assert "different omega/t_obs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, extra", [("bounds", []), ("simulate", ["--samples", "200"])])
+def test_use_spectrum_names_a_file_that_is_not_json(tmp_path, capsys, command, extra):
+    notes = tmp_path / "notes.txt"
+    notes.write_text("eigenvalues to follow\n")
+    code = main(
+        [
+            command, "--omega", PI_ARG, "--t-obs", "12", "--energy", "1",
+            "--eps", "0.25", "--delta", "0.1", "--use-spectrum", str(notes), *extra,
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--use-spectrum" in err and str(notes) in err
+
+
 def test_bounds_below_unit_snr_gives_zero_entropy_bits(tmp_path):
     # sqrt(snr) = 1/2: one eps-ball covers the whole body
     payload = run_json(
@@ -432,6 +447,7 @@ def test_zero_working_dimension_is_refused(tmp_path, capsys):
         ("eps = -0.1\n", "eps must be positive and finite, got -0.1"),
         ("simulate = true\nsamples = 50\n", "samples must be an integer >= 100, got 50"),
         ("n_dim = 0\n", "n_dim must be a positive integer, got 0"),
+        ("use_spectrum = true\nn_dim = 300\n", "n_dim 300 exceeds the 256 computed eigenvalues"),
     ],
 )
 def test_sweep_refuses_bad_input_before_writing(tmp_path, capsys, extra, message):

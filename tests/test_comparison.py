@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from epscap import (
-    capacity_crossover_dimension,
+from epscap.comparison import (
     comparison_table,
     jagerman_capacity_lower,
     jagerman_capacity_lower_rate,
@@ -12,6 +11,7 @@ from epscap import (
     shannon_capacity,
     shannon_rate_distortion,
 )
+from reference import capacity_crossover_dimension
 
 
 def test_shannon_capacity_frozen():

@@ -3,24 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from epscap import (
+from epscap import ConfigurationError, finite_reports
+from epscap.geometry import (
     BoundReport,
-    ConfigurationError,
     Ellipsoid,
     capacity_2eps_bounds,
     capacity_eps_delta_bounds,
     covering_overhead,
     entropy_eps_bounds,
-    finite_reports,
     greedy_pack,
     log_ball_volume,
-    log_ellipsoid_volume,
     oracle_cover_interval,
     oracle_pack_interval,
     per_unit_time_report,
-    verify_pairwise_distance_inequality,
 )
 from epscap.params import SignalSpaceParams
+from reference import log_ellipsoid_volume, verify_pairwise_distance_inequality
 
 STRICT_GAP_THRESHOLD = math.sqrt(2.0) / (math.sqrt(2.0) - 1.0)
 

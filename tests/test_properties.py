@@ -1,18 +1,16 @@
-"""Property-based checks of the bound reports and the tables that read them."""
+"""Property-based checks of the spectrum, the bound reports and the tables that read them."""
 
 import math
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from epscap import (
-    comparison_table,
-    entropy_eps_bounds,
-    error_exponent,
-    finite_reports,
-    per_unit_time_report,
-)
+from epscap import build_spectrum, finite_reports
+from epscap.comparison import comparison_table
+from epscap.geometry import entropy_eps_bounds, per_unit_time_report
 from epscap.params import SignalSpaceParams
+from epscap.simulation import error_exponent
 
 OMEGA = st.floats(min_value=1e-3, max_value=1e3)
 SNR = st.floats(min_value=1e-4, max_value=1e8)
@@ -22,7 +20,7 @@ SNR = st.floats(min_value=1e-4, max_value=1e8)
 @given(omega=OMEGA, snr=SNR)
 def test_comparison_intervals_are_the_report_rates(omega, snr):
     params = SignalSpaceParams(omega=omega, t_obs=1.0, energy=snr, eps=1.0)
-    reports = finite_reports(params)
+    reports = finite_reports(params, n_dim=1)
     capacity, source, zero_error, lattice = comparison_table(omega, snr, nominal_dim=1.0)
     for row, key in (
         (capacity, "capacity_eps_delta"),
@@ -67,3 +65,17 @@ def test_finite_reports_lower_never_exceeds_upper(n_dim, snr, delta, zeta):
     flag = entropy_eps_bounds(n_dim, zeta, snr, 1.0)[2]
     assert reports["entropy_eps"].valid is flag
     assert reports["capacity_2eps"].valid and reports["capacity_eps_delta"].valid
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n0=st.floats(min_value=1.0, max_value=40.0, exclude_min=True, exclude_max=True),
+    a=st.floats(min_value=1e-2, max_value=1e3),
+)
+def test_spectrum_depends_only_on_the_time_bandwidth_product(n0, a):
+    assume(n0 != math.floor(n0))
+    # the order is fixed: the default's ceil(N0) can step at an integer N0
+    # through a one-ulp change in omega*t_obs/pi
+    base = build_spectrum(math.pi, n0, quad_order=256).lambdas
+    scaled = build_spectrum(a * math.pi, n0 / a, quad_order=256).lambdas
+    np.testing.assert_allclose(scaled, base, rtol=0.0, atol=1e-13)

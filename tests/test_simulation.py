@@ -3,27 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from epscap import (
+from epscap import ConfigurationError
+from epscap.geometry import per_unit_time_report, sample_uniform_ball, sample_uniform_ellipsoid
+from epscap.params import SignalSpaceParams
+from epscap.simulation import (
     Codebook,
-    ConfigurationError,
     ExperimentConfig,
-    decode_error_indicator,
     empirical_exponent_sweep,
     error_exponent,
     estimate_error_fraction,
     generate_codebook,
     run_random_code_experiment,
-    sample_uniform_ball,
-    sample_uniform_ellipsoid,
     wilson_interval,
 )
-from epscap.params import SignalSpaceParams
+from reference import decode_error_indicator
 
 
 def test_sample_uniform_ball_shapes_and_containment():
     rng = np.random.default_rng(7)
-    single = sample_uniform_ball(5, 2.0, rng)
-    assert single.shape == (5,)
+    single = sample_uniform_ball(5, 2.0, rng, size=1)
+    assert single.shape == (1, 5)
     batch = sample_uniform_ball(5, 2.0, rng, size=4000)
     assert batch.shape == (4000, 5)
     norms = np.linalg.norm(batch, axis=1)
@@ -248,6 +247,17 @@ def test_experiment_spectrum_dimension(spec_t10):
     assert outcome.radii_source == "spectrum"
     assert outcome.n_dim == 13  # degrees of freedom of the T=10 spectrum at mu = 0.1
     assert 0.0 < outcome.zeta_value < 1.0
+
+
+def test_experiment_bound_is_the_bounds_report(spec_t10):
+    # with or without a spectrum, the probed report is the one `bounds`
+    # gives at the experiment's working dimension
+    params = SignalSpaceParams(omega=math.pi, t_obs=10.0, energy=1.0, eps=0.25, delta=0.2)
+    config = ExperimentConfig(params=params, n_codewords=16, samples=200, seed=1)
+    for spectrum in (None, spec_t10):
+        outcome = run_random_code_experiment(config, spectrum)
+        reports = per_unit_time_report(params, spectrum, outcome.n_dim)
+        assert outcome.bound == reports["capacity_eps_delta"]
 
 
 def test_error_exponent_values():

@@ -10,20 +10,22 @@ from epscap import (
     ConfigurationError,
     InsufficientSpectrumError,
     NumericalError,
-    build_kernel_matrix,
     build_spectrum,
-    compute_spectrum,
-    degrees_of_freedom,
-    dof_asymptotic,
-    n_width,
-    phase_transition_residual,
-    spectrum_from_record,
-    spectrum_record,
-    transition_limit,
     volume_correction,
 )
 from epscap.params import DofQuery
-from epscap.spectrum import CLIP_FLOOR, gauss_legendre
+from epscap.spectrum import (
+    CLIP_FLOOR,
+    build_kernel_matrix,
+    compute_spectrum,
+    degrees_of_freedom,
+    dof_asymptotic,
+    gauss_legendre,
+    n_width,
+    spectrum_from_record,
+    spectrum_record,
+)
+from reference import phase_transition_residual, transition_limit
 
 # Nystrom-Gauss-Legendre values at omega=pi, t_obs=20, order 512, frozen
 # from an independent run cross-checked against a DPSS (Slepian sequence)
