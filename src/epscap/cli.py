@@ -2,7 +2,7 @@
 
 Eight subcommands wire the computational modules to a shell: spectrum,
 dof, bounds, oracle, simulate, exponent-sweep, compare, and sweep. Every
-artifact embeds a RunManifest; identical manifests reproduce identical
+artifact embeds a run manifest; identical manifests reproduce identical
 bytes except the timestamp. Exit codes: 0 success, 2 configuration or
 domain error, 3 numerical error.
 
@@ -19,6 +19,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -33,17 +34,18 @@ from .geometry import (
     oracle_pack_interval,
     per_unit_time_report,
     working_dimension,
+    zeta_or_one,
 )
 from .manifest import (
     MANIFEST_PREFIX,
-    RunManifest,
     csv_bytes,
     csv_line,
     json_bytes,
     manifest_line,
     resolve_output_path,
+    run_manifest,
 )
-from .params import DofQuery, SignalSpaceParams, require_positive_int
+from .params import SignalSpaceParams, require_positive_int
 from .simulation import (
     ExperimentConfig,
     SweepPoint,
@@ -143,20 +145,41 @@ def _emit(args, payload: dict, columns: list[str], rows: list[list], table=None)
     table defaults to the rows rendered under their column names.
     """
     parameters = {k: v for k, v in vars(args).items() if k not in ("handler", "seed")}
-    manifest = RunManifest.create(args.command, parameters, seed=getattr(args, "seed", None))
+    manifest = run_manifest(args.command, parameters, seed=getattr(args, "seed", None))
     if args.emit == "json":
-        data = json_bytes(payload | {"manifest": manifest.to_dict()})
+        data = json_bytes(payload | {"manifest": manifest})
     elif args.emit == "csv":
         data = csv_bytes(columns, rows, manifest)
     else:
         lines = _render_table(columns, rows) if table is None else table
         data = ("\n".join(lines) + "\n").encode()
     if args.out:
-        with open(resolve_output_path(args.out), "wb") as fh:
-            fh.write(data)
+        _write_whole(resolve_output_path(args.out), lambda fh: fh.write(data))
     else:
         sys.stdout.buffer.write(data)
     return 0
+
+
+def _write_whole(path: str, write) -> None:
+    """Have write(fh) fill path whole or not at all.
+
+    A regular file (or a new one) is written to a temporary file beside it,
+    which then replaces it; on any error the temporary file is removed and
+    an existing file keeps its bytes. A device or pipe is written in place.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as fh:
+            write(fh)
+        return
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _fmt(value) -> str:
@@ -215,7 +238,7 @@ def _bound_row(params: SignalSpaceParams, reports: dict) -> list:
         *vars(params).values(),
         params.nominal_dimension,
         c2.n_dim,
-        1.0 if c2.zeta_value is None else c2.zeta_value,
+        zeta_or_one(c2.zeta_value),
         c2.lower_bits,
         c2.upper_bits,
         cd.lower_bits,
@@ -239,13 +262,15 @@ def _cmd_spectrum(args) -> int:
     spectrum = build_spectrum(omega, args.t_obs, args.order, vectors=bool(args.save_vectors))
     if args.save_vectors:
         path = resolve_output_path(args.save_vectors)
-        np.savez(
-            path,
-            lambdas=spectrum.lambdas,
-            eigvecs=spectrum.eigvecs,
-            nodes=spectrum.nodes,
-            weights=spectrum.weights,
-        )
+        arrays = {
+            "lambdas": spectrum.lambdas,
+            "eigvecs": spectrum.eigvecs,
+            "nodes": spectrum.nodes,
+            "weights": spectrum.weights,
+        }
+        # the name np.savez gives a bare path
+        path = path if path.endswith(".npz") else path + ".npz"
+        _write_whole(path, lambda fh: np.savez(fh, **arrays))
     rows = [[i + 1, lam] for i, lam in enumerate(spectrum.lambdas)]
     table = _render_table(
         ["quantity", "value"],
@@ -263,8 +288,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_dof(args) -> int:
     omega = _omega_value(args)
     spectrum = build_spectrum(omega, args.t_obs, args.order)
-    query = DofQuery(energy=args.energy, mu=args.mu)
-    n_dof = degrees_of_freedom(spectrum, query)
+    n_dof = degrees_of_freedom(spectrum, args.energy, args.mu)
     asymptotic = dof_asymptotic(spectrum.nominal_dimension, args.energy, args.mu)
     columns = ["n_dof", "n0", "asymptotic"]
     row = [n_dof, spectrum.nominal_dimension, asymptotic]
@@ -355,8 +379,8 @@ def _cmd_simulate(args) -> int:
         [
             ["n_codewords", outcome.n_codewords],
             ["capped", outcome.capped],
-            ["n_dim", outcome.n_dim],
-            ["volume_correction", outcome.zeta_value],
+            ["n_dim", outcome.bound.n_dim],
+            ["volume_correction", zeta_or_one(outcome.bound.zeta_value)],
             ["attempts", outcome.attempts],
             ["mean_error_fraction", result.mean_error_fraction],
             ["ci_low", result.mean_error_ci[0]],
@@ -434,6 +458,8 @@ def _parse_sweep_config(path: str) -> tuple[dict, dict]:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigurationError(f"cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"--config {path} is not UTF-8 text: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -510,19 +536,9 @@ def _cmd_sweep(args) -> int:
     axes, fixed = _parse_sweep_config(args.config)
     if args.seed is not None:
         fixed["seed"] = args.seed
-    if fixed.get("simulate") and not (
-        fixed.get("rate") is not None
-        or fixed.get("n_codewords") is not None
-        or min(axes["delta"]) > 0
-    ):
-        raise ConfigurationError(
-            "simulate = true needs delta > 0 at every grid point, or a "
-            "fixed rate / n_codewords to size the codebooks"
-        )
     if args.resume and not args.out:
         raise ConfigurationError("--resume needs --out")
-    # every grid point and fixed setting is checked before a byte is written;
-    # the experiment settings do not depend on the point, so one check covers all
+    # every grid point and fixed setting is checked before a byte is written
     points = [
         SignalSpaceParams(**dict(zip(_GRID_KEYS, values)))
         for values in itertools.product(*(axes[key] for key in _GRID_KEYS))
@@ -530,8 +546,9 @@ def _cmd_sweep(args) -> int:
     if "n_dim" in fixed:
         require_positive_int("n_dim", fixed["n_dim"])
     if fixed.get("simulate"):
-        _experiment_config(points[0], fixed)
-    manifest = RunManifest.create(
+        for p in points:
+            _experiment_config(p, fixed)
+    manifest = run_manifest(
         "sweep",
         {"config": args.config, "axes": axes, "fixed": fixed, "out": args.out},
         seed=fixed.get("seed"),
@@ -586,9 +603,16 @@ def _resume_offset(path: str, first_line: str, header: str) -> int:
     if not data.startswith(MANIFEST_PREFIX.encode()):
         raise ConfigurationError(f"{path} is not a sweep artifact; refusing to resume")
     complete = data[: data.rfind(b"\n") + 1]
-    lines = complete.decode("utf-8").splitlines(keepends=True)
+    try:
+        lines = complete.decode("utf-8").splitlines(keepends=True)
+        old = json.loads(lines[0][len(MANIFEST_PREFIX) :]) if lines else {}
+        if not isinstance(old, dict):
+            raise ValueError(f"found a JSON {type(old).__name__}, not an object")
+    except ValueError as exc:  # not UTF-8, or the manifest is not a JSON object
+        raise ConfigurationError(
+            f"--resume {path} does not start with a JSON manifest line: {exc}"
+        ) from exc
     if lines:
-        old = json.loads(lines[0][len(MANIFEST_PREFIX) :])
         new = json.loads(first_line[len(MANIFEST_PREFIX) :])
         for record in (old, new):
             record.pop("timestamp", None)

@@ -9,7 +9,8 @@ describe any signal to accuracy eps. All bound formulas here are exact
 finite-N statements in bits (log2); the per-unit-time report divides out
 the observation window and takes the wide-window limit.
 
-The bound formulas, the wide-window rates that the comparison table and
+The bound formulas (the eps-delta one also sizes the random codebooks
+of the experiments), the wide-window rates that the comparison table and
 the error exponent read, the working-dimension rule N = round(N0) and the
 uniform ball and ellipsoid samplers all live here.
 """
@@ -115,6 +116,11 @@ def sample_uniform_ellipsoid(
 # --- finite-dimensional bound formulas (bits) ---
 
 
+def zeta_or_one(zeta_value: float | None) -> float:
+    """The zeta the bits are taken at: the measured one, or 1 for None (no spectrum)."""
+    return 1.0 if zeta_value is None else zeta_value
+
+
 def _check_bound_args(n_dim, zeta_value, energy, eps):
     require_positive_int("n_dim", n_dim)
     if not (0.0 < zeta_value <= 1.0):
@@ -139,20 +145,27 @@ def capacity_2eps_bounds(
     return lower, upper
 
 
+def log2_satisfying_size(n_dim: int, zeta_value: float, s: float, delta: float) -> float:
+    """N*log2(zeta*s) + log2(delta): log2 of a random codebook size that meets
+    delta on average. Clamped at 0, it is the eps-delta capacity lower bound.
+    """
+    return n_dim * math.log2(zeta_value * s) + math.log2(delta)
+
+
 def capacity_eps_delta_bounds(
     n_dim: int, zeta_value: float, energy: float, eps: float, delta: float
 ) -> tuple[float, float]:
     """Bits of a maximal codebook whose error-region fraction is <= delta.
 
-    Lower: average-overlap argument, N*log2(zeta*s) + log2(delta), clamped
-    at 0. Upper: volume bound discounted by the tolerated error volume,
+    Lower: average-overlap argument, log2_satisfying_size clamped at 0.
+    Upper: volume bound discounted by the tolerated error volume,
     N*log2(1 + s) + log2(1/(1 - delta)).
     """
     _check_bound_args(n_dim, zeta_value, energy, eps)
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     s = math.sqrt(energy) / eps
-    lower = max(0.0, n_dim * math.log2(zeta_value * s) + math.log2(delta))
+    lower = max(0.0, log2_satisfying_size(n_dim, zeta_value, s, delta))
     upper = n_dim * math.log2(1.0 + s) + math.log2(1.0 / (1.0 - delta))
     return lower, upper
 
@@ -279,6 +292,16 @@ class BoundReport:
         return {k: v for k, v in vars(self).items() if k != "valid"}
 
 
+# the method behind each report field: both rates, and each quantity's
+# (lower, upper) bits
+_RATE_TAGS = {"lower_rate": "per-unit-time-limit", "upper_rate": "per-unit-time-limit"}
+_BITS_METHODS = {
+    "capacity_2eps": ("volume-ratio-packing", "shell-counting"),
+    "capacity_eps_delta": ("average-overlap", "error-volume-discount"),
+    "entropy_eps": ("volume-ratio-covering", "rogers-covering"),
+}
+
+
 def per_unit_time_report(
     params: SignalSpaceParams, spectrum=None, n_dim: int | None = None
 ) -> dict[str, BoundReport]:
@@ -303,74 +326,56 @@ def finite_reports(
 
     zeta_value is the spectrum's measured zeta(n_dim); without one (None)
     the bits take the idealized wide-window value 1 and the notes say so.
+    At delta = 0 the eps-delta report holds rates only: its finite-N bits
+    are the 2eps-capacity report's.
     """
     rates = wide_window_rates(params.omega, params.sqrt_snr)
-    tags_rate = {"lower_rate": "per-unit-time-limit", "upper_rate": "per-unit-time-limit"}
+    z = zeta_or_one(zeta_value)
+    idealized = () if zeta_value is not None else ("zeta = 1 idealization (no spectrum)",)
 
-    bits: dict[str, tuple] = {}
-    notes: dict[str, tuple] = {k: () for k in rates}
-    z = 1.0 if zeta_value is None else zeta_value
-    c2 = capacity_2eps_bounds(n_dim, z, params.energy, params.eps)
-    bits["capacity_2eps"] = c2
-    if params.delta > 0.0:
-        cd = capacity_eps_delta_bounds(
-            n_dim, z, params.energy, params.eps, params.delta
+    def report(key, bits, notes=(), valid=True):
+        lower_method, upper_method = _BITS_METHODS[key]
+        return BoundReport(
+            quantity=key,
+            lower_bits=bits[0],
+            upper_bits=bits[1],
+            lower_rate=rates[key][0],
+            upper_rate=rates[key][1],
+            n_dim=n_dim,
+            zeta_value=zeta_value,
+            formula_tags=_RATE_TAGS | {"lower_bits": lower_method, "upper_bits": upper_method},
+            notes=notes + idealized,
+            valid=valid,
         )
-        bits["capacity_eps_delta"] = cd
-        notes["capacity_eps_delta"] = (
-            "finite-N bits apply to the N-mode coefficient space; "
-            "the full-space statement is the per-unit-time limit",
+
+    c2 = report("capacity_2eps", capacity_2eps_bounds(n_dim, z, params.energy, params.eps))
+    if params.delta > 0.0:
+        cd = report(
+            "capacity_eps_delta",
+            capacity_eps_delta_bounds(n_dim, z, params.energy, params.eps, params.delta),
+            (
+                "finite-N bits apply to the N-mode coefficient space; "
+                "the full-space statement is the per-unit-time limit",
+            ),
         )
     else:
-        notes["capacity_eps_delta"] = (
-            "delta = 0: zero-error regime, finite-N bits given by the "
-            "2eps-capacity report",
+        cd = BoundReport(
+            quantity="capacity_eps_delta",
+            lower_rate=rates["capacity_eps_delta"][0],
+            upper_rate=rates["capacity_eps_delta"][1],
+            formula_tags=dict(_RATE_TAGS),
+            notes=(
+                "delta = 0: zero-error regime, finite-N bits given by the "
+                "2eps-capacity report",
+            ),
         )
     h_lo, h_hi, h_valid = entropy_eps_bounds(n_dim, z, params.energy, params.eps)
-    bits["entropy_eps"] = (h_lo, h_hi)
-    if not h_valid:
-        notes["entropy_eps"] = (
-            "outside the covering bound regime (need N >= 9 and "
-            "1 < sqrt(snr) < N/ln N); upper bits are indicative only",
-        )
-    if zeta_value is None:
-        for key in bits:
-            notes[key] = notes[key] + ("zeta = 1 idealization (no spectrum)",)
-
-    tags_bits = {
-        "capacity_2eps": {
-            "lower_bits": "volume-ratio-packing",
-            "upper_bits": "shell-counting",
-        },
-        "capacity_eps_delta": {
-            "lower_bits": "average-overlap",
-            "upper_bits": "error-volume-discount",
-        },
-        "entropy_eps": {
-            "lower_bits": "volume-ratio-covering",
-            "upper_bits": "rogers-covering",
-        },
-    }
-
-    reports = {}
-    for key, (lo_rate, hi_rate) in rates.items():
-        lo_bits, hi_bits = bits.get(key, (None, None))
-        tags = dict(tags_rate)
-        if lo_bits is not None:
-            tags.update(tags_bits[key])
-        reports[key] = BoundReport(
-            quantity=key,
-            lower_bits=lo_bits,
-            upper_bits=hi_bits,
-            lower_rate=lo_rate,
-            upper_rate=hi_rate,
-            n_dim=n_dim if lo_bits is not None else None,
-            zeta_value=(zeta_value if lo_bits is not None else None),
-            formula_tags=tags,
-            notes=notes[key],
-            valid=h_valid if key == "entropy_eps" else True,
-        )
-    return reports
+    h_notes = () if h_valid else (
+        "outside the covering bound regime (need N >= 9 and "
+        "1 < sqrt(snr) < N/ln N); upper bits are indicative only",
+    )
+    he = report("entropy_eps", (h_lo, h_hi), h_notes, h_valid)
+    return {"capacity_2eps": c2, "capacity_eps_delta": cd, "entropy_eps": he}
 
 
 # --- identities and oracles ---

@@ -18,7 +18,6 @@ import io
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -31,26 +30,15 @@ OUTPUT_DIR_ENV = "EPSCAP_OUTPUT_DIR"
 MANIFEST_PREFIX = "# manifest: "
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    parameters: dict
-    seed: int | None
-    version: str
-    timestamp: str
-
-    @classmethod
-    def create(cls, command: str, parameters: dict, seed: int | None = None) -> "RunManifest":
-        return cls(
-            command=command,
-            parameters=dict(parameters),
-            seed=seed,
-            version=__version__,
-            timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+def run_manifest(command: str, parameters: dict, seed: int | None = None) -> dict:
+    """The manifest record: command, parameters, seed, version and timestamp."""
+    return {
+        "command": command,
+        "parameters": dict(parameters),
+        "seed": seed,
+        "version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+    }
 
 
 def round_float(value: float) -> float | None:
@@ -96,11 +84,9 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def manifest_line(manifest: RunManifest) -> str:
+def manifest_line(manifest: dict) -> str:
     """The leading comment line of a CSV artifact, without its newline."""
-    manifest_json = json.dumps(
-        normalize(manifest.to_dict()), sort_keys=True, allow_nan=False
-    )
+    manifest_json = json.dumps(normalize(manifest), sort_keys=True, allow_nan=False)
     return f"{MANIFEST_PREFIX}{manifest_json}"
 
 
@@ -111,7 +97,7 @@ def csv_line(row: list) -> str:
     return buf.getvalue()
 
 
-def csv_bytes(columns: list[str], rows: list[list], manifest: RunManifest) -> bytes:
+def csv_bytes(columns: list[str], rows: list[list], manifest: dict) -> bytes:
     """CSV rendering with the manifest embedded as a leading comment line."""
     lines = [manifest_line(manifest) + "\n", csv_line(columns)]
     lines += [csv_line(row) for row in rows]

@@ -82,19 +82,3 @@ class SignalSpaceParams:
     @property
     def sqrt_snr(self) -> float:
         return math.sqrt(self.energy) / self.eps
-
-
-@dataclass(frozen=True)
-class DofQuery:
-    """Accuracy query for the degrees-of-freedom counter.
-
-    mu may be any positive level; mu >= sqrt(energy) simply yields zero
-    degrees of freedom rather than an error.
-    """
-
-    energy: float
-    mu: float
-
-    def __post_init__(self):
-        require_finite("energy", self.energy)
-        require_finite("mu", self.mu)

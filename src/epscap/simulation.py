@@ -13,9 +13,10 @@ own generator seeded from a content hash of (global seed, codeword
 bytes), so permuting the codebook permutes the per-codeword results
 without changing any of them.
 
-The uniform ball and ellipsoid samplers, the bound reports, the
-wide-window rate behind the error exponent and the working-dimension
-rule all live in :mod:`epscap.geometry`.
+The uniform ball and ellipsoid samplers, the bound reports (which give
+each run its working dimension N and zeta), the satisfying-size formula
+and the wide-window rate behind the error exponent all live in
+:mod:`epscap.geometry`.
 """
 
 from __future__ import annotations
@@ -32,21 +33,21 @@ from .geometry import (
     BoundReport,
     Ellipsoid,
     entropy_rate,
-    finite_reports,
+    log2_satisfying_size,
+    per_unit_time_report,
     sample_uniform_ball,
     sample_uniform_ellipsoid,
-    working_dimension,
+    zeta_or_one,
 )
 from .params import (
     MIN_SAMPLES,
-    DofQuery,
     SignalSpaceParams,
     require_finite,
     require_positive_int,
     require_seed,
     require_setting,
 )
-from .spectrum import build_spectrum, degrees_of_freedom, volume_correction
+from .spectrum import build_spectrum, degrees_of_freedom
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -273,13 +274,16 @@ def estimate_error_fraction(
         fractions[r] = errors / samples
         cis[r] = wilson_interval(errors, samples)
 
-    mean = float(fractions.mean())
+    # exactly rounded sums: the mean and the spread must not depend on the
+    # order of the codebook
+    mean = math.fsum(fractions) / k
     pooled = wilson_interval(int(error_counts.sum()), k * samples)
     if subsampled:
         # cluster interval: spread across codewords dominates; keep the
         # pooled interval as a floor so an all-zero subset is not read as
         # exactly zero
-        se = float(fractions.std(ddof=1)) / math.sqrt(k) if k > 1 else 0.0
+        sd = math.sqrt(math.fsum((fractions - mean) ** 2) / (k - 1)) if k > 1 else 0.0
+        se = sd / math.sqrt(k)
         lo = min(max(0.0, mean - Z95 * se), pooled[0])
         hi = max(min(1.0, mean + Z95 * se), pooled[1])
         mean_ci = (lo, hi)
@@ -314,8 +318,9 @@ class ExperimentConfig:
     floor(delta * (zeta*sqrt(E)/eps)^N); always capped at max_codewords.
     dim_override forces the working dimension; otherwise it comes from
     the spectrum's degrees of freedom at accuracy mu (default eps), or
-    round(N0) without a spectrum. A run whose verdict fails is retried
-    with a fresh codebook up to `retries` times.
+    round(N0) without a spectrum. The satisfying size needs delta > 0, so
+    a delta = 0 run must give rate or n_codewords. A run whose verdict
+    fails is retried with a fresh codebook up to `retries` times.
     """
 
     params: SignalSpaceParams
@@ -346,6 +351,11 @@ class ExperimentConfig:
             require_setting("max_eval_codewords", self.max_eval_codewords)
         if self.mu is not None and self.mu <= 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
+        if self.rate is None and self.n_codewords is None and self.params.delta <= 0.0:
+            raise ConfigurationError(
+                "sizing a codebook from the satisfying formula needs delta > 0; "
+                "pass rate or n_codewords instead"
+            )
 
 
 @dataclass(frozen=True)
@@ -354,13 +364,12 @@ class ExperimentOutcome:
 
     result is None when the codebook size floored to zero (rate_too_low);
     bound is the report of the quantity the run probes (the eps-delta
-    capacity, or the 2*eps capacity when delta = 0).
+    capacity, or the 2*eps capacity when delta = 0), and holds the run's
+    working dimension and zeta (None for the zeta = 1 ball idealization).
     """
 
     result: SimulationResult | None
     bound: BoundReport
-    n_dim: int
-    zeta_value: float
     n_codewords: int
     log2_target_size: float
     capped: bool
@@ -385,17 +394,18 @@ def run_random_code_experiment(
     retries a drawn codebook should pass the verdict.
     """
     params = config.params
-    if spectrum is not None and config.dim_override is None:
-        query = DofQuery(params.energy, config.mu if config.mu else params.eps)
-        n_dim = max(1, degrees_of_freedom(spectrum, query))
-    else:
-        n_dim = working_dimension(params.nominal_dimension, config.dim_override)
+    n_dim = config.dim_override
+    if spectrum is not None and n_dim is None:
+        # where the experiment differs from `bounds`: N is the degrees of
+        # freedom at accuracy mu, not round(N0)
+        n_dim = max(1, degrees_of_freedom(spectrum, params.energy, config.mu or params.eps))
+    reports = per_unit_time_report(params, spectrum, n_dim)
+    bound = reports["capacity_eps_delta" if params.delta > 0 else "capacity_2eps"]
+    n_dim = bound.n_dim
     if spectrum is not None:
-        zeta_value = volume_correction(spectrum, n_dim)
         body = Ellipsoid.from_spectrum(spectrum, params.energy, n_dim)
         radii_source = "spectrum"
     else:
-        zeta_value = 1.0
         body = Ellipsoid.ball(n_dim, math.sqrt(params.energy))
         radii_source = "ball"
 
@@ -407,23 +417,13 @@ def run_random_code_experiment(
     elif config.rate is not None:
         log2_target = params.t_obs * config.rate
         n_codewords = _floor_pow2_exponent(log2_target)
-    else:
-        if params.delta <= 0.0:
-            raise ConfigurationError(
-                "sizing a codebook from the satisfying formula needs delta > 0; "
-                "pass rate or n_codewords instead"
-            )
-        log2_target = n_dim * math.log2(
-            zeta_value * math.sqrt(params.energy) / params.eps
-        ) + math.log2(params.delta)
+    else:  # ExperimentConfig makes sure delta > 0 here
+        zeta_value = zeta_or_one(bound.zeta_value)
+        log2_target = log2_satisfying_size(n_dim, zeta_value, params.sqrt_snr, params.delta)
         n_codewords = _floor_pow2_exponent(log2_target)
     if n_codewords > config.max_codewords:
         n_codewords = int(config.max_codewords)
         capped = True
-
-    # the report takes the measured zeta, or None for the zeta = 1 idealization
-    reports = finite_reports(params, n_dim, None if spectrum is None else zeta_value)
-    bound = reports["capacity_eps_delta" if params.delta > 0 else "capacity_2eps"]
 
     target = params.delta if params.delta > 0 else None
     result = None
@@ -445,8 +445,6 @@ def run_random_code_experiment(
     return ExperimentOutcome(
         result=result,
         bound=bound,
-        n_dim=n_dim,
-        zeta_value=zeta_value,
         n_codewords=n_codewords,
         log2_target_size=log2_target,
         capped=capped,
@@ -560,7 +558,7 @@ def empirical_exponent_sweep(
         points.append(
             SweepPoint(
                 t_obs=t_obs,
-                n_dim=outcome.n_dim,
+                n_dim=outcome.bound.n_dim,
                 n_codewords=outcome.n_codewords,
                 capped=outcome.capped,
                 mean_error_fraction=result.mean_error_fraction,

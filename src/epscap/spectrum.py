@@ -52,7 +52,7 @@ from numpy.polynomial import legendre
 from scipy.linalg import eigh, eigvalsh_tridiagonal
 
 from .errors import ConfigurationError, InsufficientSpectrumError, NumericalError
-from .params import DofQuery, nominal_dimension, require_finite, require_positive_int
+from .params import nominal_dimension, require_finite, require_positive_int
 
 logger = logging.getLogger(__name__)
 
@@ -360,7 +360,7 @@ def n_width(spectrum: EigenSpectrum, energy: float, n_dim: int) -> float:
     return math.sqrt(energy * float(spectrum.lambdas[n_dim]))
 
 
-def degrees_of_freedom(spectrum: EigenSpectrum, query: DofQuery) -> int:
+def degrees_of_freedom(spectrum: EigenSpectrum, energy: float, mu: float) -> int:
     """Smallest N with d_N <= mu: the effective dimensionality at accuracy mu.
 
     Equivalently the count of eigenvalues exceeding mu^2 / energy. Returns 0
@@ -369,7 +369,9 @@ def degrees_of_freedom(spectrum: EigenSpectrum, query: DofQuery) -> int:
     Raises InsufficientSpectrumError when the threshold falls below the
     trustworthy part of the computed spectrum.
     """
-    threshold = query.mu**2 / query.energy
+    require_finite("energy", energy)
+    require_finite("mu", mu)
+    threshold = mu**2 / energy
     floor = max(100.0 * spectrum.clip_floor, 1e-13)
     if threshold < floor:
         raise InsufficientSpectrumError(
@@ -426,9 +428,10 @@ def spectrum_from_record(record: dict) -> EigenSpectrum:
     the scalar functionals (zeta, n_width, degrees_of_freedom)
     but has no eigvecs and empty nodes/weights arrays.
 
-    Raises ValueError unless the eigenvalues form a non-empty,
-    non-increasing list of finite values in (0, 1]; 1 itself is accepted
-    because 12-digit printing rounds the plateau's 1 - 1e-15 up to it.
+    Raises ValueError unless omega and t_obs are positive and finite and
+    the eigenvalues form a non-empty, non-increasing list of finite values
+    in (0, 1]; 1 itself is accepted because 12-digit printing rounds the
+    plateau's 1 - 1e-15 up to it.
     """
     try:
         lambdas = np.asarray(record["lambdas"], dtype=float)
@@ -437,6 +440,9 @@ def spectrum_from_record(record: dict) -> EigenSpectrum:
         quad_order = int(record["quad_order"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed spectrum record: {exc}") from exc
+    # a NaN would pass every later comparison against the requested window
+    require_finite("spectrum record omega", omega)
+    require_finite("spectrum record t_obs", t_obs)
     if lambdas.ndim != 1 or lambdas.size == 0:
         raise ValueError("spectrum record needs a non-empty list of eigenvalues")
     bad = np.flatnonzero(~((lambdas > 0.0) & (lambdas <= 1.0)))

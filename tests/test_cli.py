@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import re
+import stat
 import subprocess
 import sys
 import time
@@ -207,6 +209,81 @@ def test_bounds_refuses_invalid_spectrum_file(tmp_path, capsys, index, value, me
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["omega", "t_obs"])
+@pytest.mark.parametrize(
+    "command, extra",
+    [("bounds", ["--n-dim", "20"]), ("simulate", ["--dim", "8", "--samples", "200"])],
+)
+def test_spectrum_file_with_a_nan_window_is_refused(tmp_path, capsys, field, command, extra):
+    # NaN passes every comparison with the requested window, so it must be
+    # refused when the record is read
+    spec_file = tmp_path / "spec20.json"
+    assert main(["spectrum", "--omega", PI_ARG, "--t-obs", "20", "--out", str(spec_file)]) == 0
+    record = json.loads(spec_file.read_text())
+    record[field] = float("nan")
+    spec_file.write_text(json.dumps(record))
+    code = main(
+        [
+            command, "--omega", "6.28", "--t-obs", "3", "--energy", "1", "--eps", "0.25",
+            "--delta", "0.1", "--use-spectrum", str(spec_file), *extra,
+        ]
+    )
+    assert code == 2
+    message = f"spectrum record {field} must be positive and finite, got nan"
+    assert message in capsys.readouterr().err
+
+
+def test_out_file_is_replaced_whole_or_not_at_all(tmp_path, monkeypatch):
+    out = tmp_path / "bounds.json"
+    out.write_bytes(b"the previous artifact\n")
+    argv = [
+        "bounds", "--omega", PI_ARG, "--t-obs", "20", "--energy", "1", "--eps", "0.125",
+        "--out", str(out),
+    ]
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr("os.replace", fail)
+    assert main(argv) == 2
+    assert out.read_bytes() == b"the previous artifact\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bounds.json"]
+    monkeypatch.undo()
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["params"]["eps"] == 0.125
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bounds.json"]
+
+
+def test_out_to_a_pipe_is_written_in_place(tmp_path):
+    # a pipe or device cannot be replaced by a renamed file
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        argv = ["bounds", "--omega", PI_ARG, "--t-obs", "20", "--energy", "1", "--eps", "0.125"]
+        assert main(argv + ["--out", str(fifo)]) == 0
+        data = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert json.loads(data)["params"]["eps"] == 0.125
+
+
+def test_interrupted_save_vectors_leaves_the_old_file(tmp_path, monkeypatch):
+    vectors = tmp_path / "vectors.npz"
+    vectors.write_bytes(b"the previous arrays")
+
+    def interrupted_savez(fh, **arrays):
+        fh.write(b"PK\x03\x04 torn")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("numpy.savez", interrupted_savez)
+    with pytest.raises(KeyboardInterrupt):
+        main(["spectrum", "--omega", PI_ARG, "--t-obs", "10", "--save-vectors", str(vectors)])
+    assert vectors.read_bytes() == b"the previous arrays"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["vectors.npz"]
+
+
 def test_oracle_pack_and_errors(tmp_path):
     payload = run_json(
         tmp_path,
@@ -278,6 +355,23 @@ def test_simulate_deterministic_bytes(tmp_path):
     a["manifest"]["parameters"].pop("out")
     b["manifest"]["parameters"].pop("out")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+@pytest.mark.parametrize("use_spectrum", [False, True])
+def test_simulate_bound_is_the_bounds_report(tmp_path, use_spectrum):
+    # simulate states N and zeta once, in its bound, as `bounds --n-dim N` does
+    signal = ["--omega", PI_ARG, "--t-obs", "10", "--energy", "1", "--eps", "0.25",
+              "--delta", "0.2"]
+    if use_spectrum:
+        spec_file = tmp_path / "spec10.json"
+        assert main(["spectrum", "--omega", PI_ARG, "--t-obs", "10", "--out", str(spec_file)]) == 0
+        signal += ["--use-spectrum", str(spec_file)]
+    sim = run_json(tmp_path, "sim", ["simulate", *signal, "--samples", "200", "--seed", "1"])
+    assert "n_dim" not in sim and "zeta_value" not in sim
+    n_dim = sim["bound"]["n_dim"]
+    bounds = run_json(tmp_path, "bounds", ["bounds", *signal, "--n-dim", str(n_dim)])
+    assert sim["bound"] == bounds["reports"]["capacity_eps_delta"]
+    assert (sim["bound"]["zeta_value"] is None) is not use_spectrum
 
 
 def test_exponent_sweep_csv(tmp_path):
@@ -485,6 +579,56 @@ def test_sweep_stops_at_a_failed_row(tmp_path, monkeypatch):
     # rows not yet started when the first one failed are never computed
     assert len(computed) < 16
     assert len(out.read_text().splitlines()) == 2  # manifest and header only
+
+
+def test_sweep_config_that_is_not_utf8_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"omega = 3.14159265\n# \xe9t\xe9\n")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "--config" in err and str(cfg) in err
+
+
+def test_sweep_resume_refuses_a_manifest_line_that_is_not_json(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE_CFG)
+    out = tmp_path / "partial.csv"
+    out.write_text("# manifest: {not json\nomega,t_obs\n")
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert "--resume" in err and str(out) in err
+    assert out.read_text() == "# manifest: {not json\nomega,t_obs\n"
+
+
+def test_sweep_with_simulation_is_the_same_at_any_jobs(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        f"omega = {PI_ARG}\nt_obs = 6\nt_obs = 8\nenergy = 1\neps = 0.35\neps = 0.25\n"
+        "delta = 0.2\nseed = 3\nuse_spectrum = true\nsimulate = true\nsamples = 200\n"
+        "max_codewords = 512\nmax_eval_codewords = 64\n",
+    )
+    runs = []
+    for jobs in ("1", "3"):
+        out = tmp_path / f"jobs{jobs}.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 0
+        runs.append(out.read_text().splitlines()[1:])
+    assert len(runs[0]) == 5  # the header and four rows
+    assert runs[0] == runs[1]
+
+
+def test_sweep_refuses_a_delta_zero_point_it_cannot_size(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        f"omega = {PI_ARG}\nt_obs = 6\nenergy = 1\neps = 0.25\ndelta = 0.1\ndelta = 0\n"
+        "simulate = true\nsamples = 200\n",
+    )
+    out = tmp_path / "zero.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "configuration error: sizing a codebook from the satisfying formula needs "
+        "delta > 0; pass rate or n_codewords instead\n"
+    )
+    assert not out.exists()
 
 
 def test_sweep_resume_requires_out(tmp_path):

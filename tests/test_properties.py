@@ -10,7 +10,7 @@ from epscap import build_spectrum, finite_reports
 from epscap.comparison import comparison_table
 from epscap.geometry import entropy_eps_bounds, per_unit_time_report
 from epscap.params import SignalSpaceParams
-from epscap.simulation import error_exponent
+from epscap.simulation import Codebook, error_exponent, estimate_error_fraction
 
 OMEGA = st.floats(min_value=1e-3, max_value=1e3)
 SNR = st.floats(min_value=1e-4, max_value=1e8)
@@ -79,3 +79,33 @@ def test_spectrum_depends_only_on_the_time_bandwidth_product(n0, a):
     base = build_spectrum(math.pi, n0, quad_order=256).lambdas
     scaled = build_spectrum(a * math.pi, n0 / a, quad_order=256).lambdas
     np.testing.assert_allclose(scaled, base, rtol=0.0, atol=1e-13)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    dim=st.integers(min_value=1, max_value=4),
+    m=st.integers(min_value=2, max_value=30),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    eps=st.floats(min_value=0.05, max_value=1.0),
+    max_eval=st.one_of(st.none(), st.integers(min_value=1, max_value=30)),
+    data=st.data(),
+)
+def test_permuting_a_codebook_permutes_its_error_fractions(dim, m, seed, eps, max_eval, data):
+    points = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(m, dim))
+    perm = np.array(data.draw(st.permutations(range(m))))
+    base, shuffled = (
+        estimate_error_fraction(
+            Codebook(points=p), eps, samples=100, seed=seed, max_eval_codewords=max_eval
+        )
+        for p in (points, points[perm])
+    )
+    # shuffled codeword j is base codeword perm[j]; a subsample picks the
+    # same codewords in either order
+    base_index = np.arange(m) if base.eval_indices is None else base.eval_indices
+    index = np.arange(m) if shuffled.eval_indices is None else shuffled.eval_indices
+    rows = np.searchsorted(base_index, perm[index])
+    assert np.array_equal(base_index[rows], perm[index])
+    assert np.array_equal(shuffled.error_fractions, base.error_fractions[rows])
+    assert np.array_equal(shuffled.error_fraction_cis, base.error_fraction_cis[rows])
+    assert shuffled.mean_error_fraction == base.mean_error_fraction
+    assert shuffled.mean_error_ci == base.mean_error_ci

@@ -205,7 +205,7 @@ def test_experiment_satisfying_size():
     outcome = run_random_code_experiment(config)
     # floor(0.2 * 4^8) codewords in 8 dimensions
     assert outcome.n_codewords == 13107
-    assert outcome.n_dim == 8
+    assert outcome.bound.n_dim == 8
     assert not outcome.capped
     assert outcome.result is not None
     assert outcome.result.verdict is True
@@ -240,13 +240,21 @@ def test_experiment_needs_a_size_rule():
         run_random_code_experiment(ExperimentConfig(params=params, samples=200))
 
 
+def test_experiment_config_refuses_delta_zero_without_a_size():
+    params = SignalSpaceParams(omega=math.pi, t_obs=4.0, energy=1.0, eps=0.25)
+    with pytest.raises(ConfigurationError, match="needs delta > 0"):
+        ExperimentConfig(params=params, samples=200)
+    ExperimentConfig(params=params, rate=1.0, samples=200)
+    ExperimentConfig(params=params, n_codewords=8, samples=200)
+
+
 def test_experiment_spectrum_dimension(spec_t10):
     params = SignalSpaceParams(omega=math.pi, t_obs=10.0, energy=1.0, eps=0.25, delta=0.2)
     config = ExperimentConfig(params=params, samples=200, seed=1, mu=0.1)
     outcome = run_random_code_experiment(config, spec_t10)
     assert outcome.radii_source == "spectrum"
-    assert outcome.n_dim == 13  # degrees of freedom of the T=10 spectrum at mu = 0.1
-    assert 0.0 < outcome.zeta_value < 1.0
+    assert outcome.bound.n_dim == 13  # degrees of freedom of the T=10 spectrum at mu = 0.1
+    assert 0.0 < outcome.bound.zeta_value < 1.0
 
 
 def test_experiment_bound_is_the_bounds_report(spec_t10):
@@ -256,7 +264,7 @@ def test_experiment_bound_is_the_bounds_report(spec_t10):
     config = ExperimentConfig(params=params, n_codewords=16, samples=200, seed=1)
     for spectrum in (None, spec_t10):
         outcome = run_random_code_experiment(config, spectrum)
-        reports = per_unit_time_report(params, spectrum, outcome.n_dim)
+        reports = per_unit_time_report(params, spectrum, outcome.bound.n_dim)
         assert outcome.bound == reports["capacity_eps_delta"]
 
 

@@ -13,7 +13,6 @@ from epscap import (
     build_spectrum,
     volume_correction,
 )
-from epscap.params import DofQuery
 from epscap.spectrum import (
     CLIP_FLOOR,
     build_kernel_matrix,
@@ -192,7 +191,7 @@ def test_n_width_needs_enough_eigenvalues(spec_t10):
 
 
 def test_degrees_of_freedom_frozen(spec_t20):
-    n = degrees_of_freedom(spec_t20, DofQuery(energy=1.0, mu=0.1))
+    n = degrees_of_freedom(spec_t20, 1.0, 0.1)
     assert n == 23
     asym = dof_asymptotic(spec_t20.nominal_dimension, 1.0, 0.1)
     assert asym == pytest.approx(21.60501118841211, rel=1e-12)
@@ -202,18 +201,32 @@ def test_degrees_of_freedom_frozen(spec_t20):
 def test_degrees_of_freedom_monotone_in_mu(spec_t20):
     query_values = [0.9, 0.5, 0.1, 0.01, 0.001]
     counts = [
-        degrees_of_freedom(spec_t20, DofQuery(energy=1.0, mu=m)) for m in query_values
+        degrees_of_freedom(spec_t20, 1.0, m) for m in query_values
     ]
     assert all(b >= a for a, b in zip(counts, counts[1:]))
 
 
 def test_degrees_of_freedom_zero_when_mu_swallows_energy(spec_t20):
-    assert degrees_of_freedom(spec_t20, DofQuery(energy=1.0, mu=1.5)) == 0
+    assert degrees_of_freedom(spec_t20, 1.0, 1.5) == 0
 
 
 def test_degrees_of_freedom_below_resolution(spec_t20):
     with pytest.raises(InsufficientSpectrumError):
-        degrees_of_freedom(spec_t20, DofQuery(energy=1.0, mu=1e-8))
+        degrees_of_freedom(spec_t20, 1.0, 1e-8)
+
+
+@pytest.mark.parametrize(
+    "energy, mu, message",
+    [
+        (0.0, 0.1, "energy must be positive and finite, got 0.0"),
+        (math.inf, 0.1, "energy must be positive and finite, got inf"),
+        (1.0, -0.1, "mu must be positive and finite, got -0.1"),
+        (1.0, math.nan, "mu must be positive and finite, got nan"),
+    ],
+)
+def test_degrees_of_freedom_refuses_bad_energy_or_mu(spec_t20, energy, mu, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        degrees_of_freedom(spec_t20, energy, mu)
 
 
 def test_dof_asymptotic_domain():
