@@ -95,10 +95,14 @@ def sample_uniform_ball(
     if n < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     direction = rng.standard_normal((n, int(dim)))
-    norms = np.linalg.norm(direction, axis=1, keepdims=True)
+    # np.linalg.norm(axis=1)'s own expression, so every bit of the draws
+    # stays the same; the direction is then scaled in place
+    norms = np.sqrt(np.add.reduce(direction * direction, axis=1, keepdims=True))
     norms[norms == 0.0] = 1.0  # probability-zero guard
     scale = radius * rng.random((n, 1)) ** (1.0 / dim)
-    return direction / norms * scale
+    direction /= norms
+    direction *= scale
+    return direction
 
 
 def sample_uniform_ellipsoid(
@@ -420,6 +424,20 @@ def greedy_pack(
     true packing number, not the optimum; with enough candidates it
     saturates well above the volume-ratio bound. Capped at dim <= 6,
     where saturation is reachable with modest candidate budgets.
+
+    Each attempt replays the one-candidate-at-a-time rule exactly: every
+    decision is made by np.sum((accepted - c) ** 2, axis=1) >= (2*eps)^2
+    against every point accepted before c. A screen only saves work: one
+    matrix product gives |c|^2 - 2 c.a + |a|^2 for a block of candidates
+    against the points accepted before the block, and a candidate is
+    rejected there only when its minimum lies below (2*eps)^2 - margin.
+    The margin, 1e-9 * (2 * max |c|)^2 plus the smallest normal number,
+    is orders above the roundoff of either expression (about
+    1e-15 * (|c| + |a|)^2, or one subnormal step per operation), so the
+    exact test would reject it too and BLAS summation order decides
+    nothing. The
+    survivors are settled in order by the exact test, against the points
+    accepted earlier in the same block as well.
     """
     if ellipsoid.dim > 6:
         raise ConfigurationError(
@@ -436,16 +454,42 @@ def greedy_pack(
     for attempt in range(int(attempts)):
         rng = np.random.default_rng([int(seed), attempt])
         pts = sample_uniform_ellipsoid(ellipsoid.radii, rng, size=int(candidates))
-        accepted = np.empty_like(pts)
-        count = 0
-        for cand in pts:
-            if count == 0:
-                accepted[0] = cand
-                count = 1
-                continue
-            d2 = np.sum((accepted[:count] - cand) ** 2, axis=1)
-            if float(d2.min()) >= min_sep_sq:
-                accepted[count] = cand
-                count += 1
-        best = max(best, count)
+        best = max(best, _pack_candidates(pts, min_sep_sq))
     return best
+
+
+# Candidates screened per matrix product in _pack_candidates.
+_PACK_BLOCK = 64
+
+
+def _pack_candidates(pts: np.ndarray, min_sep_sq: float) -> int:
+    """The count sequential packing accepts from pts, in order: screened a
+    block at a time, settled one by one (see greedy_pack)."""
+    sq = np.einsum("ij,ij->i", pts, pts)
+    # the smallest normal number covers the absolute roundoff of subnormals
+    margin = 4e-9 * float(sq.max(initial=0.0)) + np.finfo(float).tiny
+    screen_floor = min_sep_sq - margin
+    accepted = np.empty_like(pts)
+    accepted_sq = np.empty_like(sq)
+    count = 0
+    for start in range(0, len(pts), _PACK_BLOCK):
+        block = pts[start : start + _PACK_BLOCK]
+        if count:
+            g = block @ accepted[:count].T
+            g *= -2.0
+            g += sq[start : start + _PACK_BLOCK, None]
+            g += accepted_sq[:count]
+            # a NaN minimum (norms that overflow) goes on to the exact test
+            survivors = np.flatnonzero(~(g.min(axis=1) < screen_floor))
+        else:
+            survivors = range(len(block))
+        for i in survivors:
+            cand = block[i]
+            if count:
+                d2 = np.sum((accepted[:count] - cand) ** 2, axis=1)
+                if float(d2.min()) < min_sep_sq:
+                    continue
+            accepted[count] = cand
+            accepted_sq[count] = sq[start + i]
+            count += 1
+    return count

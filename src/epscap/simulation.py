@@ -181,27 +181,44 @@ class SimulationResult:
 
 
 def _neighbor_lists(points: np.ndarray, eval_idx: np.ndarray, eps: float) -> list[np.ndarray]:
-    """Indices within 2*eps of each evaluated codeword (itself excluded).
+    """Indices within 2*eps of each evaluated codeword (itself excluded), ascending.
 
-    Blocked dense distance computation; at the scales used here this beats
-    spatial trees, which degrade badly in the dimensions of interest.
+    Codeword j is a neighbour of x when |x|^2 - 2 x.y_j + |y_j|^2 is at
+    most (2*eps)^2 * (1 + slack), computed over the whole codebook in
+    blocks of columns. Each block's matrix is built in place in that
+    order (product, times 2, subtracted from |x|^2, plus |y_j|^2), so
+    every entry is the bit-for-bit value of the plain expression.
+
+    No pruning: the dense scan beats spatial trees in these dimensions,
+    and a window on the norm, exact as it is (|x| - |y| <= |x - y|),
+    keeps nearly every codeword there, since in a 12-d unit ball
+    P(|x| < 1/2) = 2^-12.
     """
     m = len(points)
     sq_all = np.einsum("ij,ij->i", points, points)
     eval_pts = points[eval_idx]
-    sq_eval = sq_all[eval_idx]
+    sq_eval = sq_all[eval_idx][:, None]
     cutoff = (2.0 * eps) ** 2 * (1.0 + _NEIGHBOR_SLACK)
-    hits: list[list[np.ndarray]] = [[] for _ in range(len(eval_idx))]
+    hit_rows, hit_cols = [], []
     for start in range(0, m, _NEIGHBOR_CHUNK):
         stop = min(start + _NEIGHBOR_CHUNK, m)
-        block = points[start:stop]
-        d2 = sq_eval[:, None] - 2.0 * (eval_pts @ block.T) + sq_all[start:stop][None, :]
-        rows, cols = np.nonzero(d2 <= cutoff)
-        for r, c in zip(rows, cols, strict=True):
-            j = start + int(c)
-            if j != int(eval_idx[r]):
-                hits[int(r)].append(j)
-    return [np.asarray(h, dtype=np.intp) for h in hits]
+        d2 = eval_pts @ points[start:stop].T
+        d2 *= 2.0
+        np.subtract(sq_eval, d2, out=d2)
+        d2 += sq_all[start:stop]
+        # one flat scan: the 2-d np.nonzero costs ten times as much here
+        rows, cols = np.divmod(np.flatnonzero(d2 <= cutoff), stop - start)
+        hit_rows.append(rows)
+        hit_cols.append(cols + start)
+    rows = np.concatenate(hit_rows)
+    cols = np.concatenate(hit_cols)
+    others = cols != eval_idx[rows]
+    rows, cols = rows[others], cols[others]
+    # each block's hits come row by row in ascending column order, so a
+    # stable sort by row leaves every list ascending
+    cols = cols[np.argsort(rows, kind="stable")]
+    counts = np.bincount(rows, minlength=len(eval_idx))
+    return np.split(cols, np.cumsum(counts)[:-1])
 
 
 def estimate_error_fraction(
@@ -260,16 +277,17 @@ def estimate_error_fraction(
         if len(nb) == 0:
             continue  # exact zero, interval stays (0, 0)
         rng = _stream_from_digest(bytes(digests[i]))
-        draws = points[i] + sample_uniform_ball(dim, eps, rng, size=samples)
+        draws = sample_uniform_ball(dim, eps, rng, size=samples)
+        draws += points[i]
         # own distance goes through the same matmul as the competitors so
-        # that a coincident codeword ties bit-for-bit and counts as error
+        # that a coincident codeword ties bit-for-bit and counts as error;
+        # d2 is |d|^2 - 2 d.c + |c|^2, built in place in that order
         cols = np.concatenate([points[i : i + 1], points[nb]], axis=0)
-        d2 = (
-            np.einsum("ij,ij->i", draws, draws)[:, None]
-            - 2.0 * (draws @ cols.T)
-            + np.einsum("ij,ij->i", cols, cols)[None, :]
-        )
-        errors = int(np.sum(np.min(d2[:, 1:], axis=1) <= d2[:, 0]))
+        d2 = draws @ cols.T
+        d2 *= 2.0
+        np.subtract(np.einsum("ij,ij->i", draws, draws)[:, None], d2, out=d2)
+        d2 += np.einsum("ij,ij->i", cols, cols)
+        errors = int(np.count_nonzero(d2[:, 1:].min(axis=1) <= d2[:, 0]))
         error_counts[r] = errors
         fractions[r] = errors / samples
         cis[r] = wilson_interval(errors, samples)
@@ -349,8 +367,8 @@ class ExperimentConfig:
         require_setting("retries", self.retries)
         if self.max_eval_codewords is not None:
             require_setting("max_eval_codewords", self.max_eval_codewords)
-        if self.mu is not None and self.mu <= 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        if self.mu is not None:
+            require_finite("mu", self.mu)
         if self.rate is None and self.n_codewords is None and self.params.delta <= 0.0:
             raise ConfigurationError(
                 "sizing a codebook from the satisfying formula needs delta > 0; "

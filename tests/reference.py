@@ -11,7 +11,12 @@ from scipy.special import expit, gammaln
 
 from epscap.comparison import jagerman_capacity_lower
 from epscap.geometry import Ellipsoid, wide_window_rates
-from epscap.simulation import Codebook
+from epscap.simulation import (
+    _NEIGHBOR_SLACK,
+    Codebook,
+    _codeword_digests,
+    _stream_from_digest,
+)
 from epscap.spectrum import EigenSpectrum, _transition_log
 
 
@@ -126,3 +131,93 @@ def phase_transition_residual(spectrum: EigenSpectrum, k: float) -> float:
             f"spectrum of length {len(spectrum.lambdas)}"
         )
     return float(spectrum.lambdas[index_1b - 1]) - transition_limit(k)
+
+
+# --- exact replays of the packing and Monte Carlo hot paths ---
+#
+# The package computes these with blocked, in-place arithmetic; the
+# one-at-a-time loops below are the definitions it must reproduce bit for
+# bit (same accept decisions, same neighbour lists, same error counts).
+
+
+def plain_ball_sample(dim: int, radius: float, rng: np.random.Generator, size: int):
+    """Uniform points in the dim-ball, as plain out-of-place arithmetic."""
+    direction = rng.standard_normal((size, dim))
+    norms = np.linalg.norm(direction, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    scale = radius * rng.random((size, 1)) ** (1.0 / dim)
+    return direction / norms * scale
+
+
+def sequential_pack_count(pts: np.ndarray, min_sep_sq: float) -> int:
+    """Points accepted in order, each one only if its squared distance to
+    every point accepted before it is at least min_sep_sq."""
+    accepted = np.empty_like(pts)
+    count = 0
+    for cand in pts:
+        if count == 0:
+            accepted[0] = cand
+            count = 1
+            continue
+        d2 = np.sum((accepted[:count] - cand) ** 2, axis=1)
+        if float(d2.min()) >= min_sep_sq:
+            accepted[count] = cand
+            count += 1
+    return count
+
+
+def plain_greedy_pack(radii, eps: float, seed: int, attempts: int, candidates: int) -> int:
+    """The best sequential packing count over attempts, one candidate at a time."""
+    radii = np.asarray(radii, dtype=float)
+    best = 0
+    for attempt in range(attempts):
+        rng = np.random.default_rng([seed, attempt])
+        pts = plain_ball_sample(len(radii), 1.0, rng, candidates) * radii
+        best = max(best, sequential_pack_count(pts, (2.0 * eps) ** 2))
+    return best
+
+
+def plain_neighbor_lists(points: np.ndarray, eval_idx: np.ndarray, eps: float, chunk: int):
+    """Indices within 2*eps(1 + slack) of each evaluated codeword, gathered
+    hit by hit from blocks of chunk columns."""
+    sq_all = np.einsum("ij,ij->i", points, points)
+    eval_pts = points[eval_idx]
+    sq_eval = sq_all[eval_idx]
+    cutoff = (2.0 * eps) ** 2 * (1.0 + _NEIGHBOR_SLACK)
+    hits = [[] for _ in range(len(eval_idx))]
+    for start in range(0, len(points), chunk):
+        stop = min(start + chunk, len(points))
+        block = points[start:stop]
+        d2 = sq_eval[:, None] - 2.0 * (eval_pts @ block.T) + sq_all[start:stop][None, :]
+        rows, cols = np.nonzero(d2 <= cutoff)
+        for r, c in zip(rows, cols, strict=True):
+            j = start + int(c)
+            if j != int(eval_idx[r]):
+                hits[int(r)].append(j)
+    return [np.asarray(h, dtype=np.intp) for h in hits]
+
+
+def plain_decode_error_counts(
+    codebook: Codebook, eval_idx: np.ndarray, eps: float, samples: int, seed: int, chunk: int
+) -> np.ndarray:
+    """Errors among `samples` draws in each evaluated codeword's eps-ball,
+    decoded by minimum distance over its neighbours, ties counted as errors."""
+    points = codebook.points
+    dim = points.shape[1]
+    digests = _codeword_digests(seed, points)
+    neighbors = plain_neighbor_lists(points, eval_idx, eps, chunk)
+    counts = np.zeros(len(eval_idx), dtype=np.int64)
+    for r, i in enumerate(eval_idx):
+        nb = neighbors[r]
+        if len(nb) == 0:
+            continue
+        rng = _stream_from_digest(bytes(digests[i]))
+        draws = points[i] + plain_ball_sample(dim, eps, rng, samples)
+        cols = np.concatenate([points[i : i + 1], points[nb]], axis=0)
+        d2 = (
+            np.einsum("ij,ij->i", draws, draws)[:, None]
+            - 2.0 * (draws @ cols.T)
+            + np.einsum("ij,ij->i", cols, cols)[None, :]
+        )
+        counts[r] = int(np.sum(np.min(d2[:, 1:], axis=1) <= d2[:, 0]))
+    return counts

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from epscap import ConfigurationError, finite_reports
 from epscap.geometry import (
     BoundReport,
+    _pack_candidates,
     Ellipsoid,
     capacity_2eps_bounds,
     capacity_eps_delta_bounds,
@@ -18,7 +20,12 @@ from epscap.geometry import (
     per_unit_time_report,
 )
 from epscap.params import SignalSpaceParams
-from reference import log_ellipsoid_volume, verify_pairwise_distance_inequality
+from reference import (
+    log_ellipsoid_volume,
+    plain_greedy_pack,
+    sequential_pack_count,
+    verify_pairwise_distance_inequality,
+)
 
 STRICT_GAP_THRESHOLD = math.sqrt(2.0) / (math.sqrt(2.0) - 1.0)
 
@@ -254,6 +261,34 @@ def test_greedy_pack_deterministic_and_bounded():
 def test_greedy_pack_dimension_cap():
     with pytest.raises(ConfigurationError):
         greedy_pack(Ellipsoid.ball(7, 1.0), 0.2, seed=0)
+
+
+@pytest.mark.parametrize(
+    "eps, dim, offset",
+    [(0.1, 1, 0.0), (0.1, 2, -1.3), (0.15, 3, 0.1), (0.35, 2, 0.0), (0.7, 3, -1.3), (0.7, 2, 1e3)],
+)
+def test_pack_screen_settles_exact_ties_and_duplicates(eps, dim, offset):
+    # neighbours on a grid of 2*eps spacing sit on the separation threshold,
+    # where the screen's own roundoff would decide without its margin; each
+    # point comes twice in a row, so survivors of one block must be settled
+    # against each other
+    n = {1: 40, 2: 9, 3: 5}[dim]
+    axis = offset + 2.0 * eps * np.arange(n)
+    pts = np.repeat(np.array(list(itertools.product(axis, repeat=dim))), 2, axis=0)
+    min_sep_sq = (2.0 * eps) ** 2
+    assert _pack_candidates(pts, min_sep_sq) == sequential_pack_count(pts, min_sep_sq)
+
+
+@pytest.mark.parametrize(
+    "radius, eps, dim",
+    [(1e-160, 1e-162, 1), (1e-160, 1e-170, 1), (1e-160, 1e-162, 3), (1e200, 1.0, 2)],
+)
+def test_pack_screen_is_exact_where_squares_leave_the_normal_range(radius, eps, dim):
+    # subnormal squares carry an absolute roundoff that a margin relative
+    # to the body does not cover; overflowing ones make the screen NaN
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        got = greedy_pack(Ellipsoid.ball(dim, radius), eps, seed=1, attempts=1, candidates=300)
+        assert got == plain_greedy_pack([radius] * dim, eps, 1, 1, 300)
 
 
 def test_greedy_pack_anisotropic_body():

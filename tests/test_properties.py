@@ -1,16 +1,30 @@
-"""Property-based checks of the spectrum, the bound reports and the tables that read them."""
+"""Property-based checks of the spectrum, the bound reports and the tables that read them,
+and of the packing and Monte Carlo hot paths against their one-at-a-time definitions."""
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from epscap import build_spectrum, finite_reports
+from epscap import build_spectrum, finite_reports, simulation
 from epscap.comparison import comparison_table
-from epscap.geometry import entropy_eps_bounds, per_unit_time_report
+from epscap.geometry import (
+    Ellipsoid,
+    entropy_eps_bounds,
+    greedy_pack,
+    per_unit_time_report,
+    sample_uniform_ball,
+)
 from epscap.params import SignalSpaceParams
 from epscap.simulation import Codebook, error_exponent, estimate_error_fraction
+from reference import (
+    plain_ball_sample,
+    plain_decode_error_counts,
+    plain_greedy_pack,
+    plain_neighbor_lists,
+)
 
 OMEGA = st.floats(min_value=1e-3, max_value=1e3)
 SNR = st.floats(min_value=1e-4, max_value=1e8)
@@ -109,3 +123,90 @@ def test_permuting_a_codebook_permutes_its_error_fractions(dim, m, seed, eps, ma
     assert np.array_equal(shuffled.error_fraction_cis, base.error_fraction_cis[rows])
     assert shuffled.mean_error_fraction == base.mean_error_fraction
     assert shuffled.mean_error_ci == base.mean_error_ci
+
+
+# --- the blocked hot paths against their one-at-a-time definitions ---
+
+SEED = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dim=st.integers(min_value=1, max_value=12),
+    radius=st.floats(min_value=0.0, max_value=3.0),
+    size=st.integers(min_value=1, max_value=50),
+    seed=SEED,
+)
+def test_ball_sampler_draws_the_out_of_place_bits(dim, radius, size, seed):
+    got = sample_uniform_ball(dim, radius, np.random.default_rng(seed), size=size)
+    want = plain_ball_sample(dim, radius, np.random.default_rng(seed), size)
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    radii=st.lists(st.floats(min_value=0.1, max_value=3.0), min_size=1, max_size=6),
+    eps=st.floats(min_value=0.02, max_value=1.0),
+    seed=SEED,
+    attempts=st.integers(min_value=1, max_value=2),
+    candidates=st.integers(min_value=1, max_value=400),
+)
+def test_greedy_pack_is_the_sequential_rule(radii, eps, seed, attempts, candidates):
+    got = greedy_pack(Ellipsoid(np.array(radii)), eps, seed, attempts, candidates)
+    assert got == plain_greedy_pack(radii, eps, seed, attempts, candidates)
+
+
+@st.composite
+def small_codebooks(draw):
+    """(points, eps): uniform or on a grid of eps/2 spacing, so that some
+    pairs sit at exactly 2*eps, and with some rows repeated."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=1, max_value=30))
+    eps = draw(st.floats(min_value=0.05, max_value=1.0))
+    rng = np.random.default_rng(draw(SEED))
+    if draw(st.booleans()):
+        points = rng.uniform(-1.0, 1.0, size=(m, dim))
+    else:
+        points = rng.integers(-4, 5, size=(m, dim)) * (eps / 2.0)
+    repeats = draw(st.lists(st.integers(min_value=0, max_value=m - 1), max_size=5))
+    return np.concatenate([points, points[repeats]]), eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(book=small_codebooks(), chunk=st.integers(min_value=1, max_value=40), data=st.data())
+def test_neighbor_lists_are_the_hit_by_hit_gather(book, chunk, data):
+    points, eps = book
+    m = len(points)
+    eval_idx = np.array(
+        sorted(data.draw(st.sets(st.integers(min_value=0, max_value=m - 1), min_size=1)))
+    )
+    with mock.patch.object(simulation, "_NEIGHBOR_CHUNK", chunk):
+        got = simulation._neighbor_lists(points, eval_idx, eps)
+    want = plain_neighbor_lists(points, eval_idx, eps, chunk)
+    assert len(got) == len(want)
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    book=small_codebooks(),
+    seed=SEED,
+    max_eval=st.one_of(st.none(), st.integers(min_value=1, max_value=30)),
+    chunk=st.integers(min_value=1, max_value=40),
+)
+def test_error_counts_are_the_per_codeword_decode(book, seed, max_eval, chunk):
+    points, eps = book
+    codebook = Codebook(points=points)
+    samples = 100
+    with mock.patch.object(simulation, "_NEIGHBOR_CHUNK", chunk):
+        result = estimate_error_fraction(
+            codebook, eps, samples=samples, seed=seed, max_eval_codewords=max_eval
+        )
+    eval_idx = np.arange(len(points)) if result.eval_indices is None else result.eval_indices
+    counts = plain_decode_error_counts(codebook, eval_idx, eps, samples, seed, chunk)
+    assert np.array_equal(result.error_fractions, counts / samples)
+    # a coincident codeword ties every draw, and a tie is an error
+    _, inverse, copies = np.unique(points, axis=0, return_inverse=True, return_counts=True)
+    coincident = copies[inverse.reshape(-1)[eval_idx]] > 1
+    assert np.all(result.error_fractions[coincident] == 1.0)

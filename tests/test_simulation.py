@@ -257,6 +257,18 @@ def test_experiment_spectrum_dimension(spec_t10):
     assert 0.0 < outcome.bound.zeta_value < 1.0
 
 
+@pytest.mark.parametrize("mu", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("use_spectrum", [False, True])
+def test_experiment_refuses_a_bad_mu(spec_t10, mu, use_spectrum):
+    # without a spectrum mu is never read, so only the config can refuse it
+    params = SignalSpaceParams(omega=math.pi, t_obs=10.0, energy=1.0, eps=0.25, delta=0.2)
+    spectrum = spec_t10 if use_spectrum else None
+    with pytest.raises(ValueError, match="mu must be positive and finite"):
+        run_random_code_experiment(
+            ExperimentConfig(params=params, n_codewords=16, samples=200, mu=mu), spectrum
+        )
+
+
 def test_experiment_bound_is_the_bounds_report(spec_t10):
     # with or without a spectrum, the probed report is the one `bounds`
     # gives at the experiment's working dimension
