@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -187,7 +188,11 @@ def _neighbor_lists(points: np.ndarray, eval_idx: np.ndarray, eps: float) -> lis
     most (2*eps)^2 * (1 + slack), computed over the whole codebook in
     blocks of columns. Each block's matrix is built in place in that
     order (product, times 2, subtracted from |x|^2, plus |y_j|^2), so
-    every entry is the bit-for-bit value of the plain expression.
+    every entry is the bit-for-bit value of the plain expression. Every
+    full-width block's product goes into one buffer allocated up front
+    (np.matmul with out=, the same BLAS call as `@`), so no block is
+    allocated while the previous one is still held; a short tail block
+    gets a fresh product.
 
     No pruning: the dense scan beats spatial trees in these dimensions,
     and a window on the norm, exact as it is (|x| - |y| <= |x - y|),
@@ -199,10 +204,16 @@ def _neighbor_lists(points: np.ndarray, eval_idx: np.ndarray, eps: float) -> lis
     eval_pts = points[eval_idx]
     sq_eval = sq_all[eval_idx][:, None]
     cutoff = (2.0 * eps) ** 2 * (1.0 + _NEIGHBOR_SLACK)
+    # a codebook narrower than one block never needs the buffer
+    block = np.empty((len(eval_idx), _NEIGHBOR_CHUNK)) if m >= _NEIGHBOR_CHUNK else None
     hit_rows, hit_cols = [], []
     for start in range(0, m, _NEIGHBOR_CHUNK):
         stop = min(start + _NEIGHBOR_CHUNK, m)
-        d2 = eval_pts @ points[start:stop].T
+        columns = points[start:stop].T
+        if stop - start == _NEIGHBOR_CHUNK:
+            d2 = np.matmul(eval_pts, columns, out=block)
+        else:
+            d2 = eval_pts @ columns
         d2 *= 2.0
         np.subtract(sq_eval, d2, out=d2)
         d2 += sq_all[start:stop]
@@ -228,6 +239,7 @@ def estimate_error_fraction(
     seed: int,
     target_delta: float | None = None,
     max_eval_codewords: int | None = None,
+    jobs: int = 1,
 ) -> SimulationResult:
     """Monte Carlo estimate of the mean decoding-error fraction.
 
@@ -241,6 +253,13 @@ def estimate_error_fraction(
     on that many codewords chosen by smallest content hash (a fixed
     pseudo-random subset independent of codebook order), and the mean's
     interval widens to cover codeword-to-codeword spread.
+
+    With jobs > 1 the codewords that have neighbours are decoded on that
+    many threads (numpy releases the GIL in the draws, the product and the
+    ufuncs). Each codeword draws from its own stream and its count is
+    stored by index, so every result is bit-for-bit the serial one. A
+    codeword's exception comes out of this call, and codewords not yet
+    started are cancelled.
     """
     require_finite("eps", eps)
     require_setting("samples", samples, MIN_SAMPLES)
@@ -249,6 +268,7 @@ def estimate_error_fraction(
         raise ValueError(f"target_delta must lie in (0, 1), got {target_delta}")
     if max_eval_codewords is not None:
         require_setting("max_eval_codewords", max_eval_codewords)
+    require_setting("jobs", jobs)
 
     points = codebook.points
     m, dim = points.shape
@@ -267,30 +287,37 @@ def estimate_error_fraction(
 
     neighbors = _neighbor_lists(points, eval_idx, eps)
 
-    k = len(eval_idx)
-    fractions = np.zeros(k)
-    cis = np.zeros((k, 2))
-    error_counts = np.zeros(k, dtype=np.int64)
-    for r in range(k):
+    def decode_errors(r: int) -> int:
+        """Draws in the r-th evaluated codeword's ball that decode elsewhere."""
         i = int(eval_idx[r])
-        nb = neighbors[r]
-        if len(nb) == 0:
-            continue  # exact zero, interval stays (0, 0)
         rng = _stream_from_digest(bytes(digests[i]))
         draws = sample_uniform_ball(dim, eps, rng, size=samples)
         draws += points[i]
         # own distance goes through the same matmul as the competitors so
         # that a coincident codeword ties bit-for-bit and counts as error;
         # d2 is |d|^2 - 2 d.c + |c|^2, built in place in that order
-        cols = np.concatenate([points[i : i + 1], points[nb]], axis=0)
+        cols = np.concatenate([points[i : i + 1], points[neighbors[r]]], axis=0)
         d2 = draws @ cols.T
         d2 *= 2.0
         np.subtract(np.einsum("ij,ij->i", draws, draws)[:, None], d2, out=d2)
         d2 += np.einsum("ij,ij->i", cols, cols)
-        errors = int(np.count_nonzero(d2[:, 1:].min(axis=1) <= d2[:, 0]))
-        error_counts[r] = errors
-        fractions[r] = errors / samples
-        cis[r] = wilson_interval(errors, samples)
+        return int(np.count_nonzero(d2[:, 1:].min(axis=1) <= d2[:, 0]))
+
+    k = len(eval_idx)
+    # a codeword with no neighbours is an exact zero, its interval (0, 0)
+    live = [r for r in range(k) if len(neighbors[r])]
+    error_counts = np.zeros(k, dtype=np.int64)
+    if jobs > 1 and len(live) > 1:
+        # leaving the block after an exception cancels the codewords not
+        # yet started and waits for those in flight
+        with ThreadPoolExecutor(min(jobs, len(live))) as pool:
+            error_counts[live] = list(pool.map(decode_errors, live))
+    else:
+        error_counts[live] = list(map(decode_errors, live))
+    fractions = error_counts / samples
+    cis = np.zeros((k, 2))
+    for r in live:
+        cis[r] = wilson_interval(int(error_counts[r]), samples)
 
     # exactly rounded sums: the mean and the spread must not depend on the
     # order of the codebook
@@ -403,14 +430,16 @@ class ExperimentOutcome:
 
 
 def run_random_code_experiment(
-    config: ExperimentConfig, spectrum=None
+    config: ExperimentConfig, spectrum=None, jobs: int = 1
 ) -> ExperimentOutcome:
     """Size a random codebook, estimate its error fraction, retry on failure.
 
     The satisfying-size codebook is the constructive side of the capacity
     lower bound: on average it meets the delta budget, so within a few
-    retries a drawn codebook should pass the verdict.
+    retries a drawn codebook should pass the verdict. jobs is the thread
+    count of each estimate; it changes no result.
     """
+    require_setting("jobs", jobs)
     params = config.params
     n_dim = config.dim_override
     if spectrum is not None and n_dim is None:
@@ -457,6 +486,7 @@ def run_random_code_experiment(
                 config.seed,
                 target_delta=target,
                 max_eval_codewords=config.max_eval_codewords,
+                jobs=jobs,
             )
             if result.verdict is None or result.verdict:
                 break
@@ -539,13 +569,16 @@ def empirical_exponent_sweep(
     use_spectrum: bool = False,
     max_codewords: int = 2**18,
     max_eval_codewords: int | None = 256,
+    jobs: int = 1,
 ) -> ExponentSweep:
     """Run the codebook experiment across window lengths at one rate.
 
     The rate must sit strictly below the per-unit-time capacity lower
     bound (Omega/pi)*log2(sqrt(snr)); otherwise no decay is predicted and
-    the sweep is refused.
+    the sweep is refused. jobs is the thread count of each window's
+    estimate; it changes no result.
     """
+    require_setting("jobs", jobs)
     cap_lower = entropy_rate(params.omega, params.sqrt_snr)
     if not (0 <= rate < cap_lower):
         raise ValueError(
@@ -571,7 +604,7 @@ def empirical_exponent_sweep(
             retries=1,
             max_eval_codewords=max_eval_codewords,
         )
-        outcome = run_random_code_experiment(config, spectrum)
+        outcome = run_random_code_experiment(config, spectrum, jobs)
         result = outcome.result
         points.append(
             SweepPoint(

@@ -7,7 +7,7 @@ a closed form, a limit, or a search the package itself never runs.
 import math
 
 import numpy as np
-from scipy.special import expit, gammaln
+from scipy.special import betainc, expit, gammaln
 
 from epscap.comparison import jagerman_capacity_lower
 from epscap.geometry import Ellipsoid, wide_window_rates
@@ -72,6 +72,20 @@ def decode_error_indicator(codebook: Codebook, index: int, received) -> bool:
     own = d2[int(index)]
     d2[int(index)] = np.inf
     return bool(d2.min() <= own)
+
+
+def cap_fraction(n: int, eps: float, d: float) -> float:
+    """Share of an n-ball of radius eps lying beyond a hyperplane at d/2
+    from its centre: what one competitor at distance d claims from the
+    codeword's noise ball under minimum-distance decoding.
+
+    The closed form is 1/2 * I_{1 - (d/2eps)^2}((n + 1)/2, 1/2), with I the
+    regularised incomplete beta function; it is zero from d = 2*eps on.
+    """
+    x = d / (2.0 * eps)
+    if x >= 1.0:
+        return 0.0
+    return 0.5 * float(betainc((n + 1) / 2.0, 0.5, 1.0 - x * x))
 
 
 def capacity_crossover_dimension(snr: float) -> int:

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from epscap import cli, simulation
 from epscap.cli import main
 from epscap.manifest import round_float
 
@@ -389,6 +391,41 @@ def test_exponent_sweep_csv(tmp_path):
     assert rows[0][header.index("n_codewords")] == "64"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--omega", PI_ARG, "--t-obs", "6", "--energy", "1", "--eps", "0.25",
+         "--delta", "0.2", "--samples", "200", "--seed", "11"],
+        ["exponent-sweep", "--omega", PI_ARG, "--energy", "1", "--eps", "0.25",
+         "--rate", "1", "--t-list", "6,8", "--samples", "300", "--seed", "2"],
+    ],
+    ids=["simulate", "exponent-sweep"],
+)
+def test_codeword_threads_follow_the_usable_cpus_and_change_no_byte(tmp_path, monkeypatch, argv):
+    threads = []
+    real = simulation.estimate_error_fraction
+
+    def spy(*args, **kwargs):
+        threads.append(kwargs["jobs"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "estimate_error_fraction", spy)
+    out = tmp_path / "out.json"
+    artifacts = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
+                            raising=False)
+        threads.clear()
+        assert main(argv + ["--out", str(out)]) == 0
+        assert threads and set(threads) == {cpus}
+        artifacts.append(re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""', out.read_bytes()))
+    assert artifacts[0] == artifacts[1]
+    # the manifest holds the parsed arguments, none of them the CPU count
+    parsed = vars(cli._build_parser().parse_args(argv + ["--out", str(out)]))
+    manifest = json.loads(artifacts[0])["manifest"]
+    assert set(manifest["parameters"]) == set(parsed) - {"handler", "seed"}
+
+
 def test_compare_table_contains_exact_entropy_rate(tmp_path, capsys):
     out = tmp_path / "cmp.txt"
     assert main(["compare", "--omega", PI_ARG, "--snr", "16", "--out", str(out)]) == 0
@@ -613,6 +650,31 @@ def test_sweep_with_simulation_is_the_same_at_any_jobs(tmp_path):
         runs.append(out.read_text().splitlines()[1:])
     assert len(runs[0]) == 5  # the header and four rows
     assert runs[0] == runs[1]
+
+
+def test_sweep_rows_decode_their_codewords_on_one_thread(tmp_path, monkeypatch):
+    # rows run on the --jobs pool; codeword threads must not nest inside it
+    cfg = write_config(
+        tmp_path,
+        f"omega = {PI_ARG}\nt_obs = 6\nt_obs = 8\nenergy = 1\neps = 0.35\neps = 0.25\n"
+        "delta = 0.2\nseed = 3\nsimulate = true\nsamples = 200\n"
+        "max_codewords = 512\nmax_eval_codewords = 64\n",
+    )
+    threads = []
+    real = cli.run_random_code_experiment
+    signature = inspect.signature(real)
+
+    def spy(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        threads.append(bound.arguments["jobs"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_random_code_experiment", spy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", "2"]) == 0
+    assert threads == [1, 1, 1, 1]
 
 
 def test_sweep_refuses_a_delta_zero_point_it_cannot_size(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Property-based checks of the spectrum, the bound reports and the tables that read them,
 and of the packing and Monte Carlo hot paths against their one-at-a-time definitions."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -210,3 +211,63 @@ def test_error_counts_are_the_per_codeword_decode(book, seed, max_eval, chunk):
     _, inverse, copies = np.unique(points, axis=0, return_inverse=True, return_counts=True)
     coincident = copies[inverse.reshape(-1)[eval_idx]] > 1
     assert np.all(result.error_fractions[coincident] == 1.0)
+
+
+@st.composite
+def books_with_blocks(draw):
+    """(points, eps, chunk): a small codebook with a neighbour-free codeword
+    and a coincident pair, and a block width that leaves at least two full
+    blocks and a short tail."""
+    points, eps = draw(small_codebooks())
+    far = np.full((1, points.shape[1]), 10.0)  # farther than 2*eps from all
+    points = np.concatenate([points, points[:1], far])
+    m = len(points)
+    widths = [c for c in range(1, m) if m // c >= 2 and m % c]
+    assume(widths)
+    return points, eps, draw(st.sampled_from(widths))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    book=books_with_blocks(),
+    seed=SEED,
+    max_eval=st.one_of(st.none(), st.integers(min_value=1, max_value=30)),
+)
+def test_error_fractions_are_the_same_on_any_number_of_threads(book, seed, max_eval):
+    points, eps, chunk = book
+    codebook = Codebook(points=points)
+    samples = 100
+    with mock.patch.object(simulation, "_NEIGHBOR_CHUNK", chunk):
+        runs = [
+            estimate_error_fraction(
+                codebook, eps, samples=samples, seed=seed, max_eval_codewords=max_eval,
+                jobs=jobs,
+            )
+            for jobs in (1, 2, 3)
+        ]
+    for run in runs[1:]:
+        for field in dataclasses.fields(run):
+            got, want = getattr(run, field.name), getattr(runs[0], field.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            else:
+                assert got == want
+    eval_idx = np.arange(len(points)) if runs[0].eval_indices is None else runs[0].eval_indices
+    counts = plain_decode_error_counts(codebook, eval_idx, eps, samples, seed, chunk)
+    assert np.array_equal(runs[0].error_fractions, counts / samples)
+
+
+def test_criterion7_sized_neighbor_lists_are_the_fresh_products():
+    # full 16,384-column blocks go through one reused buffer and the tail
+    # gets a fresh product; either must give the bits of a fresh product
+    # per block, in 12-d where OpenBLAS bits depend on the block width
+    rng = np.random.default_rng(12)
+    m = 2 * simulation._NEIGHBOR_CHUNK + 1234
+    points = sample_uniform_ball(12, 1.0, rng, size=m)
+    eval_idx = np.sort(rng.choice(m, size=64, replace=False))
+    got = simulation._neighbor_lists(points, eval_idx, 0.3)
+    want = plain_neighbor_lists(points, eval_idx, 0.3, simulation._NEIGHBOR_CHUNK)
+    assert sum(len(w) for w in want) > 64  # the lists are not all empty
+    assert len(got) == len(want)
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and np.array_equal(g, w)

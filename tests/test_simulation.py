@@ -1,9 +1,14 @@
+import itertools
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
-from epscap import ConfigurationError
+from epscap import ConfigurationError, simulation
 from epscap.geometry import per_unit_time_report, sample_uniform_ball, sample_uniform_ellipsoid
 from epscap.params import SignalSpaceParams
 from epscap.simulation import (
@@ -16,7 +21,7 @@ from epscap.simulation import (
     run_random_code_experiment,
     wilson_interval,
 )
-from reference import decode_error_indicator
+from reference import cap_fraction, decode_error_indicator
 
 
 def test_sample_uniform_ball_shapes_and_containment():
@@ -101,6 +106,107 @@ def test_two_codeword_overlap_matches_analytic():
         lo, hi = result.mean_error_ci
         assert lo <= expected <= hi
         assert result.mean_error_fraction == pytest.approx(expected, abs=0.02)
+
+
+def test_cap_fraction_is_the_segment_in_one_and_two_dimensions():
+    # 1-d: the interval share (1 - x)/2; 2-d: the circular segment
+    # (acos x - x sqrt(1 - x^2))/pi; x = d/(2 eps)
+    for x in (0.0, 0.1, 0.5, 0.9):
+        assert cap_fraction(1, 0.5, x) == pytest.approx((1.0 - x) / 2.0, rel=1e-12)
+        segment = (math.acos(x) - x * math.sqrt(1.0 - x * x)) / math.pi
+        assert cap_fraction(2, 0.5, x) == pytest.approx(segment, rel=1e-12)
+    assert cap_fraction(12, 0.25, 0.5) == 0.0
+
+
+def test_single_neighbour_intervals_cover_the_exact_cap():
+    # a codeword with exactly one competitor within 2*eps loses the cap of
+    # its noise ball cut at d/2 (ties have measure zero); across 2 to 12
+    # dimensions the 95% Wilson intervals must cover that exact value as
+    # often as Binomial(K, 0.95) allows. Competitors are found here by
+    # brute force, not by the package's neighbour search.
+    m = 100
+    covered = trials = 0
+    for dim in range(2, 13):
+        eps = 0.5 * m ** (-1.0 / dim)  # about one competitor within 2*eps
+        book = generate_codebook(np.ones(dim), m, seed=[7, dim])
+        result = estimate_error_fraction(book, eps, samples=4000, seed=dim)
+        pts = book.points
+        dist = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2))
+        np.fill_diagonal(dist, np.inf)
+        close = dist <= 2.0 * eps
+        for i in np.flatnonzero(close.sum(axis=1) == 1):
+            cap = cap_fraction(dim, eps, float(dist[i][close[i]][0]))
+            lo, hi = result.error_fraction_cis[i]
+            covered += bool(lo <= cap <= hi)
+            trials += 1
+    assert trials >= 250  # 304 at these seeds
+    # both tails at 1e-3: 288 of 304 covered at these seeds
+    assert binom.cdf(covered, trials, 0.95) > 1e-3
+    assert binom.sf(covered - 1, trials, 0.95) > 1e-3
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_a_failed_codeword_stops_the_others(monkeypatch, jobs):
+    points = np.random.default_rng(5).uniform(-1.0, 1.0, size=(120, 2))
+    eps = 0.5
+    neighbors = simulation._neighbor_lists(points, np.arange(120), eps)
+    assert all(len(nb) for nb in neighbors)  # every codeword is decoded
+    calls = itertools.count(1)
+    real = simulation.sample_uniform_ball
+
+    def sampler(*args, **kwargs):
+        if next(calls) == 3:
+            raise RuntimeError("the third codeword fails")
+        time.sleep(0.02)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "sample_uniform_ball", sampler)
+    with pytest.raises(RuntimeError, match="third codeword"):
+        estimate_error_fraction(Codebook(points=points), eps, samples=100, seed=1, jobs=jobs)
+    made = next(calls) - 1
+    # serially the loop stops at the failure; on threads only the codewords
+    # already in flight finish, and the rest are cancelled
+    if jobs == 1:
+        assert made == 3
+    else:
+        assert 3 <= made < 40
+
+
+def test_more_threads_than_cores_on_short_switches_give_the_serial_result():
+    points = np.random.default_rng(9).uniform(-1.0, 1.0, size=(200, 3))
+    book = Codebook(points=points)
+    serial = estimate_error_fraction(book, 0.3, samples=200, seed=4)
+    threaded = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(
+            target=lambda: threaded.append(
+                estimate_error_fraction(book, 0.3, samples=200, seed=4, jobs=8)
+            )
+        )
+        worker.start()
+        worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive() and len(threaded) == 1
+    assert np.array_equal(threaded[0].error_fractions, serial.error_fractions)
+    assert np.array_equal(threaded[0].error_fraction_cis, serial.error_fraction_cis)
+    assert threaded[0].mean_error_ci == serial.mean_error_ci
+
+
+@pytest.mark.parametrize("jobs", [0, -1, 1.5])
+def test_a_bad_jobs_is_refused_before_any_work(jobs):
+    book = Codebook(points=np.array([[0.0], [0.5]]))
+    params = SignalSpaceParams(omega=math.pi, t_obs=6.0, energy=1.0, eps=0.25, delta=0.2)
+    runs = [
+        lambda: estimate_error_fraction(book, 0.5, samples=100, seed=0, jobs=jobs),
+        lambda: run_random_code_experiment(ExperimentConfig(params, samples=100), jobs=jobs),
+        lambda: empirical_exponent_sweep(params, 1.0, [6.0, 8.0], seed=0, jobs=jobs),
+    ]
+    for run in runs:
+        with pytest.raises(ConfigurationError, match="jobs"):
+            run()
 
 
 def test_separated_codewords_are_error_free():
