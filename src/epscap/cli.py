@@ -208,15 +208,6 @@ def _render_table(headers: list[str], rows: list[list]) -> list[str]:
     return lines
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: the codeword thread count of
-    `simulate` and `exponent-sweep`. No result depends on it, and as it is
-    not an option it never reaches the manifest."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _load_spectrum(args, params: SignalSpaceParams):
     """The --use-spectrum artifact, refused unless computed for params' omega and t_obs."""
     if args.use_spectrum is None:
@@ -362,7 +353,7 @@ def _cmd_simulate(args) -> int:
         max_eval_codewords=args.max_eval,
         mu=args.mu,
     )
-    outcome = run_random_code_experiment(config, spectrum, jobs=_usable_cpus())
+    outcome = run_random_code_experiment(config, spectrum)
     payload = outcome.to_dict()
 
     if outcome.rate_too_low:
@@ -412,7 +403,6 @@ def _cmd_exponent_sweep(args) -> int:
         use_spectrum=args.use_spectrum,
         max_codewords=args.max_messages,
         max_eval_codewords=args.max_eval,
-        jobs=_usable_cpus(),
     )
     columns = [f.name for f in dataclasses.fields(SweepPoint)]
     columns += ["fitted_slope", "predicted_decay"]
@@ -527,10 +517,7 @@ def _sweep_row(params: SignalSpaceParams, fixed: dict, spectra: dict) -> list:
     spectrum = spectra.get((params.omega, params.t_obs))
     row = _bound_row(params, per_unit_time_report(params, spectrum, fixed.get("n_dim")))
     if fixed.get("simulate"):
-        # rows already run on the --jobs pool; codeword threads do not nest
-        outcome = run_random_code_experiment(
-            _experiment_config(params, fixed), spectrum, jobs=1
-        )
+        outcome = run_random_code_experiment(_experiment_config(params, fixed), spectrum)
         row += [
             outcome.n_codewords,
             outcome.log2_target_size,

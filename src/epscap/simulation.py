@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -58,6 +60,16 @@ _NEIGHBOR_SLACK = 1e-12
 
 # Evaluated codewords are compared with this many codewords at a time.
 _NEIGHBOR_CHUNK = 16384
+
+# The decode uses at most this many threads, the most measured (2 cores).
+_MAX_CODEWORD_THREADS = 2
+# Fewer draws per codeword than this decode on one thread: below it each
+# codeword's interpreter-bound overhead outweighs its draw and product, and
+# two threads took 1.0-1.8x the one-thread time at 2,000 samples and
+# 0.5-0.8x at 10,000 (1- to 12-d codebooks, BLAS on one thread, 2 cores).
+_MIN_THREADED_SAMPLES = 10000
+# BLAS thread settings, in the order OpenBLAS reads them.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 # --- codebooks ---
@@ -189,10 +201,9 @@ def _neighbor_lists(points: np.ndarray, eval_idx: np.ndarray, eps: float) -> lis
     blocks of columns. Each block's matrix is built in place in that
     order (product, times 2, subtracted from |x|^2, plus |y_j|^2), so
     every entry is the bit-for-bit value of the plain expression. Every
-    full-width block's product goes into one buffer allocated up front
-    (np.matmul with out=, the same BLAS call as `@`), so no block is
-    allocated while the previous one is still held; a short tail block
-    gets a fresh product.
+    block's product goes into the leading columns of one buffer allocated
+    up front (np.matmul with out=, the same BLAS call as `@`), so no block
+    is allocated while the previous one is still held.
 
     No pruning: the dense scan beats spatial trees in these dimensions,
     and a window on the norm, exact as it is (|x| - |y| <= |x - y|),
@@ -204,16 +215,11 @@ def _neighbor_lists(points: np.ndarray, eval_idx: np.ndarray, eps: float) -> lis
     eval_pts = points[eval_idx]
     sq_eval = sq_all[eval_idx][:, None]
     cutoff = (2.0 * eps) ** 2 * (1.0 + _NEIGHBOR_SLACK)
-    # a codebook narrower than one block never needs the buffer
-    block = np.empty((len(eval_idx), _NEIGHBOR_CHUNK)) if m >= _NEIGHBOR_CHUNK else None
+    block = np.empty((len(eval_idx), min(m, _NEIGHBOR_CHUNK)))
     hit_rows, hit_cols = [], []
     for start in range(0, m, _NEIGHBOR_CHUNK):
         stop = min(start + _NEIGHBOR_CHUNK, m)
-        columns = points[start:stop].T
-        if stop - start == _NEIGHBOR_CHUNK:
-            d2 = np.matmul(eval_pts, columns, out=block)
-        else:
-            d2 = eval_pts @ columns
+        d2 = np.matmul(eval_pts, points[start:stop].T, out=block[:, : stop - start])
         d2 *= 2.0
         np.subtract(sq_eval, d2, out=d2)
         d2 += sq_all[start:stop]
@@ -232,6 +238,43 @@ def _neighbor_lists(points: np.ndarray, eval_idx: np.ndarray, eps: float) -> lis
     return np.split(cols, np.cumsum(counts)[:-1])
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blas_threads() -> int | None:
+    """The BLAS thread count the environment sets, None where it sets none."""
+    for name in _BLAS_THREAD_VARIABLES:
+        try:
+            threads = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return None
+
+
+def _codeword_threads(samples: int) -> int:
+    """Thread count of the per-codeword decode at `samples` draws per codeword.
+
+    One unless BLAS runs on one thread: BLAS's own threads otherwise
+    compete with the decode threads, and criterion-7 `simulate` on 2 cores
+    took 4.7-4.9 s with or without decode threads (3.2-3.4 s with BLAS on
+    one thread and two decode threads). One below _MIN_THREADED_SAMPLES,
+    and off the main thread, so the decode never nests threads inside a
+    caller's pool, such as `sweep`'s rows.
+    """
+    if (
+        samples < _MIN_THREADED_SAMPLES
+        or _blas_threads() != 1
+        or threading.current_thread() is not threading.main_thread()
+    ):
+        return 1
+    return min(_MAX_CODEWORD_THREADS, _usable_cpus())
+
+
 def estimate_error_fraction(
     codebook: Codebook,
     eps: float,
@@ -239,7 +282,6 @@ def estimate_error_fraction(
     seed: int,
     target_delta: float | None = None,
     max_eval_codewords: int | None = None,
-    jobs: int = 1,
 ) -> SimulationResult:
     """Monte Carlo estimate of the mean decoding-error fraction.
 
@@ -254,12 +296,15 @@ def estimate_error_fraction(
     pseudo-random subset independent of codebook order), and the mean's
     interval widens to cover codeword-to-codeword spread.
 
-    With jobs > 1 the codewords that have neighbours are decoded on that
-    many threads (numpy releases the GIL in the draws, the product and the
-    ufuncs). Each codeword draws from its own stream and its count is
-    stored by index, so every result is bit-for-bit the serial one. A
-    codeword's exception comes out of this call, and codewords not yet
-    started are cancelled.
+    The codewords that have neighbours are decoded on two threads (numpy
+    releases the GIL in the draws, the product and the ufuncs) when
+    samples is at least 10,000, the environment limits BLAS to one thread
+    (the first of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
+    OMP_NUM_THREADS set is 1), the call is made on the main thread and two
+    CPUs are usable; on one thread otherwise. Each codeword draws from its own stream and its
+    count is stored by index, so every result is bit-for-bit the serial
+    one. A codeword's exception comes out of this call, and codewords not
+    yet started are cancelled.
     """
     require_finite("eps", eps)
     require_setting("samples", samples, MIN_SAMPLES)
@@ -268,7 +313,6 @@ def estimate_error_fraction(
         raise ValueError(f"target_delta must lie in (0, 1), got {target_delta}")
     if max_eval_codewords is not None:
         require_setting("max_eval_codewords", max_eval_codewords)
-    require_setting("jobs", jobs)
 
     points = codebook.points
     m, dim = points.shape
@@ -307,10 +351,11 @@ def estimate_error_fraction(
     # a codeword with no neighbours is an exact zero, its interval (0, 0)
     live = [r for r in range(k) if len(neighbors[r])]
     error_counts = np.zeros(k, dtype=np.int64)
-    if jobs > 1 and len(live) > 1:
+    threads = min(_codeword_threads(samples), len(live))
+    if threads > 1:
         # leaving the block after an exception cancels the codewords not
         # yet started and waits for those in flight
-        with ThreadPoolExecutor(min(jobs, len(live))) as pool:
+        with ThreadPoolExecutor(threads) as pool:
             error_counts[live] = list(pool.map(decode_errors, live))
     else:
         error_counts[live] = list(map(decode_errors, live))
@@ -430,16 +475,14 @@ class ExperimentOutcome:
 
 
 def run_random_code_experiment(
-    config: ExperimentConfig, spectrum=None, jobs: int = 1
+    config: ExperimentConfig, spectrum=None
 ) -> ExperimentOutcome:
     """Size a random codebook, estimate its error fraction, retry on failure.
 
     The satisfying-size codebook is the constructive side of the capacity
     lower bound: on average it meets the delta budget, so within a few
-    retries a drawn codebook should pass the verdict. jobs is the thread
-    count of each estimate; it changes no result.
+    retries a drawn codebook should pass the verdict.
     """
-    require_setting("jobs", jobs)
     params = config.params
     n_dim = config.dim_override
     if spectrum is not None and n_dim is None:
@@ -486,7 +529,6 @@ def run_random_code_experiment(
                 config.seed,
                 target_delta=target,
                 max_eval_codewords=config.max_eval_codewords,
-                jobs=jobs,
             )
             if result.verdict is None or result.verdict:
                 break
@@ -569,16 +611,13 @@ def empirical_exponent_sweep(
     use_spectrum: bool = False,
     max_codewords: int = 2**18,
     max_eval_codewords: int | None = 256,
-    jobs: int = 1,
 ) -> ExponentSweep:
     """Run the codebook experiment across window lengths at one rate.
 
     The rate must sit strictly below the per-unit-time capacity lower
     bound (Omega/pi)*log2(sqrt(snr)); otherwise no decay is predicted and
-    the sweep is refused. jobs is the thread count of each window's
-    estimate; it changes no result.
+    the sweep is refused.
     """
-    require_setting("jobs", jobs)
     cap_lower = entropy_rate(params.omega, params.sqrt_snr)
     if not (0 <= rate < cap_lower):
         raise ValueError(
@@ -604,7 +643,7 @@ def empirical_exponent_sweep(
             retries=1,
             max_eval_codewords=max_eval_codewords,
         )
-        outcome = run_random_code_experiment(config, spectrum, jobs)
+        outcome = run_random_code_experiment(config, spectrum)
         result = outcome.result
         points.append(
             SweepPoint(

@@ -1,4 +1,3 @@
-import inspect
 import json
 import math
 import os
@@ -7,6 +6,7 @@ import stat
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -391,6 +391,24 @@ def test_exponent_sweep_csv(tmp_path):
     assert rows[0][header.index("n_codewords")] == "64"
 
 
+@pytest.fixture
+def decode_pools(monkeypatch):
+    """Thread counts of the decode pools opened, with BLAS on one thread."""
+    for name in simulation._BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(simulation, "_MIN_THREADED_SAMPLES", 100)  # small runs here
+    opened = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            opened.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(simulation, "ThreadPoolExecutor", Pool)
+    return opened
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -401,23 +419,17 @@ def test_exponent_sweep_csv(tmp_path):
     ],
     ids=["simulate", "exponent-sweep"],
 )
-def test_codeword_threads_follow_the_usable_cpus_and_change_no_byte(tmp_path, monkeypatch, argv):
-    threads = []
-    real = simulation.estimate_error_fraction
-
-    def spy(*args, **kwargs):
-        threads.append(kwargs["jobs"])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(simulation, "estimate_error_fraction", spy)
+def test_codeword_threads_follow_the_usable_cpus_and_change_no_byte(
+    tmp_path, monkeypatch, decode_pools, argv
+):
     out = tmp_path / "out.json"
     artifacts = []
-    for cpus in (1, 3):
+    for cpus, pools in ((1, []), (3, [2])):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
                             raising=False)
-        threads.clear()
+        decode_pools.clear()
         assert main(argv + ["--out", str(out)]) == 0
-        assert threads and set(threads) == {cpus}
+        assert set(decode_pools) == set(pools)
         artifacts.append(re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""', out.read_bytes()))
     assert artifacts[0] == artifacts[1]
     # the manifest holds the parsed arguments, none of them the CPU count
@@ -652,7 +664,8 @@ def test_sweep_with_simulation_is_the_same_at_any_jobs(tmp_path):
     assert runs[0] == runs[1]
 
 
-def test_sweep_rows_decode_their_codewords_on_one_thread(tmp_path, monkeypatch):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_rows_decode_their_codewords_on_one_thread(tmp_path, monkeypatch, decode_pools, jobs):
     # rows run on the --jobs pool; codeword threads must not nest inside it
     cfg = write_config(
         tmp_path,
@@ -660,21 +673,19 @@ def test_sweep_rows_decode_their_codewords_on_one_thread(tmp_path, monkeypatch):
         "delta = 0.2\nseed = 3\nsimulate = true\nsamples = 200\n"
         "max_codewords = 512\nmax_eval_codewords = 64\n",
     )
-    threads = []
-    real = cli.run_random_code_experiment
-    signature = inspect.signature(real)
+    calls = []
+    real = simulation.estimate_error_fraction
 
     def spy(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        threads.append(bound.arguments["jobs"])
+        calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "run_random_code_experiment", spy)
+    monkeypatch.setattr(simulation, "estimate_error_fraction", spy)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     out = tmp_path / "rows.csv"
-    assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", "2"]) == 0
-    assert threads == [1, 1, 1, 1]
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 0
+    assert len(calls) == 4  # every row's estimate ran
+    assert decode_pools == []
 
 
 def test_sweep_refuses_a_delta_zero_point_it_cannot_size(tmp_path, capsys):

@@ -237,14 +237,17 @@ def test_error_fractions_are_the_same_on_any_number_of_threads(book, seed, max_e
     points, eps, chunk = book
     codebook = Codebook(points=points)
     samples = 100
-    with mock.patch.object(simulation, "_NEIGHBOR_CHUNK", chunk):
-        runs = [
-            estimate_error_fraction(
-                codebook, eps, samples=samples, seed=seed, max_eval_codewords=max_eval,
-                jobs=jobs,
+    runs = []
+    for threads in (1, 2, 3):
+        with (
+            mock.patch.object(simulation, "_NEIGHBOR_CHUNK", chunk),
+            mock.patch.object(simulation, "_codeword_threads", lambda samples, n=threads: n),
+        ):
+            runs.append(
+                estimate_error_fraction(
+                    codebook, eps, samples=samples, seed=seed, max_eval_codewords=max_eval
+                )
             )
-            for jobs in (1, 2, 3)
-        ]
     for run in runs[1:]:
         for field in dataclasses.fields(run):
             got, want = getattr(run, field.name), getattr(runs[0], field.name)
@@ -258,9 +261,10 @@ def test_error_fractions_are_the_same_on_any_number_of_threads(book, seed, max_e
 
 
 def test_criterion7_sized_neighbor_lists_are_the_fresh_products():
-    # full 16,384-column blocks go through one reused buffer and the tail
-    # gets a fresh product; either must give the bits of a fresh product
-    # per block, in 12-d where OpenBLAS bits depend on the block width
+    # full 16,384-column blocks and the tail go through one reused buffer,
+    # the tail through its leading columns; each must give the bits of a
+    # fresh product per block, in 12-d where OpenBLAS bits depend on the
+    # block width
     rng = np.random.default_rng(12)
     m = 2 * simulation._NEIGHBOR_CHUNK + 1234
     points = sample_uniform_ball(12, 1.0, rng, size=m)

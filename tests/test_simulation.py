@@ -1,8 +1,8 @@
-import itertools
 import math
+import os
 import sys
 import threading
-import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -145,44 +145,62 @@ def test_single_neighbour_intervals_cover_the_exact_cap():
     assert binom.sf(covered - 1, trials, 0.95) > 1e-3
 
 
-@pytest.mark.parametrize("jobs", [1, 3])
-def test_a_failed_codeword_stops_the_others(monkeypatch, jobs):
+@pytest.mark.parametrize("threads", [1, 3])
+def test_a_failed_codeword_stops_the_others(monkeypatch, threads):
     points = np.random.default_rng(5).uniform(-1.0, 1.0, size=(120, 2))
     eps = 0.5
     neighbors = simulation._neighbor_lists(points, np.arange(120), eps)
     assert all(len(nb) for nb in neighbors)  # every codeword is decoded
-    calls = itertools.count(1)
-    real = simulation.sample_uniform_ball
+    index_of = {bytes(d): i for i, d in enumerate(simulation._codeword_digests(1, points))}
+    failing = 4
+    started, released = [], []
+    pool_closing = threading.Event()
+    real = simulation._stream_from_digest
 
-    def sampler(*args, **kwargs):
-        if next(calls) == 3:
-            raise RuntimeError("the third codeword fails")
-        time.sleep(0.02)
-        return real(*args, **kwargs)
+    def stream(digest):
+        i = index_of[digest]
+        started.append(i)
+        if i == failing:
+            raise RuntimeError("codeword 4 fails")
+        if i > failing:
+            # hold later codewords until the pool is being shut down, so
+            # that only cancellation, not timing, can keep others from starting
+            released.append(pool_closing.wait(timeout=30))
+        return real(digest)
 
-    monkeypatch.setattr(simulation, "sample_uniform_ball", sampler)
-    with pytest.raises(RuntimeError, match="third codeword"):
-        estimate_error_fraction(Codebook(points=points), eps, samples=100, seed=1, jobs=jobs)
-    made = next(calls) - 1
-    # serially the loop stops at the failure; on threads only the codewords
-    # already in flight finish, and the rest are cancelled
-    if jobs == 1:
-        assert made == 3
+    class Pool(ThreadPoolExecutor):
+        def shutdown(self, *args, **kwargs):
+            pool_closing.set()
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "_stream_from_digest", stream)
+    monkeypatch.setattr(simulation, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(simulation, "_codeword_threads", lambda samples: threads)
+    with pytest.raises(RuntimeError, match="codeword 4"):
+        estimate_error_fraction(Codebook(points=points), eps, samples=100, seed=1)
+    if threads == 1:
+        assert started == list(range(failing + 1))
     else:
-        assert 3 <= made < 40
+        # the codewords before it finish; of the rest, only those already
+        # in flight when it came out (at most one per thread) start
+        assert set(range(failing + 1)) <= set(started)
+        assert len(started) <= failing + 1 + threads
+        assert all(released)  # no held codeword timed out
 
 
-def test_more_threads_than_cores_on_short_switches_give_the_serial_result():
+def test_more_threads_than_cores_on_short_switches_give_the_serial_result(monkeypatch):
     points = np.random.default_rng(9).uniform(-1.0, 1.0, size=(200, 3))
     book = Codebook(points=points)
+    monkeypatch.setattr(simulation, "_codeword_threads", lambda samples: 1)
     serial = estimate_error_fraction(book, 0.3, samples=200, seed=4)
+    monkeypatch.setattr(simulation, "_codeword_threads", lambda samples: 8)
     threaded = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         worker = threading.Thread(
             target=lambda: threaded.append(
-                estimate_error_fraction(book, 0.3, samples=200, seed=4, jobs=8)
+                estimate_error_fraction(book, 0.3, samples=200, seed=4)
             )
         )
         worker.start()
@@ -195,18 +213,38 @@ def test_more_threads_than_cores_on_short_switches_give_the_serial_result():
     assert threaded[0].mean_error_ci == serial.mean_error_ci
 
 
-@pytest.mark.parametrize("jobs", [0, -1, 1.5])
-def test_a_bad_jobs_is_refused_before_any_work(jobs):
-    book = Codebook(points=np.array([[0.0], [0.5]]))
-    params = SignalSpaceParams(omega=math.pi, t_obs=6.0, energy=1.0, eps=0.25, delta=0.2)
-    runs = [
-        lambda: estimate_error_fraction(book, 0.5, samples=100, seed=0, jobs=jobs),
-        lambda: run_random_code_experiment(ExperimentConfig(params, samples=100), jobs=jobs),
-        lambda: empirical_exponent_sweep(params, 1.0, [6.0, 8.0], seed=0, jobs=jobs),
-    ]
-    for run in runs:
-        with pytest.raises(ConfigurationError, match="jobs"):
-            run()
+@pytest.mark.parametrize(
+    "env, cpus, threads",
+    [
+        ({"OPENBLAS_NUM_THREADS": "1"}, 8, 2),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
+        ({"OMP_NUM_THREADS": "1"}, 4, 2),
+        ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 4, 2),
+        # OpenBLAS skips unset, unreadable and non-positive values
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4, 1),
+        ({"OMP_NUM_THREADS": "2"}, 4, 1),
+        ({}, 4, 1),
+    ],
+)
+def test_default_decode_threads_need_blas_on_one_thread(monkeypatch, env, cpus, threads):
+    for name in simulation._BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    samples = simulation._MIN_THREADED_SAMPLES
+    assert simulation._codeword_threads(samples) == threads
+    assert simulation._codeword_threads(samples - 1) == 1
+    # off the main thread, as in a pool of the caller's, always one
+    off_main = []
+    worker = threading.Thread(target=lambda: off_main.append(simulation._codeword_threads(samples)))
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive() and off_main == [1]
 
 
 def test_separated_codewords_are_error_free():
