@@ -45,7 +45,7 @@ from .manifest import (
     resolve_output_path,
     run_manifest,
 )
-from .params import SignalSpaceParams, require_positive_int
+from .params import SignalSpaceParams, require_int
 from .simulation import (
     ExperimentConfig,
     SweepPoint,
@@ -53,10 +53,10 @@ from .simulation import (
     run_random_code_experiment,
 )
 from .spectrum import (
-    _check_index,
     build_spectrum,
     degrees_of_freedom,
     dof_asymptotic,
+    require_index,
     spectrum_from_record,
     spectrum_record,
     volume_correction,
@@ -208,8 +208,8 @@ def _render_table(headers: list[str], rows: list[list]) -> list[str]:
     return lines
 
 
-def _load_spectrum(args, params: SignalSpaceParams):
-    """The --use-spectrum artifact, refused unless computed for params' omega and t_obs."""
+def _load_spectrum(args):
+    """The --use-spectrum artifact, or None without one."""
     if args.use_spectrum is None:
         return None
     with open(args.use_spectrum, "r", encoding="utf-8") as fh:
@@ -219,12 +219,7 @@ def _load_spectrum(args, params: SignalSpaceParams):
             raise ValueError(
                 f"--use-spectrum {args.use_spectrum} is not a JSON spectrum artifact: {exc}"
             ) from exc
-    spectrum = spectrum_from_record(record)
-    if abs(spectrum.omega - params.omega) > 1e-9 or abs(spectrum.t_obs - params.t_obs) > 1e-9:
-        raise ConfigurationError(
-            "spectrum file was computed for different omega/t_obs than requested"
-        )
-    return spectrum
+    return spectrum_from_record(record)
 
 
 def _bound_row(params: SignalSpaceParams, reports: dict) -> list:
@@ -297,7 +292,7 @@ def _cmd_dof(args) -> int:
 
 def _cmd_bounds(args) -> int:
     params = _signal_params(args, args.t_obs)
-    reports = per_unit_time_report(params, _load_spectrum(args, params), args.n_dim)
+    reports = per_unit_time_report(params, _load_spectrum(args), args.n_dim)
     payload = {
         "params": vars(params) | {"nominal_dimension": params.nominal_dimension},
         "reports": {k: v.to_dict() for k, v in reports.items()},
@@ -340,7 +335,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_simulate(args) -> int:
     params = _signal_params(args, args.t_obs)
-    spectrum = _load_spectrum(args, params)
+    spectrum = _load_spectrum(args)
     config = ExperimentConfig(
         params=params,
         dim_override=args.dim,
@@ -533,6 +528,7 @@ def _sweep_row(params: SignalSpaceParams, fixed: dict, spectra: dict) -> list:
 
 
 def _cmd_sweep(args) -> int:
+    require_int("--jobs", args.jobs)
     axes, fixed = _parse_sweep_config(args.config)
     if args.seed is not None:
         fixed["seed"] = args.seed
@@ -544,7 +540,7 @@ def _cmd_sweep(args) -> int:
         for values in itertools.product(*(axes[key] for key in _GRID_KEYS))
     ]
     if "n_dim" in fixed:
-        require_positive_int("n_dim", fixed["n_dim"])
+        require_int("n_dim", fixed["n_dim"])
     if fixed.get("simulate"):
         for p in points:
             _experiment_config(p, fixed)
@@ -559,7 +555,7 @@ def _cmd_sweep(args) -> int:
         for om, t in {(p.omega, p.t_obs) for p in points}:
             spectra[(om, t)] = build_spectrum(om, t, fixed.get("order"))
             if "n_dim" in fixed:
-                _check_index(spectra[(om, t)], fixed["n_dim"])
+                require_index(spectra[(om, t)], fixed["n_dim"])
 
     columns = _BOUND_COLUMNS + (_SIM_COLUMNS if fixed.get("simulate") else [])
     first_line = manifest_line(manifest)
@@ -639,13 +635,6 @@ def _positive_float(text: str) -> float:
     value = float(text)
     if not (value > 0 and math.isfinite(value)):
         raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
     return value
 
 
@@ -770,7 +759,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="grid sweep from a flat key=value config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--resume", action="store_true",
                    help="continue an interrupted sweep (requires --out)")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")

@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
 Plain domain violations (a negative energy, a probability outside [0, 1])
-raise ValueError directly; the classes here mark conditions that are about
-the computation setup rather than the mathematics.
+raise ValueError directly. ConfigurationError marks a setup the package
+refuses to run with, among them every integer input that
+params.require_int refuses; it is also a ValueError, so a caller can
+catch every refused input as one type.
 """
 
 
@@ -10,12 +12,13 @@ class EpscapError(Exception):
     """Base class for package-specific errors."""
 
 
-class ConfigurationError(EpscapError):
+class ConfigurationError(EpscapError, ValueError):
     """A parameter combination the solver refuses to run with.
 
     Examples: quadrature order too small to resolve the eigenvalue
-    transition band, a packing dimension above the supported cap, or a
-    Monte Carlo sample budget below the minimum.
+    transition band, a packing dimension above the supported cap, a
+    Monte Carlo sample budget below the minimum, or a count that is a
+    bool or a fraction.
     """
 
 

@@ -11,8 +11,9 @@ the observation window and takes the wide-window limit.
 
 The bound formulas (the eps-delta one also sizes the random codebooks
 of the experiments), the wide-window rates that the comparison table and
-the error exponent read, the working-dimension rule N = round(N0) and the
-uniform ball and ellipsoid samplers all live here.
+the error exponent read, the working-dimension rule N = round(N0), the
+squared-distance expression and the uniform ball and ellipsoid samplers
+all live here.
 """
 
 from __future__ import annotations
@@ -24,14 +25,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import ConfigurationError
-from .params import (
-    SignalSpaceParams,
-    require_finite,
-    require_positive_int,
-    require_seed,
-    require_setting,
-)
-from .spectrum import _check_index, volume_correction
+from .params import SignalSpaceParams, require_finite, require_int
+from .spectrum import require_index, require_window, volume_correction
 
 _LN2 = math.log(2.0)
 
@@ -59,24 +54,36 @@ class Ellipsoid:
 
     @classmethod
     def ball(cls, dim: int, radius: float) -> "Ellipsoid":
-        require_positive_int("dim", dim)
-        return cls(np.full(int(dim), float(radius)))
+        return cls(np.full(require_int("dim", dim), float(radius)))
 
     @classmethod
     def from_spectrum(cls, spectrum, energy: float, n_dim: int) -> "Ellipsoid":
         """Energy ellipsoid of the first n_dim modes: semi-axes sqrt(E*lambda)."""
         require_finite("energy", energy)
-        n_dim = _check_index(spectrum, n_dim)
+        n_dim = require_index(spectrum, n_dim)
         return cls(np.sqrt(energy * spectrum.lambdas[:n_dim]))
 
 
 def log_ball_volume(dim: int, radius: float) -> float:
     """log2 of the volume of the dim-ball of the given radius."""
-    require_positive_int("dim", dim)
+    dim = require_int("dim", dim)
     require_finite("radius", radius)
-    dim = int(dim)
     log2_unit_ball = (dim / 2.0) * math.log2(math.pi) - gammaln(dim / 2.0 + 1.0) / _LN2
     return log2_unit_ball + dim * math.log2(radius)
+
+
+def squared_distances(x, x_sq, y, y_sq, out=None) -> np.ndarray:
+    """|x_i|^2 - 2 x_i.y_j + |y_j|^2 for every row pair, given the squared norms.
+
+    One matrix product (np.matmul, written into out when given), then
+    built in place in that order: times 2, subtracted from x_sq, plus
+    y_sq. Callers that replay a result bit for bit rely on that order.
+    """
+    d2 = np.matmul(x, y.T, out=out)
+    d2 *= 2.0
+    np.subtract(x_sq[:, None], d2, out=d2)
+    d2 += y_sq
+    return d2
 
 
 # --- samplers ---
@@ -89,12 +96,10 @@ def sample_uniform_ball(
 
     Returns shape (size, dim).
     """
-    require_positive_int("dim", dim)
+    dim = require_int("dim", dim)
     require_finite("radius", radius, nonnegative=True)
-    n = int(size)
-    if n < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
-    direction = rng.standard_normal((n, int(dim)))
+    n = require_int("size", size)
+    direction = rng.standard_normal((n, dim))
     # np.linalg.norm(axis=1)'s own expression, so every bit of the draws
     # stays the same; the direction is then scaled in place
     norms = np.sqrt(np.add.reduce(direction * direction, axis=1, keepdims=True))
@@ -126,7 +131,7 @@ def zeta_or_one(zeta_value: float | None) -> float:
 
 
 def _check_bound_args(n_dim, zeta_value, energy, eps):
-    require_positive_int("n_dim", n_dim)
+    require_int("n_dim", n_dim)
     if not (0.0 < zeta_value <= 1.0):
         raise ValueError(f"zeta_value must lie in (0, 1], got {zeta_value}")
     require_finite("energy", energy)
@@ -181,7 +186,7 @@ def covering_overhead(n_dim: int) -> float:
     only meaningful once ln N > 2; below that the factor is undefined and
     NaN is returned.
     """
-    require_positive_int("n_dim", n_dim)
+    require_int("n_dim", n_dim)
     ln_n = math.log(n_dim)
     if ln_n <= 2.0:
         return math.nan
@@ -248,8 +253,7 @@ def working_dimension(nominal_dimension: float, n_dim: int | None = None) -> int
     A given n_dim must be a positive integer; round(N0) is raised to 1.
     """
     if n_dim is not None:
-        require_positive_int("n_dim", n_dim)
-        return int(n_dim)
+        return require_int("n_dim", n_dim)
     return max(1, round(nominal_dimension))
 
 
@@ -314,7 +318,10 @@ def per_unit_time_report(
     The bits are taken at the working dimension: n_dim if given, else
     round(N0) of the spectrum (of params without one). They use the
     spectrum's measured zeta(N), or the zeta = 1 idealization without one.
+    A spectrum must have been computed for params' omega and t_obs.
     """
+    if spectrum is not None:
+        require_window(spectrum, params.omega, params.t_obs)
     source = params if spectrum is None else spectrum
     n_dim = working_dimension(source.nominal_dimension, n_dim)
     zeta_value = None if spectrum is None else volume_correction(spectrum, n_dim)
@@ -445,15 +452,15 @@ def greedy_pack(
             "dimensions need exponentially many candidates to saturate"
         )
     require_finite("eps", eps)
-    require_seed(seed)
-    require_setting("attempts", attempts)
-    require_setting("candidates", candidates)
+    seed = require_int("seed", seed, minimum=0)
+    attempts = require_int("attempts", attempts)
+    candidates = require_int("candidates", candidates)
 
     min_sep_sq = (2.0 * eps) ** 2
     best = 0
-    for attempt in range(int(attempts)):
-        rng = np.random.default_rng([int(seed), attempt])
-        pts = sample_uniform_ellipsoid(ellipsoid.radii, rng, size=int(candidates))
+    for attempt in range(attempts):
+        rng = np.random.default_rng([seed, attempt])
+        pts = sample_uniform_ellipsoid(ellipsoid.radii, rng, size=candidates)
         best = max(best, _pack_candidates(pts, min_sep_sq))
     return best
 
@@ -475,10 +482,9 @@ def _pack_candidates(pts: np.ndarray, min_sep_sq: float) -> int:
     for start in range(0, len(pts), _PACK_BLOCK):
         block = pts[start : start + _PACK_BLOCK]
         if count:
-            g = block @ accepted[:count].T
-            g *= -2.0
-            g += sq[start : start + _PACK_BLOCK, None]
-            g += accepted_sq[:count]
+            g = squared_distances(
+                block, sq[start : start + _PACK_BLOCK], accepted[:count], accepted_sq[:count]
+            )
             # a NaN minimum (norms that overflow) goes on to the exact test
             survivors = np.flatnonzero(~(g.min(axis=1) < screen_floor))
         else:

@@ -1,4 +1,9 @@
-"""Parameter containers for the signal space, and the package's input checks."""
+"""Parameter containers for the signal space, and the package's input checks.
+
+Every integer the package takes from a caller (a count, a size, an index,
+a seed) passes through require_int, and every real one through
+require_finite: each rule is stated once, here.
+"""
 
 from __future__ import annotations
 
@@ -25,22 +30,18 @@ def require_finite(name: str, value, nonnegative: bool = False) -> None:
         raise ValueError(f"{name} must be {sign} and finite, got {value}")
 
 
-def require_positive_int(name: str, value) -> None:
-    """Refuse anything but an integer >= 1 (a Python or numpy integer)."""
-    if not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value}")
+def require_int(name: str, value, minimum: int = 1) -> int:
+    """value as a Python int, refused unless an integer >= minimum.
 
-
-def require_seed(seed) -> None:
-    """Refuse a seed that is not an integer >= 0."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-
-
-def require_setting(name: str, value, minimum: int = 1) -> None:
-    """Refuse a run setting that is not an integer >= minimum."""
-    if not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value}")
+    Python and numpy integers pass; a bool (Python or numpy), a float of
+    any value and everything else is refused with a ConfigurationError.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        what = {0: "a nonnegative integer", 1: "a positive integer"}.get(
+            minimum, f"an integer >= {minimum}"
+        )
+        raise ConfigurationError(f"{name} must be {what}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,10 @@ own generator seeded from a content hash of (global seed, codeword
 bytes), so permuting the codebook permutes the per-codeword results
 without changing any of them.
 
-The uniform ball and ellipsoid samplers, the bound reports (which give
-each run its working dimension N and zeta), the satisfying-size formula
-and the wide-window rate behind the error exponent all live in
+The uniform ball and ellipsoid samplers, the squared distances that
+find neighbours and decode, the bound reports (which give each run its
+working dimension N and zeta), the satisfying-size formula and the
+wide-window rate behind the error exponent all live in
 :mod:`epscap.geometry`.
 """
 
@@ -40,16 +41,10 @@ from .geometry import (
     per_unit_time_report,
     sample_uniform_ball,
     sample_uniform_ellipsoid,
+    squared_distances,
     zeta_or_one,
 )
-from .params import (
-    MIN_SAMPLES,
-    SignalSpaceParams,
-    require_finite,
-    require_positive_int,
-    require_seed,
-    require_setting,
-)
+from .params import MIN_SAMPLES, SignalSpaceParams, require_finite, require_int
 from .spectrum import build_spectrum, degrees_of_freedom
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -116,10 +111,10 @@ class Codebook:
 
 def generate_codebook(radii, n_codewords: int, seed) -> Codebook:
     """Draw n_codewords points uniformly in the ellipsoid given by radii."""
-    require_positive_int("n_codewords", n_codewords)
+    n_codewords = require_int("n_codewords", n_codewords)
     radii = np.asarray(radii, dtype=float)
     rng = np.random.default_rng(seed)
-    points = sample_uniform_ellipsoid(radii, rng, size=int(n_codewords))
+    points = sample_uniform_ellipsoid(radii, rng, size=n_codewords)
     return Codebook(points=points, radii=radii)
 
 
@@ -128,9 +123,9 @@ def generate_codebook(radii, n_codewords: int, seed) -> Codebook:
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson score interval (95%) for a binomial proportion."""
-    if trials <= 0:
-        raise ValueError(f"trials must be positive, got {trials}")
-    if not (0 <= successes <= trials):
+    trials = require_int("trials", trials)
+    successes = require_int("successes", successes, minimum=0)
+    if successes > trials:
         raise ValueError(f"successes {successes} outside [0, {trials}]")
     p = successes / trials
     z2 = Z95 * Z95
@@ -146,7 +141,7 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 def _codeword_digests(seed: int, points: np.ndarray) -> np.ndarray:
     """Content hash per codeword; the basis of order-independent streams."""
-    prefix = struct.pack("<q", int(seed))
+    prefix = struct.pack("<q", seed)
     out = np.empty(len(points), dtype="S32")
     for i, row in enumerate(points):
         out[i] = hashlib.sha256(prefix + row.tobytes()).digest()
@@ -198,12 +193,11 @@ def _neighbor_lists(points: np.ndarray, eval_idx: np.ndarray, eps: float) -> lis
 
     Codeword j is a neighbour of x when |x|^2 - 2 x.y_j + |y_j|^2 is at
     most (2*eps)^2 * (1 + slack), computed over the whole codebook in
-    blocks of columns. Each block's matrix is built in place in that
-    order (product, times 2, subtracted from |x|^2, plus |y_j|^2), so
-    every entry is the bit-for-bit value of the plain expression. Every
-    block's product goes into the leading columns of one buffer allocated
-    up front (np.matmul with out=, the same BLAS call as `@`), so no block
-    is allocated while the previous one is still held.
+    blocks of columns by squared_distances, so every entry is the
+    bit-for-bit value of the plain expression. Every block's matrix goes
+    into the leading columns of one buffer allocated up front (np.matmul
+    with out=, the same BLAS call as `@`), so no block is allocated while
+    the previous one is still held.
 
     No pruning: the dense scan beats spatial trees in these dimensions,
     and a window on the norm, exact as it is (|x| - |y| <= |x - y|),
@@ -213,16 +207,15 @@ def _neighbor_lists(points: np.ndarray, eval_idx: np.ndarray, eps: float) -> lis
     m = len(points)
     sq_all = np.einsum("ij,ij->i", points, points)
     eval_pts = points[eval_idx]
-    sq_eval = sq_all[eval_idx][:, None]
+    sq_eval = sq_all[eval_idx]
     cutoff = (2.0 * eps) ** 2 * (1.0 + _NEIGHBOR_SLACK)
     block = np.empty((len(eval_idx), min(m, _NEIGHBOR_CHUNK)))
     hit_rows, hit_cols = [], []
     for start in range(0, m, _NEIGHBOR_CHUNK):
         stop = min(start + _NEIGHBOR_CHUNK, m)
-        d2 = np.matmul(eval_pts, points[start:stop].T, out=block[:, : stop - start])
-        d2 *= 2.0
-        np.subtract(sq_eval, d2, out=d2)
-        d2 += sq_all[start:stop]
+        d2 = squared_distances(
+            eval_pts, sq_eval, points[start:stop], sq_all[start:stop], out=block[:, : stop - start]
+        )
         # one flat scan: the 2-d np.nonzero costs ten times as much here
         rows, cols = np.divmod(np.flatnonzero(d2 <= cutoff), stop - start)
         hit_rows.append(rows)
@@ -259,12 +252,15 @@ def _blas_threads() -> int | None:
 def _codeword_threads(samples: int) -> int:
     """Thread count of the per-codeword decode at `samples` draws per codeword.
 
-    One unless BLAS runs on one thread: BLAS's own threads otherwise
-    compete with the decode threads, and criterion-7 `simulate` on 2 cores
-    took 4.7-4.9 s with or without decode threads (3.2-3.4 s with BLAS on
-    one thread and two decode threads). One below _MIN_THREADED_SAMPLES,
-    and off the main thread, so the decode never nests threads inside a
-    caller's pool, such as `sweep`'s rows.
+    Two (numpy releases the GIL in the draws, the product and the ufuncs)
+    where two CPUs are usable, but one in three cases. Unless BLAS runs on
+    one thread (the first of _BLAS_THREAD_VARIABLES set is 1): its own
+    threads compete with the decode threads, and criterion-7 `simulate` on
+    2 cores took 4.7-4.9 s with or without decode threads (3.2-3.4 s with
+    BLAS on one thread and two decode threads). Below
+    _MIN_THREADED_SAMPLES draws per codeword. And off the main thread, so
+    the decode never nests threads inside a caller's pool, such as
+    `sweep`'s rows.
     """
     if (
         samples < _MIN_THREADED_SAMPLES
@@ -296,36 +292,30 @@ def estimate_error_fraction(
     pseudo-random subset independent of codebook order), and the mean's
     interval widens to cover codeword-to-codeword spread.
 
-    The codewords that have neighbours are decoded on two threads (numpy
-    releases the GIL in the draws, the product and the ufuncs) when
-    samples is at least 10,000, the environment limits BLAS to one thread
-    (the first of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
-    OMP_NUM_THREADS set is 1), the call is made on the main thread and two
-    CPUs are usable; on one thread otherwise. Each codeword draws from its own stream and its
-    count is stored by index, so every result is bit-for-bit the serial
-    one. A codeword's exception comes out of this call, and codewords not
-    yet started are cancelled.
+    The codewords that have neighbours are decoded on as many threads as
+    _codeword_threads allows. Each codeword draws from its own stream and
+    its count is stored by index, so every result is bit-for-bit the
+    serial one. A codeword's exception comes out of this call, and
+    codewords not yet started are cancelled.
     """
     require_finite("eps", eps)
-    require_setting("samples", samples, MIN_SAMPLES)
-    require_seed(seed)
+    samples = require_int("samples", samples, MIN_SAMPLES)
+    seed = require_int("seed", seed, minimum=0)
     if target_delta is not None and not (0.0 < target_delta < 1.0):
         raise ValueError(f"target_delta must lie in (0, 1), got {target_delta}")
     if max_eval_codewords is not None:
-        require_setting("max_eval_codewords", max_eval_codewords)
+        max_eval_codewords = require_int("max_eval_codewords", max_eval_codewords)
 
     points = codebook.points
     m, dim = points.shape
-    samples = int(samples)
-    seed = int(seed)
 
     digests = _codeword_digests(seed, points)
-    subsampled = max_eval_codewords is not None and m > int(max_eval_codewords)
+    subsampled = max_eval_codewords is not None and m > max_eval_codewords
     if subsampled:
         # stable sort on the digest bytes: a permutation of the codebook
         # selects the same set of codeword values
         order = np.argsort(digests, kind="stable")
-        eval_idx = np.sort(order[: int(max_eval_codewords)])
+        eval_idx = np.sort(order[:max_eval_codewords])
     else:
         eval_idx = np.arange(m)
 
@@ -338,13 +328,11 @@ def estimate_error_fraction(
         draws = sample_uniform_ball(dim, eps, rng, size=samples)
         draws += points[i]
         # own distance goes through the same matmul as the competitors so
-        # that a coincident codeword ties bit-for-bit and counts as error;
-        # d2 is |d|^2 - 2 d.c + |c|^2, built in place in that order
+        # that a coincident codeword ties bit-for-bit and counts as error
         cols = np.concatenate([points[i : i + 1], points[neighbors[r]]], axis=0)
-        d2 = draws @ cols.T
-        d2 *= 2.0
-        np.subtract(np.einsum("ij,ij->i", draws, draws)[:, None], d2, out=d2)
-        d2 += np.einsum("ij,ij->i", cols, cols)
+        d2 = squared_distances(
+            draws, np.einsum("ij,ij->i", draws, draws), cols, np.einsum("ij,ij->i", cols, cols)
+        )
         return int(np.count_nonzero(d2[:, 1:].min(axis=1) <= d2[:, 0]))
 
     k = len(eval_idx)
@@ -362,12 +350,12 @@ def estimate_error_fraction(
     fractions = error_counts / samples
     cis = np.zeros((k, 2))
     for r in live:
-        cis[r] = wilson_interval(int(error_counts[r]), samples)
+        cis[r] = wilson_interval(error_counts[r], samples)
 
     # exactly rounded sums: the mean and the spread must not depend on the
     # order of the codebook
     mean = math.fsum(fractions) / k
-    pooled = wilson_interval(int(error_counts.sum()), k * samples)
+    pooled = wilson_interval(error_counts.sum(), k * samples)
     if subsampled:
         # cluster interval: spread across codewords dominates; keep the
         # pooled interval as a floor so an all-zero subset is not read as
@@ -425,20 +413,21 @@ class ExperimentConfig:
     mu: float | None = None
 
     def __post_init__(self):
-        if self.dim_override is not None:
-            require_positive_int("dim_override", self.dim_override)
+        # each integer setting is stored as the int require_int returns
+        def setting(name, minimum=1):
+            object.__setattr__(self, name, require_int(name, getattr(self, name), minimum))
+
+        for name in ("dim_override", "n_codewords", "max_eval_codewords"):
+            if getattr(self, name) is not None:
+                setting(name)
+        setting("samples", MIN_SAMPLES)
+        setting("seed", 0)
+        setting("max_codewords")
+        setting("retries")
         if self.rate is not None:
             require_finite("rate", self.rate, nonnegative=True)
-        if self.n_codewords is not None:
-            require_positive_int("n_codewords", self.n_codewords)
         if self.rate is not None and self.n_codewords is not None:
             raise ValueError("give rate or n_codewords, not both")
-        require_setting("samples", self.samples, MIN_SAMPLES)
-        require_seed(self.seed)
-        require_setting("max_codewords", self.max_codewords)
-        require_setting("retries", self.retries)
-        if self.max_eval_codewords is not None:
-            require_setting("max_eval_codewords", self.max_eval_codewords)
         if self.mu is not None:
             require_finite("mu", self.mu)
         if self.rate is None and self.n_codewords is None and self.params.delta <= 0.0:
@@ -502,7 +491,7 @@ def run_random_code_experiment(
     # codebook size
     capped = False
     if config.n_codewords is not None:
-        n_codewords = int(config.n_codewords)
+        n_codewords = config.n_codewords
         log2_target = math.log2(n_codewords)
     elif config.rate is not None:
         log2_target = params.t_obs * config.rate
@@ -512,7 +501,7 @@ def run_random_code_experiment(
         log2_target = log2_satisfying_size(n_dim, zeta_value, params.sqrt_snr, params.delta)
         n_codewords = _floor_pow2_exponent(log2_target)
     if n_codewords > config.max_codewords:
-        n_codewords = int(config.max_codewords)
+        n_codewords = config.max_codewords
         capped = True
 
     target = params.delta if params.delta > 0 else None
@@ -632,10 +621,8 @@ def empirical_exponent_sweep(
 
     points = []
     for t_obs in t_values:
-        p = replace(params, t_obs=t_obs)
-        spectrum = build_spectrum(p.omega, p.t_obs) if use_spectrum else None
         config = ExperimentConfig(
-            params=p,
+            params=replace(params, t_obs=t_obs),
             rate=rate,
             samples=samples,
             seed=seed,
@@ -643,6 +630,7 @@ def empirical_exponent_sweep(
             retries=1,
             max_eval_codewords=max_eval_codewords,
         )
+        spectrum = build_spectrum(params.omega, t_obs) if use_spectrum else None
         outcome = run_random_code_experiment(config, spectrum)
         result = outcome.result
         points.append(

@@ -52,7 +52,7 @@ from numpy.polynomial import legendre
 from scipy.linalg import eigh, eigvalsh_tridiagonal
 
 from .errors import ConfigurationError, InsufficientSpectrumError, NumericalError
-from .params import nominal_dimension, require_finite, require_positive_int
+from .params import nominal_dimension, require_finite, require_int
 
 logger = logging.getLogger(__name__)
 
@@ -170,7 +170,7 @@ def build_kernel_matrix(
     n0 = nominal_dimension(omega, t_obs)
     if quad_order is None:
         quad_order = default_quad_order(omega, t_obs)
-    quad_order = int(quad_order)
+    quad_order = require_int("quad_order", quad_order)
     min_order = 4 * math.ceil(n0)
     if quad_order < min_order:
         raise ConfigurationError(
@@ -337,7 +337,7 @@ def volume_correction(spectrum: EigenSpectrum, n_dim: int) -> float:
     first N modes and the enclosing ball; it tends to 1 as the window
     grows. Computed in log space to avoid underflow.
     """
-    n_dim = _check_index(spectrum, n_dim)
+    n_dim = require_index(spectrum, n_dim)
     log_sum = float(np.sum(np.log(spectrum.lambdas[:n_dim])))
     return math.exp(log_sum / (2.0 * n_dim))
 
@@ -350,8 +350,7 @@ def n_width(spectrum: EigenSpectrum, energy: float, n_dim: int) -> float:
     subspace and d_0 = sqrt(energy * lambda_1).
     """
     require_finite("energy", energy)
-    if not isinstance(n_dim, (int, np.integer)) or n_dim < 0:
-        raise ValueError(f"n_dim must be a nonnegative integer, got {n_dim}")
+    n_dim = require_int("n_dim", n_dim, minimum=0)
     if n_dim >= len(spectrum.lambdas):
         raise InsufficientSpectrumError(
             f"n_dim {n_dim} needs eigenvalue {n_dim + 1} but only "
@@ -437,12 +436,13 @@ def spectrum_from_record(record: dict) -> EigenSpectrum:
         lambdas = np.asarray(record["lambdas"], dtype=float)
         omega = float(record["omega"])
         t_obs = float(record["t_obs"])
-        quad_order = int(record["quad_order"])
+        quad_order = record["quad_order"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed spectrum record: {exc}") from exc
     # a NaN would pass every later comparison against the requested window
     require_finite("spectrum record omega", omega)
     require_finite("spectrum record t_obs", t_obs)
+    quad_order = require_int("spectrum record quad_order", quad_order)
     if lambdas.ndim != 1 or lambdas.size == 0:
         raise ValueError("spectrum record needs a non-empty list of eigenvalues")
     bad = np.flatnonzero(~((lambdas > 0.0) & (lambdas <= 1.0)))
@@ -472,12 +472,21 @@ def spectrum_from_record(record: dict) -> EigenSpectrum:
     )
 
 
-def _check_index(spectrum: EigenSpectrum, n_dim: int) -> int:
-    require_positive_int("n_dim", n_dim)
-    n_dim = int(n_dim)
+def require_index(spectrum: EigenSpectrum, n_dim: int) -> int:
+    """n_dim as an int, refused unless 1 <= n_dim <= the computed eigenvalues."""
+    n_dim = require_int("n_dim", n_dim)
     if n_dim > len(spectrum.lambdas):
         raise InsufficientSpectrumError(
             f"n_dim {n_dim} exceeds the {len(spectrum.lambdas)} computed "
             "eigenvalues; raise quad_order"
         )
     return n_dim
+
+
+def require_window(spectrum: EigenSpectrum, omega: float, t_obs: float) -> None:
+    """Refuse a spectrum computed for an omega or t_obs more than 1e-9 away."""
+    if abs(spectrum.omega - omega) > 1e-9 or abs(spectrum.t_obs - t_obs) > 1e-9:
+        raise ConfigurationError(
+            f"spectrum was computed for different omega/t_obs ({spectrum.omega:.12g}, "
+            f"{spectrum.t_obs:.12g}) than requested ({omega:.12g}, {t_obs:.12g})"
+        )

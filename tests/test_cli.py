@@ -602,11 +602,13 @@ def test_sweep_refuses_bad_input_before_writing(tmp_path, capsys, extra, message
 
 
 @pytest.mark.parametrize("jobs", ["0", "-4"])
-def test_sweep_jobs_must_be_positive(tmp_path, jobs):
+def test_sweep_jobs_must_be_positive(tmp_path, capsys, jobs):
     cfg = write_config(tmp_path, BASE_CFG)
     out = tmp_path / "jobs.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 2
     assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"configuration error: --jobs must be a positive integer, got {jobs}" in err
 
 
 def test_sweep_stops_at_a_failed_row(tmp_path, monkeypatch):

@@ -18,6 +18,7 @@ from epscap.geometry import (
     oracle_cover_interval,
     oracle_pack_interval,
     per_unit_time_report,
+    squared_distances,
 )
 from epscap.params import SignalSpaceParams
 from reference import (
@@ -160,6 +161,18 @@ def test_per_unit_time_entropy_rate_is_exact():
     assert report.upper_rate == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("omega, t_obs", [(math.pi, 40.0), (2.0 * math.pi, 10.0)])
+def test_reports_refuse_a_spectrum_of_another_window(spec_t10, omega, t_obs):
+    params = SignalSpaceParams(omega=omega, t_obs=t_obs, energy=1.0, eps=0.25, delta=0.1)
+    with pytest.raises(ConfigurationError, match="different omega/t_obs"):
+        per_unit_time_report(params, spec_t10)
+
+
+def test_reports_take_a_spectrum_of_their_own_window(spec_t10):
+    params = SignalSpaceParams(omega=math.pi, t_obs=10.0 + 1e-10, energy=1.0, eps=0.25)
+    assert per_unit_time_report(params, spec_t10)["capacity_2eps"].zeta_value < 1.0
+
+
 def test_rate_ordering_random_grid():
     rng = np.random.default_rng(777)
     for _ in range(200):
@@ -296,3 +309,15 @@ def test_greedy_pack_anisotropic_body():
     count = greedy_pack(body, 0.1, seed=3, attempts=3, candidates=8000)
     volume_bound = (1.0 * 0.25) / (2.0 * 0.1) ** 2
     assert count >= volume_bound
+
+
+def test_squared_distances_are_the_plain_expression_bit_for_bit():
+    rng = np.random.default_rng(5)
+    x, y = rng.standard_normal((7, 12)), rng.standard_normal((9, 12))
+    x_sq, y_sq = np.einsum("ij,ij->i", x, x), np.einsum("ij,ij->i", y, y)
+    want = (x_sq[:, None] - 2.0 * (x @ y.T)) + y_sq
+    out = np.empty((7, 20))
+    got = squared_distances(x, x_sq, y, y_sq, out=out[:, :9])
+    assert np.array_equal(got, want) and np.shares_memory(got, out)
+    # the packing screen's order, (-2 p + |x|^2) + |y|^2, is the same bits
+    assert np.array_equal(got, (-2.0 * (x @ y.T) + x_sq[:, None]) + y_sq)

@@ -19,3 +19,19 @@ def test_no_module_imports_inside_a_function():
                 if isinstance(node, (ast.Import, ast.ImportFrom)):
                     found.append(f"{path.name}:{node.lineno} in {func.name}")
     assert not found, f"function-level imports: {found}"
+
+
+def test_no_module_imports_a_private_name_from_another():
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level or (node.module or "").split(".")[0] == "epscap":
+                found += [
+                    f"{path.name}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.endswith("__")
+                ]
+    assert not found, f"private names imported across modules: {found}"

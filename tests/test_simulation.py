@@ -392,6 +392,17 @@ def test_experiment_config_refuses_delta_zero_without_a_size():
     ExperimentConfig(params=params, n_codewords=8, samples=200)
 
 
+@pytest.mark.parametrize("dim_override", [None, 8])
+def test_experiment_refuses_a_spectrum_of_another_window(spec_t10, monkeypatch, dim_override):
+    drawn = []
+    monkeypatch.setattr(simulation, "generate_codebook", lambda *args: drawn.append(args))
+    params = SignalSpaceParams(omega=math.pi, t_obs=40.0, energy=1.0, eps=0.25, delta=0.1)
+    config = ExperimentConfig(params=params, dim_override=dim_override, samples=100)
+    with pytest.raises(ConfigurationError, match="different omega/t_obs"):
+        run_random_code_experiment(config, spec_t10)
+    assert drawn == []
+
+
 def test_experiment_spectrum_dimension(spec_t10):
     params = SignalSpaceParams(omega=math.pi, t_obs=10.0, energy=1.0, eps=0.25, delta=0.2)
     config = ExperimentConfig(params=params, samples=200, seed=1, mu=0.1)
