@@ -56,34 +56,10 @@ from .spectrum import (
     build_spectrum,
     degrees_of_freedom,
     dof_asymptotic,
-    require_index,
     spectrum_from_record,
     spectrum_record,
     volume_correction,
 )
-
-_BOUND_COLUMNS = [
-    "omega",
-    "t_obs",
-    "energy",
-    "eps",
-    "delta",
-    "nominal_dimension",
-    "n_dim",
-    "volume_correction",
-    "capacity_2eps_lower_bits",
-    "capacity_2eps_upper_bits",
-    "capacity_eps_delta_lower_bits",
-    "capacity_eps_delta_upper_bits",
-    "entropy_eps_lower_bits",
-    "entropy_eps_upper_bits",
-    "entropy_bound_valid",
-    "capacity_2eps_lower_bits_per_s",
-    "capacity_2eps_upper_bits_per_s",
-    "capacity_eps_delta_lower_bits_per_s",
-    "capacity_eps_delta_upper_bits_per_s",
-    "entropy_eps_bits_per_s",
-]
 
 _SIM_COLUMNS = [
     "sim_n_codewords",
@@ -138,20 +114,21 @@ def _signal_params(args, t_obs: float) -> SignalSpaceParams:
     )
 
 
-def _emit(args, payload: dict, columns: list[str], rows: list[list], table=None) -> int:
+def _emit(args, payload: dict, rows: list[dict], table=None) -> int:
     """Write one artifact: the payload as JSON, the rows as CSV, or table lines.
 
-    The manifest records every parsed argument of the subcommand; the
-    table defaults to the rows rendered under their column names.
+    Each row maps column name to cell, and the first row's names head the
+    CSV and the default table. The manifest records every parsed argument
+    of the subcommand.
     """
     parameters = {k: v for k, v in vars(args).items() if k not in ("handler", "seed")}
     manifest = run_manifest(args.command, parameters, seed=getattr(args, "seed", None))
     if args.emit == "json":
         data = json_bytes(payload | {"manifest": manifest})
     elif args.emit == "csv":
-        data = csv_bytes(columns, rows, manifest)
+        data = csv_bytes(list(rows[0]), [list(row.values()) for row in rows], manifest)
     else:
-        lines = _render_table(columns, rows) if table is None else table
+        lines = _render_table(rows) if table is None else table
         data = ("\n".join(lines) + "\n").encode()
     if args.out:
         _write_whole(resolve_output_path(args.out), lambda fh: fh.write(data))
@@ -194,18 +171,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _render_table(headers: list[str], rows: list[list]) -> list[str]:
-    cells = [[_fmt(v) for v in row] for row in rows]
-    widths = [
-        max(len(headers[i]), max((len(r[i]) for r in cells), default=0))
-        for i in range(len(headers))
-    ]
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
-        "  ".join("-" * w for w in widths),
-    ]
-    lines += ["  ".join(r[i].ljust(widths[i]) for i in range(len(headers))) for r in cells]
-    return lines
+def _render_table(rows: list[dict]) -> list[str]:
+    """The rows as aligned text columns under the first row's names."""
+    lines = [list(rows[0]), *([_fmt(v) for v in row.values()] for row in rows)]
+    widths = [max(len(line[i]) for line in lines) for i in range(len(lines[0]))]
+    lines.insert(1, ["-" * w for w in widths])
+    return ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)) for line in lines]
+
+
+def _quantity_table(quantities: dict) -> list[str]:
+    return _render_table([{"quantity": k, "value": v} for k, v in quantities.items()])
 
 
 def _load_spectrum(args):
@@ -222,31 +197,30 @@ def _load_spectrum(args):
     return spectrum_from_record(record)
 
 
-def _bound_row(params: SignalSpaceParams, reports: dict) -> list:
-    """One row of bound columns; shared by `bounds` and `sweep`."""
+def _bound_row(params: SignalSpaceParams, reports: dict) -> dict:
+    """The bound cells of one parameter point; shared by `bounds` and `sweep`."""
     c2, cd, he = (
         reports["capacity_2eps"],
         reports["capacity_eps_delta"],
         reports["entropy_eps"],
     )
-    return [
-        *vars(params).values(),
-        params.nominal_dimension,
-        c2.n_dim,
-        zeta_or_one(c2.zeta_value),
-        c2.lower_bits,
-        c2.upper_bits,
-        cd.lower_bits,
-        cd.upper_bits,
-        he.lower_bits,
-        he.upper_bits,
-        he.valid,
-        c2.lower_rate,
-        c2.upper_rate,
-        cd.lower_rate,
-        cd.upper_rate,
-        he.lower_rate,
-    ]
+    return vars(params) | {
+        "nominal_dimension": params.nominal_dimension,
+        "n_dim": c2.n_dim,
+        "volume_correction": zeta_or_one(c2.zeta_value),
+        "capacity_2eps_lower_bits": c2.lower_bits,
+        "capacity_2eps_upper_bits": c2.upper_bits,
+        "capacity_eps_delta_lower_bits": cd.lower_bits,
+        "capacity_eps_delta_upper_bits": cd.upper_bits,
+        "entropy_eps_lower_bits": he.lower_bits,
+        "entropy_eps_upper_bits": he.upper_bits,
+        "entropy_bound_valid": he.valid,
+        "capacity_2eps_lower_bits_per_s": c2.lower_rate,
+        "capacity_2eps_upper_bits_per_s": c2.upper_rate,
+        "capacity_eps_delta_lower_bits_per_s": cd.lower_rate,
+        "capacity_eps_delta_upper_bits_per_s": cd.upper_rate,
+        "entropy_eps_bits_per_s": he.lower_rate,
+    }
 
 
 # --- subcommand handlers ---
@@ -266,28 +240,28 @@ def _cmd_spectrum(args) -> int:
         # the name np.savez gives a bare path
         path = path if path.endswith(".npz") else path + ".npz"
         _write_whole(path, lambda fh: np.savez(fh, **arrays))
-    rows = [[i + 1, lam] for i, lam in enumerate(spectrum.lambdas)]
-    table = _render_table(
-        ["quantity", "value"],
-        [
-            ["nominal_dimension", spectrum.nominal_dimension],
-            ["quad_order", spectrum.quad_order],
-            ["trace_error", spectrum.trace_error],
-            ["lambda_1", float(spectrum.lambdas[0])],
-            ["volume_correction(N0)", volume_correction(spectrum, working_dimension(spectrum.nominal_dimension))],
-        ],
-    )
-    return _emit(args, spectrum_record(spectrum), ["n", "lambda"], rows, table)
+    rows = [{"n": i + 1, "lambda": lam} for i, lam in enumerate(spectrum.lambdas)]
+    table = _quantity_table({
+        "nominal_dimension": spectrum.nominal_dimension,
+        "quad_order": spectrum.quad_order,
+        "trace_error": spectrum.trace_error,
+        "lambda_1": float(spectrum.lambdas[0]),
+        "volume_correction(N0)": volume_correction(
+            spectrum, working_dimension(spectrum.nominal_dimension)
+        ),
+    })
+    return _emit(args, spectrum_record(spectrum), rows, table)
 
 
 def _cmd_dof(args) -> int:
     omega = _omega_value(args)
     spectrum = build_spectrum(omega, args.t_obs, args.order)
-    n_dof = degrees_of_freedom(spectrum, args.energy, args.mu)
-    asymptotic = dof_asymptotic(spectrum.nominal_dimension, args.energy, args.mu)
-    columns = ["n_dof", "n0", "asymptotic"]
-    row = [n_dof, spectrum.nominal_dimension, asymptotic]
-    return _emit(args, dict(zip(columns, row)), columns, [row])
+    row = {
+        "n_dof": degrees_of_freedom(spectrum, args.energy, args.mu),
+        "n0": spectrum.nominal_dimension,
+        "asymptotic": dof_asymptotic(spectrum.nominal_dimension, args.energy, args.mu),
+    }
+    return _emit(args, row, [row])
 
 
 def _cmd_bounds(args) -> int:
@@ -297,15 +271,17 @@ def _cmd_bounds(args) -> int:
         "params": vars(params) | {"nominal_dimension": params.nominal_dimension},
         "reports": {k: v.to_dict() for k, v in reports.items()},
     }
-    table_rows = [
-        [k, v.lower_bits, v.upper_bits, v.lower_rate, v.upper_rate]
+    table = _render_table([
+        {
+            "quantity": k,
+            "lower_bits": v.lower_bits,
+            "upper_bits": v.upper_bits,
+            "lower_bits_per_s": v.lower_rate,
+            "upper_bits_per_s": v.upper_rate,
+        }
         for k, v in reports.items()
-    ]
-    table = _render_table(
-        ["quantity", "lower_bits", "upper_bits", "lower_bits_per_s", "upper_bits_per_s"],
-        table_rows,
-    )
-    return _emit(args, payload, _BOUND_COLUMNS, [_bound_row(params, reports)], table)
+    ])
+    return _emit(args, payload, [_bound_row(params, reports)], table)
 
 
 def _cmd_oracle(args) -> int:
@@ -328,9 +304,15 @@ def _cmd_oracle(args) -> int:
         raise ConfigurationError(
             "exact covering counts are only available in dimension 1"
         )
-    columns = ["mode", "dim", "radius", "eps", "count", "method"]
-    row = [args.mode, args.dim, args.radius, args.eps, count, method]
-    return _emit(args, dict(zip(columns, row)), columns, [row])
+    row = {
+        "mode": args.mode,
+        "dim": args.dim,
+        "radius": args.radius,
+        "eps": args.eps,
+        "count": count,
+        "method": method,
+    }
+    return _emit(args, row, [row])
 
 
 def _cmd_simulate(args) -> int:
@@ -356,35 +338,33 @@ def _cmd_simulate(args) -> int:
             "rate too low: codebook size floored to zero "
             f"(log2 target size {outcome.log2_target_size:.6g}); nothing to simulate"
         ]
-        return _emit(args, payload, ["notice"], [["rate too low"]], table)
+        return _emit(args, payload, [{"notice": "rate too low"}], table)
 
     result = outcome.result
-    columns = ["codeword_index", "error_fraction", "ci_low", "ci_high"]
     idx = (
         result.eval_indices
         if result.eval_indices is not None
         else np.arange(result.n_codewords)
     )
     rows = [
-        [int(idx[k]), result.error_fractions[k], *result.error_fraction_cis[k]]
-        for k in range(len(result.error_fractions))
+        {"codeword_index": int(i), "error_fraction": fraction, "ci_low": low, "ci_high": high}
+        for i, fraction, (low, high) in zip(
+            idx, result.error_fractions, result.error_fraction_cis
+        )
     ]
-    table = _render_table(
-        ["quantity", "value"],
-        [
-            ["n_codewords", outcome.n_codewords],
-            ["capped", outcome.capped],
-            ["n_dim", outcome.bound.n_dim],
-            ["volume_correction", zeta_or_one(outcome.bound.zeta_value)],
-            ["attempts", outcome.attempts],
-            ["mean_error_fraction", result.mean_error_fraction],
-            ["ci_low", result.mean_error_ci[0]],
-            ["ci_high", result.mean_error_ci[1]],
-            ["target_delta", result.target_delta],
-            ["verdict", result.verdict],
-        ],
-    )
-    return _emit(args, payload, columns, rows, table)
+    table = _quantity_table({
+        "n_codewords": outcome.n_codewords,
+        "capped": outcome.capped,
+        "n_dim": outcome.bound.n_dim,
+        "volume_correction": zeta_or_one(outcome.bound.zeta_value),
+        "attempts": outcome.attempts,
+        "mean_error_fraction": result.mean_error_fraction,
+        "ci_low": result.mean_error_ci[0],
+        "ci_high": result.mean_error_ci[1],
+        "target_delta": result.target_delta,
+        "verdict": result.verdict,
+    })
+    return _emit(args, payload, rows, table)
 
 
 def _cmd_exponent_sweep(args) -> int:
@@ -399,27 +379,24 @@ def _cmd_exponent_sweep(args) -> int:
         max_codewords=args.max_messages,
         max_eval_codewords=args.max_eval,
     )
-    columns = [f.name for f in dataclasses.fields(SweepPoint)]
-    columns += ["fitted_slope", "predicted_decay"]
-    rows = [
-        [*vars(p).values(), sweep.fitted_slope, sweep.predicted_decay]
-        for p in sweep.points
-    ]
-    return _emit(args, sweep.to_dict(), columns, rows)
+    fit = {"fitted_slope": sweep.fitted_slope, "predicted_decay": sweep.predicted_decay}
+    return _emit(args, sweep.to_dict(), [vars(p) | fit for p in sweep.points])
 
 
 def _cmd_compare(args) -> int:
     omega = _omega_value(args)
     rows_data = comparison_table(omega, args.snr, nominal_dim=args.n0)
-    columns = [
-        "label",
-        "stochastic_bits_per_s",
-        "deterministic_lower_bits_per_s",
-        "deterministic_upper_bits_per_s",
-        "note",
+    rows = [
+        {
+            "label": r.label,
+            "stochastic_bits_per_s": r.stochastic_value,
+            "deterministic_lower_bits_per_s": r.deterministic_lower,
+            "deterministic_upper_bits_per_s": r.deterministic_upper,
+            "note": r.note,
+        }
+        for r in rows_data
     ]
-    rows = [list(vars(r).values()) for r in rows_data]
-    return _emit(args, {"rows": [r.to_dict() for r in rows_data]}, columns, rows)
+    return _emit(args, {"rows": [r.to_dict() for r in rows_data]}, rows)
 
 
 # --- sweep ---
@@ -508,23 +485,17 @@ def _experiment_config(params: SignalSpaceParams, fixed: dict) -> ExperimentConf
     )
 
 
-def _sweep_row(params: SignalSpaceParams, fixed: dict, spectra: dict) -> list:
+def _sim_cells(params: SignalSpaceParams, fixed: dict, spectra: dict) -> list:
+    """One sweep row's cells under _SIM_COLUMNS; none without simulate."""
+    if not fixed.get("simulate"):
+        return []
     spectrum = spectra.get((params.omega, params.t_obs))
-    row = _bound_row(params, per_unit_time_report(params, spectrum, fixed.get("n_dim")))
-    if fixed.get("simulate"):
-        outcome = run_random_code_experiment(_experiment_config(params, fixed), spectrum)
-        row += [
-            outcome.n_codewords,
-            outcome.log2_target_size,
-            outcome.capped,
-            outcome.attempts,
-        ]
-        res = outcome.result
-        if res is None:  # the codebook size floored to zero
-            row += [None, None, None, None]
-        else:
-            row += [res.mean_error_fraction, *res.mean_error_ci, res.verdict]
-    return row
+    outcome = run_random_code_experiment(_experiment_config(params, fixed), spectrum)
+    cells = [outcome.n_codewords, outcome.log2_target_size, outcome.capped, outcome.attempts]
+    res = outcome.result
+    if res is None:  # the codebook size floored to zero
+        return cells + [None] * 4
+    return cells + [res.mean_error_fraction, *res.mean_error_ci, res.verdict]
 
 
 def _cmd_sweep(args) -> int:
@@ -554,12 +525,15 @@ def _cmd_sweep(args) -> int:
     if fixed.get("use_spectrum"):
         for om, t in {(p.omega, p.t_obs) for p in points}:
             spectra[(om, t)] = build_spectrum(om, t, fixed.get("order"))
-            if "n_dim" in fixed:
-                require_index(spectra[(om, t)], fixed["n_dim"])
-
-    columns = _BOUND_COLUMNS + (_SIM_COLUMNS if fixed.get("simulate") else [])
+    # bound cells are formula-only: every point's are computed here, and the
+    # first point's names head the file; the pool runs only the experiments
+    n_dim = fixed.get("n_dim")
+    bound_rows = [
+        _bound_row(p, per_unit_time_report(p, spectra.get((p.omega, p.t_obs)), n_dim))
+        for p in points
+    ]
     first_line = manifest_line(manifest)
-    header = csv_line(columns)
+    header = csv_line([*bound_rows[0], *(_SIM_COLUMNS if fixed.get("simulate") else [])])
 
     skip = 0
     out = contextlib.nullcontext(sys.stdout)
@@ -576,9 +550,9 @@ def _cmd_sweep(args) -> int:
         # rows come back in grid order; an error or interrupt closes the map
         # iterator, which cancels the rows not yet started, and the pool
         # waits for the rows in flight, which are not written
-        row_of = functools.partial(_sweep_row, fixed=fixed, spectra=spectra)
-        for row in pool.map(row_of, points[skip:]):
-            print(csv_line(row), end="", file=fh, flush=True)
+        cells_of = functools.partial(_sim_cells, fixed=fixed, spectra=spectra)
+        for bounds, sim in zip(bound_rows[skip:], pool.map(cells_of, points[skip:])):
+            print(csv_line([*bounds.values(), *sim]), end="", file=fh, flush=True)
     return 0
 
 

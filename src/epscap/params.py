@@ -23,9 +23,18 @@ def nominal_dimension(omega: float, t_obs: float) -> float:
     return omega * t_obs / math.pi
 
 
+def _is_bool(value) -> bool:
+    return isinstance(value, (bool, np.bool_))
+
+
 def require_finite(name: str, value, nonnegative: bool = False) -> None:
-    """Refuse a value that is not finite and positive (>= 0 with nonnegative)."""
-    if not ((value >= 0 if nonnegative else value > 0) and math.isfinite(value)):
+    """Refuse a value that is not finite and positive (>= 0 with nonnegative).
+
+    A bool (Python or numpy) is refused too, though it compares as 0 or 1.
+    """
+    if _is_bool(value) or not (
+        (value >= 0 if nonnegative else value > 0) and math.isfinite(value)
+    ):
         sign = "nonnegative" if nonnegative else "positive"
         raise ValueError(f"{name} must be {sign} and finite, got {value}")
 
@@ -36,7 +45,7 @@ def require_int(name: str, value, minimum: int = 1) -> int:
     Python and numpy integers pass; a bool (Python or numpy), a float of
     any value and everything else is refused with a ConfigurationError.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+    if _is_bool(value) or not isinstance(value, (int, np.integer)) or value < minimum:
         what = {0: "a nonnegative integer", 1: "a positive integer"}.get(
             minimum, f"an integer >= {minimum}"
         )
@@ -67,7 +76,7 @@ class SignalSpaceParams:
         require_finite("t_obs", self.t_obs)
         require_finite("energy", self.energy)
         require_finite("eps", self.eps)
-        if not (0.0 <= self.delta < 1.0):
+        if _is_bool(self.delta) or not (0.0 <= self.delta < 1.0):
             raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
 
     @property

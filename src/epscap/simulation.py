@@ -45,7 +45,7 @@ from .geometry import (
     zeta_or_one,
 )
 from .params import MIN_SAMPLES, SignalSpaceParams, require_finite, require_int
-from .spectrum import build_spectrum, degrees_of_freedom
+from .spectrum import build_spectrum, degrees_of_freedom, require_window
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -253,14 +253,21 @@ def _codeword_threads(samples: int) -> int:
     """Thread count of the per-codeword decode at `samples` draws per codeword.
 
     Two (numpy releases the GIL in the draws, the product and the ufuncs)
-    where two CPUs are usable, but one in three cases. Unless BLAS runs on
-    one thread (the first of _BLAS_THREAD_VARIABLES set is 1): its own
-    threads compete with the decode threads, and criterion-7 `simulate` on
-    2 cores took 4.7-4.9 s with or without decode threads (3.2-3.4 s with
-    BLAS on one thread and two decode threads). Below
-    _MIN_THREADED_SAMPLES draws per codeword. And off the main thread, so
-    the decode never nests threads inside a caller's pool, such as
-    `sweep`'s rows.
+    where two CPUs are usable, and one wherever two were measured to lose.
+    Each condition buys 1-5%. Figures come from a 2-core VM in alternated
+    pairs of two decode threads against one, on criterion-7 `simulate`
+    unless stated:
+    - BLAS not on one thread (the first of _BLAS_THREAD_VARIABLES set is
+      not 1): its own threads compete with the decode threads. Two were
+      slower in 7 of 8 pairs, medians 4.41 vs 4.18 s (3.2-3.4 s with BLAS
+      on one thread and two decode threads).
+    - One usable CPU (`taskset -c 0`, BLAS on one thread): two were slower
+      in 5 of 7 pairs, medians 4.40 vs 4.32 s.
+    - Off the main thread, so the decode never nests threads inside a
+      caller's pool, such as `sweep`'s rows. Four 10,000-sample rows at
+      --jobs 2 with decode threads nested in them were slower in 6 of 6
+      pairs, medians 5.72 vs 5.65 s wall and 9.65 vs 9.48 s CPU.
+    - Below _MIN_THREADED_SAMPLES draws per codeword (figures there).
     """
     if (
         samples < _MIN_THREADED_SAMPLES
@@ -474,10 +481,13 @@ def run_random_code_experiment(
     """
     params = config.params
     n_dim = config.dim_override
-    if spectrum is not None and n_dim is None:
-        # where the experiment differs from `bounds`: N is the degrees of
-        # freedom at accuracy mu, not round(N0)
-        n_dim = max(1, degrees_of_freedom(spectrum, params.energy, config.mu or params.eps))
+    if spectrum is not None:
+        # refused before the dimension is read off a spectrum of another window
+        require_window(spectrum, params.omega, params.t_obs)
+        if n_dim is None:
+            # where the experiment differs from `bounds`: N is the degrees of
+            # freedom at accuracy mu, not round(N0)
+            n_dim = max(1, degrees_of_freedom(spectrum, params.energy, config.mu or params.eps))
     reports = per_unit_time_report(params, spectrum, n_dim)
     bound = reports["capacity_eps_delta" if params.delta > 0 else "capacity_2eps"]
     n_dim = bound.n_dim

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pathlib
 import re
 import stat
 import subprocess
@@ -13,9 +14,11 @@ import pytest
 
 from epscap import cli, simulation
 from epscap.cli import main
+from epscap.errors import NumericalError
 from epscap.manifest import round_float
 
 PI_ARG = "3.14159265"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def run_json(tmp_path, name, argv):
@@ -624,7 +627,7 @@ def test_sweep_stops_at_a_failed_row(tmp_path, monkeypatch):
         time.sleep(0.1)
         return []
 
-    monkeypatch.setattr("epscap.cli._sweep_row", row)
+    monkeypatch.setattr("epscap.cli._sim_cells", row)
     out = tmp_path / "failed.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", "2"]) == 2
     # rows not yet started when the first one failed are never computed
@@ -712,18 +715,47 @@ def test_sweep_resume_requires_out(tmp_path):
 
 
 def test_sweep_with_simulation_columns(tmp_path):
+    # eps = 0.9 floors the codebook size to zero at either delta
     cfg = write_config(
         tmp_path,
-        "omega = 3.14159265\nt_obs = 6\nenergy = 1\neps = 0.25\n"
-        "delta = 0.2\nsimulate = true\nsamples = 200\nseed = 4\n",
+        "omega = 3.14159265\nt_obs = 6\nenergy = 1\neps = 0.25\neps = 0.9\n"
+        "delta = 0.2\ndelta = 0.1\nsimulate = true\nsamples = 200\nseed = 4\n",
     )
     out = tmp_path / "sim.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     header = lines[1].split(",")
-    assert "sim_mean_error_fraction" in header
-    row = lines[2].split(",")
-    assert row[header.index("sim_verdict")] == "true"
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text(encoding="utf-8"))
+    assert header == reference["sweep_header"]
+    rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
+    assert len(rows) == 4
+    assert rows[0]["sim_verdict"] == "true"
+    for row in rows[2:]:
+        assert (row["eps"], row["sim_n_codewords"]) == ("0.9", "0")
+        assert [row[key] for key in header[-4:]] == ["", "", "", ""]
+
+
+def test_sweep_resume_refuses_a_different_header(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE_CFG)
+    out = tmp_path / "partial.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    manifest, header, *rows = out.read_text().splitlines(keepends=True)
+    out.write_text(manifest + header.replace("omega", "omega_rad_s") + rows[0])
+    before = out.read_bytes()
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--resume"]) == 2
+    assert "different column set" in capsys.readouterr().err
+    assert out.read_bytes() == before
+
+
+def test_numerical_error_exits_3(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise NumericalError("eigensolve did not converge")
+
+    monkeypatch.setattr(cli, "build_spectrum", fail)
+    assert main(["spectrum", "--omega", PI_ARG, "--t-obs", "10"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "numerical error: eigensolve did not converge\n"
+    assert captured.out == ""
 
 
 def test_sweep_simulate_needs_size_rule(tmp_path):

@@ -1,5 +1,9 @@
-"""Every integer input goes through one check: bools and fractions are refused."""
+"""Every integer input goes through one check: bools and fractions are refused.
 
+Real-valued inputs refuse bools too, though a bool compares as 0 or 1.
+"""
+
+import functools
 import math
 
 import numpy as np
@@ -18,11 +22,18 @@ from epscap.geometry import (
 from epscap.params import MIN_SAMPLES, SignalSpaceParams, require_int
 from epscap.simulation import (
     ExperimentConfig,
+    error_exponent,
     estimate_error_fraction,
     generate_codebook,
     wilson_interval,
 )
-from epscap.spectrum import build_kernel_matrix, n_width, spectrum_from_record, volume_correction
+from epscap.spectrum import (
+    build_kernel_matrix,
+    degrees_of_freedom,
+    n_width,
+    spectrum_from_record,
+    volume_correction,
+)
 
 PARAMS = SignalSpaceParams(omega=math.pi, t_obs=4.0, energy=1.0, eps=0.25, delta=0.1)
 BOOK = generate_codebook(np.ones(2), 8, 0)
@@ -103,3 +114,36 @@ def test_successes_refuse_bools_and_out_of_range_counts():
             wilson_interval(bad, 10)
     with pytest.raises(ValueError, match="outside"):
         wilson_interval(11, 10)
+
+
+def params_with(field, value):
+    return SignalSpaceParams(**(vars(PARAMS) | {field: value}))
+
+
+# (input name, a call taking its value, the bool its range test alone would take)
+REAL_INPUTS = [
+    *(
+        (field, functools.partial(params_with, field), True)
+        for field in ("omega", "t_obs", "energy", "eps")
+    ),
+    ("delta", functools.partial(params_with, "delta"), False),
+    ("omega", lambda v: error_exponent(v, 1.0, 0.25, 0.5), True),
+    ("rate", lambda v: error_exponent(math.pi, 1.0, 0.25, v), False),
+    ("omega", lambda v: build_kernel_matrix(v, 1.0, quad_order=8), True),
+    ("mu", lambda v: degrees_of_freedom(SPECTRUM, 1.0, v), True),
+    ("eps", lambda v: greedy_pack(BALL, v, 0, attempts=1, candidates=20), True),
+]
+
+
+@pytest.mark.parametrize(
+    "name, call, taken",
+    REAL_INPUTS,
+    ids=[f"{name}-{i}" for i, (name, _, _) in enumerate(REAL_INPUTS)],
+)
+@pytest.mark.parametrize("kind", [bool, np.bool_])
+def test_real_inputs_refuse_bools(name, call, taken, kind):
+    bad = kind(taken)
+    with pytest.raises(ValueError, match=f"^{name} must ") as info:
+        call(bad)
+    assert str(info.value).endswith(f", got {taken}")
+    call(float(taken) + 0.5)  # a number in range is taken

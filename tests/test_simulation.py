@@ -403,6 +403,15 @@ def test_experiment_refuses_a_spectrum_of_another_window(spec_t10, monkeypatch, 
     assert drawn == []
 
 
+def test_experiment_refuses_another_window_before_reading_its_dimension(spec_t10):
+    # at eps = 1e-8 the degrees of freedom would be refused for the spectral
+    # resolution floor, which is also a ConfigurationError: match the message
+    params = SignalSpaceParams(omega=math.pi, t_obs=40.0, energy=1.0, eps=1e-8, delta=0.1)
+    config = ExperimentConfig(params=params, samples=100)
+    with pytest.raises(ConfigurationError, match="different omega/t_obs"):
+        run_random_code_experiment(config, spec_t10)
+
+
 def test_experiment_spectrum_dimension(spec_t10):
     params = SignalSpaceParams(omega=math.pi, t_obs=10.0, energy=1.0, eps=0.25, delta=0.2)
     config = ExperimentConfig(params=params, samples=200, seed=1, mu=0.1)
