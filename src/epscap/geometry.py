@@ -12,8 +12,8 @@ the observation window and takes the wide-window limit.
 The bound formulas (the eps-delta one also sizes the random codebooks
 of the experiments), the wide-window rates that the comparison table and
 the error exponent read, the working-dimension rule N = round(N0), the
-squared-distance expression and the uniform ball and ellipsoid samplers
-all live here.
+squared-distance expression, the cap of a ball that a competitor claims,
+and the uniform ball, cap and ellipsoid samplers all live here.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import betainc, betaincinv, gammaln
 
 from .errors import ConfigurationError
 from .params import SignalSpaceParams, require_finite, require_int
@@ -72,6 +72,26 @@ def log_ball_volume(dim: int, radius: float) -> float:
     return log2_unit_ball + dim * math.log2(radius)
 
 
+def cap_fractions(dim: int, radius: float, distances) -> np.ndarray:
+    """Share of the dim-ball beyond the bisector of its centre and a point at
+    each distance d: what a competitor at d claims of a codeword's noise ball.
+    1/2 * I_{1 - (d/2r)^2}((dim + 1)/2, 1/2), I the regularised incomplete
+    beta function: 1/2 at d = 0, exactly 0 from d = 2r on.
+    """
+    x = np.asarray(distances, dtype=float) / (2.0 * radius)
+    return 0.5 * betainc((dim + 1) / 2.0, 0.5, np.maximum(1.0 - x * x, 0.0))
+
+
+def row_square_sums(x: np.ndarray, scale=None, block: int = 8192) -> np.ndarray:
+    """np.sum((x / scale) ** 2, axis=1), of x itself for scale None, bit for bit;
+    block rows at a time, so that no temporary the size of x is held."""
+    out = np.empty(len(x))
+    for start in range(0, len(x), block):
+        rows = x[start : start + block] if scale is None else x[start : start + block] / scale
+        np.add.reduce(rows * rows, axis=1, out=out[start : start + block])
+    return out
+
+
 def squared_distances(x, x_sq, y, y_sq, out=None) -> np.ndarray:
     """|x_i|^2 - 2 x_i.y_j + |y_j|^2 for every row pair, given the squared norms.
 
@@ -89,20 +109,14 @@ def squared_distances(x, x_sq, y, y_sq, out=None) -> np.ndarray:
 # --- samplers ---
 
 
-def sample_uniform_ball(
-    dim: int, radius: float, rng: np.random.Generator, size: int
-) -> np.ndarray:
-    """Uniform points in the dim-ball: isotropic direction times U^(1/dim) radius.
-
-    Returns shape (size, dim).
-    """
+def sample_uniform_ball(dim: int, radius: float, rng: np.random.Generator, size: int):
+    """(size, dim) uniform points in the dim-ball: isotropic direction times U^(1/dim) radius."""
     dim = require_int("dim", dim)
     require_finite("radius", radius, nonnegative=True)
     n = require_int("size", size)
     direction = rng.standard_normal((n, dim))
-    # np.linalg.norm(axis=1)'s own expression, so every bit of the draws
-    # stays the same; the direction is then scaled in place
-    norms = np.sqrt(np.add.reduce(direction * direction, axis=1, keepdims=True))
+    # np.linalg.norm(axis=1)'s values, bit for bit; the direction is then scaled in place
+    norms = np.sqrt(row_square_sums(direction))[:, None]
     norms[norms == 0.0] = 1.0  # probability-zero guard
     scale = radius * rng.random((n, 1)) ** (1.0 / dim)
     direction /= norms
@@ -110,16 +124,38 @@ def sample_uniform_ball(
     return direction
 
 
-def sample_uniform_ellipsoid(
-    radii: np.ndarray, rng: np.random.Generator, size: int
+def sample_uniform_caps(
+    radius: float, units: np.ndarray, shares: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Uniform points in an axis-aligned ellipsoid (ball sample scaled per axis).
+    """One uniform point in each of len(shares) caps of the ball about the origin.
 
-    Returns shape (size, len(radii)).
+    Cap k lies beyond a hyperplane normal to the unit vector units[k] and
+    holds the share shares[k] of the ball (a cap_fractions value). Its
+    coordinate t along units[k] solves 1/2 * I_{1 - (t/r)^2}((dim + 1)/2,
+    1/2) = U * shares[k], U uniform; the rest is uniform in the (dim - 1)-ball
+    of radius sqrt(r^2 - t^2) orthogonal to units[k] (nothing in 1-d).
     """
+    n, dim = units.shape
+    # w = 1 - (t/r)^2: t = r*sqrt(1 - w), and the disc radius is r*sqrt(w)
+    w = betaincinv((dim + 1) / 2.0, 0.5, 2.0 * shares * rng.random(n))
+    points = (radius * np.sqrt(1.0 - w))[:, None] * units
+    if dim > 1:
+        disc = rng.standard_normal((n, dim))
+        disc -= np.einsum("ij,ij->i", disc, units)[:, None] * units
+        norms = np.sqrt(np.einsum("ij,ij->i", disc, disc))
+        norms[norms == 0.0] = 1.0  # probability-zero guard
+        scale = radius * np.sqrt(w) * rng.random(n) ** (1.0 / (dim - 1)) / norms
+        points += scale[:, None] * disc
+    return points
+
+
+def sample_uniform_ellipsoid(radii: np.ndarray, rng: np.random.Generator, size: int):
+    """(size, len(radii)) uniform points in an axis-aligned ellipsoid: a unit-ball
+    sample scaled per axis, in place."""
     radii = Ellipsoid(radii).radii
     ball = sample_uniform_ball(len(radii), 1.0, rng, size=size)
-    return ball * radii
+    ball *= radii
+    return ball
 
 
 # --- finite-dimensional bound formulas (bits) ---

@@ -13,21 +13,17 @@ own generator seeded from a content hash of (global seed, codeword
 bytes), so permuting the codebook permutes the per-codeword results
 without changing any of them.
 
-The uniform ball and ellipsoid samplers, the squared distances that
-find neighbours and decode, the bound reports (which give each run its
-working dimension N and zeta), the satisfying-size formula and the
-wide-window rate behind the error exponent all live in
-:mod:`epscap.geometry`.
+The cap shares, the uniform ball, cap and ellipsoid samplers, the squared
+distances, the bound reports (which give each run its working dimension N
+and zeta), the satisfying-size formula and the wide-window rate behind the
+error exponent all live in :mod:`epscap.geometry`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import os
 import struct
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,10 +32,13 @@ from .errors import ConfigurationError
 from .geometry import (
     BoundReport,
     Ellipsoid,
+    cap_fractions,
     entropy_rate,
     log2_satisfying_size,
     per_unit_time_report,
+    row_square_sums,
     sample_uniform_ball,
+    sample_uniform_caps,
     sample_uniform_ellipsoid,
     squared_distances,
     zeta_or_one,
@@ -54,17 +53,7 @@ Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _NEIGHBOR_SLACK = 1e-12
 
 # Evaluated codewords are compared with this many codewords at a time.
-_NEIGHBOR_CHUNK = 16384
-
-# The decode uses at most this many threads, the most measured (2 cores).
-_MAX_CODEWORD_THREADS = 2
-# Fewer draws per codeword than this decode on one thread: below it each
-# codeword's interpreter-bound overhead outweighs its draw and product, and
-# two threads took 1.0-1.8x the one-thread time at 2,000 samples and
-# 0.5-0.8x at 10,000 (1- to 12-d codebooks, BLAS on one thread, 2 cores).
-_MIN_THREADED_SAMPLES = 10000
-# BLAS thread settings, in the order OpenBLAS reads them.
-_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_NEIGHBOR_CHUNK = 2048
 
 
 # --- codebooks ---
@@ -96,8 +85,7 @@ class Codebook:
                     f"dimension {points.shape[1]}"
                 )
             object.__setattr__(self, "radii", radii)
-            inside = np.sum((points / radii) ** 2, axis=1)
-            if np.any(inside > 1.0 + 1e-12):
+            if np.any(row_square_sums(points, radii) > 1.0 + 1e-12):
                 raise ValueError("codebook points must lie inside their ellipsoid")
 
     @property
@@ -160,17 +148,22 @@ class SimulationResult:
 
     error_fractions[k] is the estimated lost fraction of the noise ball
     around codeword eval_indices[k]; rows of error_fraction_cis are Wilson
-    intervals ((0, 0) when no competitor is within reach and the fraction
-    is exactly zero). mean_error_fraction averages the evaluated
-    codewords; when eval_indices is a strict subset its interval also
-    accounts for codeword-to-codeword spread. verdict, when a target was
-    given, states whether the interval's upper end stays at or below it.
+    intervals ((0, 0) when no competitor claims any of the ball and the
+    fraction is exactly zero), rows of error_fraction_brackets the bounds
+    [largest cap, min(1, sum of caps)] that need no sampling ([1, 1] for a
+    coincident competitor). mean_error_fraction and mean_error_bracket
+    average the evaluated codewords; when eval_indices is a strict subset
+    the mean's interval also accounts for codeword-to-codeword spread.
+    verdict, when a target was given, states whether the interval's upper
+    end stays at or below it.
     """
 
     error_fractions: np.ndarray
     error_fraction_cis: np.ndarray
     mean_error_fraction: float
     mean_error_ci: tuple[float, float]
+    error_fraction_brackets: np.ndarray
+    mean_error_bracket: tuple[float, float]
     samples_per_codeword: int
     n_codewords: int
     eval_indices: np.ndarray | None
@@ -231,53 +224,6 @@ def _neighbor_lists(points: np.ndarray, eval_idx: np.ndarray, eps: float) -> lis
     return np.split(cols, np.cumsum(counts)[:-1])
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _blas_threads() -> int | None:
-    """The BLAS thread count the environment sets, None where it sets none."""
-    for name in _BLAS_THREAD_VARIABLES:
-        try:
-            threads = int(os.environ.get(name, ""))
-        except ValueError:
-            continue
-        if threads > 0:
-            return threads
-    return None
-
-
-def _codeword_threads(samples: int) -> int:
-    """Thread count of the per-codeword decode at `samples` draws per codeword.
-
-    Two (numpy releases the GIL in the draws, the product and the ufuncs)
-    where two CPUs are usable, and one wherever two were measured to lose.
-    Each condition buys 1-5%. Figures come from a 2-core VM in alternated
-    pairs of two decode threads against one, on criterion-7 `simulate`
-    unless stated:
-    - BLAS not on one thread (the first of _BLAS_THREAD_VARIABLES set is
-      not 1): its own threads compete with the decode threads. Two were
-      slower in 7 of 8 pairs, medians 4.41 vs 4.18 s (3.2-3.4 s with BLAS
-      on one thread and two decode threads).
-    - One usable CPU (`taskset -c 0`, BLAS on one thread): two were slower
-      in 5 of 7 pairs, medians 4.40 vs 4.32 s.
-    - Off the main thread, so the decode never nests threads inside a
-      caller's pool, such as `sweep`'s rows. Four 10,000-sample rows at
-      --jobs 2 with decode threads nested in them were slower in 6 of 6
-      pairs, medians 5.72 vs 5.65 s wall and 9.65 vs 9.48 s CPU.
-    - Below _MIN_THREADED_SAMPLES draws per codeword (figures there).
-    """
-    if (
-        samples < _MIN_THREADED_SAMPLES
-        or _blas_threads() != 1
-        or threading.current_thread() is not threading.main_thread()
-    ):
-        return 1
-    return min(_MAX_CODEWORD_THREADS, _usable_cpus())
-
-
 def estimate_error_fraction(
     codebook: Codebook,
     eps: float,
@@ -288,22 +234,23 @@ def estimate_error_fraction(
 ) -> SimulationResult:
     """Monte Carlo estimate of the mean decoding-error fraction.
 
-    For each evaluated codeword, `samples` points are drawn uniformly in
-    its eps-ball and decoded by minimum distance over the whole codebook;
-    competitors at equal distance count as errors. Only codewords within
-    2*eps can claim volume, so decoding reduces to the precomputed
-    neighbor set; codewords with no neighbors contribute an exact zero.
+    A codeword's error fraction is the share of its eps-ball that decodes
+    elsewhere by minimum distance (ties are errors): the union of the caps
+    (cap_fractions) its competitors within 2*eps claim. Its error count has
+    the law of `samples` uniform draws decoded one by one, Binomial(samples,
+    that share). A coincident competitor gives `samples`, empty caps an
+    exact zero, and caps whose shares sum to S > 1 are decoded that way.
+    Where S <= 1, N ~ Binomial(samples, S) candidates are drawn uniformly
+    from the caps (cap j with probability cap_j/S), each kept with
+    probability 1/c, c the number of competitors at least as close to it as
+    the codeword: the kept count is Binomial(samples, S*E[1/c]), the union's
+    share (Karp, Luby and Madras, J. Algorithms 10, 1989). The bracket
+    [max cap_j, min(1, S)] of the share needs no sampling.
 
     With max_eval_codewords set below the codebook size, evaluation runs
     on that many codewords chosen by smallest content hash (a fixed
     pseudo-random subset independent of codebook order), and the mean's
     interval widens to cover codeword-to-codeword spread.
-
-    The codewords that have neighbours are decoded on as many threads as
-    _codeword_threads allows. Each codeword draws from its own stream and
-    its count is stored by index, so every result is bit-for-bit the
-    serial one. A codeword's exception comes out of this call, and
-    codewords not yet started are cancelled.
     """
     require_finite("eps", eps)
     samples = require_int("samples", samples, MIN_SAMPLES)
@@ -328,32 +275,46 @@ def estimate_error_fraction(
 
     neighbors = _neighbor_lists(points, eval_idx, eps)
 
-    def decode_errors(r: int) -> int:
-        """Draws in the r-th evaluated codeword's ball that decode elsewhere."""
+    def decode(r: int) -> tuple[int, float, float]:
+        """The r-th evaluated codeword's error count and the bracket of its share."""
         i = int(eval_idx[r])
+        # in digest order, so that a permuted codebook draws the same candidates
+        competitors = neighbors[r][np.argsort(digests[neighbors[r]], kind="stable")]
+        offsets = points[competitors] - points[i]
+        sq = np.einsum("ij,ij->i", offsets, offsets)
+        if not np.all(sq):
+            return samples, 1.0, 1.0
+        dist = np.sqrt(sq)
+        caps = cap_fractions(dim, eps, dist)
+        cdf = np.cumsum(caps)
+        total = float(cdf[-1])
+        low, high = float(caps.max()), min(1.0, total)
+        if total == 0.0:
+            return 0, low, high
         rng = _stream_from_digest(bytes(digests[i]))
-        draws = sample_uniform_ball(dim, eps, rng, size=samples)
-        draws += points[i]
-        # own distance goes through the same matmul as the competitors so
-        # that a coincident codeword ties bit-for-bit and counts as error
-        cols = np.concatenate([points[i : i + 1], points[neighbors[r]]], axis=0)
-        d2 = squared_distances(
-            draws, np.einsum("ij,ij->i", draws, draws), cols, np.einsum("ij,ij->i", cols, cols)
-        )
-        return int(np.count_nonzero(d2[:, 1:].min(axis=1) <= d2[:, 0]))
+        if total > 1.0:
+            draws = sample_uniform_ball(dim, eps, rng, size=samples) + points[i]
+            # the definition's bits: competitors by index, own distance in the same matmul
+            cols = np.concatenate([points[i : i + 1], points[neighbors[r]]], axis=0)
+            d2 = squared_distances(
+                draws, np.einsum("ij,ij->i", draws, draws), cols, np.einsum("ij,ij->i", cols, cols)
+            )
+            return int(np.count_nonzero(d2[:, 1:].min(axis=1) <= d2[:, 0])), low, high
+        n = int(rng.binomial(samples, total))
+        pick = np.searchsorted(cdf / total, rng.random(n), side="right")
+        u = sample_uniform_caps(eps, offsets[pick] / dist[pick, None], caps[pick], rng)
+        # competitor k is at least as close to x + u as x is when 2 u.v_k >= |v_k|^2;
+        # the cap u came from counts whatever roundoff says at its edge
+        closer = 2.0 * (u @ offsets.T) >= sq
+        closer[np.arange(n), pick] = True
+        kept = rng.random(n) < 1.0 / np.count_nonzero(closer, axis=1)
+        return int(np.count_nonzero(kept)), low, high
 
     k = len(eval_idx)
-    # a codeword with no neighbours is an exact zero, its interval (0, 0)
-    live = [r for r in range(k) if len(neighbors[r])]
-    error_counts = np.zeros(k, dtype=np.int64)
-    threads = min(_codeword_threads(samples), len(live))
-    if threads > 1:
-        # leaving the block after an exception cancels the codewords not
-        # yet started and waits for those in flight
-        with ThreadPoolExecutor(threads) as pool:
-            error_counts[live] = list(pool.map(decode_errors, live))
-    else:
-        error_counts[live] = list(map(decode_errors, live))
+    decoded = np.array([decode(r) if len(neighbors[r]) else (0, 0.0, 0.0) for r in range(k)])
+    error_counts, brackets = decoded[:, 0].astype(np.int64), decoded[:, 1:]
+    # a codeword whose caps are all empty is an exact zero, its interval (0, 0)
+    live = np.flatnonzero(brackets[:, 1])
     fractions = error_counts / samples
     cis = np.zeros((k, 2))
     for r in live:
@@ -374,6 +335,7 @@ def estimate_error_fraction(
         mean_ci = (lo, hi)
     else:
         mean_ci = pooled
+    mean_bracket = (math.fsum(brackets[:, 0]) / k, math.fsum(brackets[:, 1]) / k)
 
     verdict = None if target_delta is None else bool(mean_ci[1] <= target_delta)
     return SimulationResult(
@@ -381,6 +343,8 @@ def estimate_error_fraction(
         error_fraction_cis=cis,
         mean_error_fraction=mean,
         mean_error_ci=mean_ci,
+        error_fraction_brackets=brackets,
+        mean_error_bracket=mean_bracket,
         samples_per_codeword=samples,
         n_codewords=m,
         eval_indices=eval_idx if subsampled else None,

@@ -6,8 +6,8 @@ import re
 import stat
 import subprocess
 import sys
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -333,18 +333,24 @@ def test_simulate_rate_too_low_still_succeeds(tmp_path):
 
 
 def test_simulate_json_payload(tmp_path):
-    payload = run_json(
-        tmp_path,
-        "sim",
-        [
-            "simulate", "--omega", PI_ARG, "--t-obs", "8", "--energy", "1",
-            "--eps", "0.25", "--delta", "0.2", "--samples", "300", "--seed", "3",
-        ],
-    )
+    argv = [
+        "simulate", "--omega", PI_ARG, "--t-obs", "8", "--energy", "1",
+        "--eps", "0.25", "--delta", "0.2", "--samples", "300", "--seed", "3",
+    ]
+    payload = run_json(tmp_path, "sim", argv)
     assert payload["n_codewords"] == 13107
-    assert payload["result"]["verdict"] is True
-    assert payload["result"]["mean_error_fraction"] <= 0.2
+    result = payload["result"]
+    assert result["verdict"] is True
+    assert result["mean_error_fraction"] <= 0.2
     assert payload["bound"]["quantity"] == "capacity_eps_delta"
+    # one no-sampling bracket per evaluated codeword, and their mean
+    brackets = np.array(result["error_fraction_brackets"])
+    assert brackets.shape == (result["n_evaluated"], 2)
+    assert np.all((0.0 <= brackets[:, 0]) & (brackets[:, 0] <= brackets[:, 1]) & (brackets[:, 1] <= 1.0))
+    assert result["mean_error_bracket"] == pytest.approx(list(brackets.mean(axis=0)), rel=1e-9)
+    # the manifest holds the parsed arguments and nothing of the machine
+    parsed = vars(cli._build_parser().parse_args(argv + ["--out", "sim.json"]))
+    assert set(payload["manifest"]["parameters"]) == set(parsed) - {"handler", "seed"}
 
 
 def test_simulate_deterministic_bytes(tmp_path):
@@ -395,21 +401,17 @@ def test_exponent_sweep_csv(tmp_path):
 
 
 @pytest.fixture
-def decode_pools(monkeypatch):
-    """Thread counts of the decode pools opened, with BLAS on one thread."""
-    for name in simulation._BLAS_THREAD_VARIABLES:
-        monkeypatch.delenv(name, raising=False)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr(simulation, "_MIN_THREADED_SAMPLES", 100)  # small runs here
-    opened = []
+def started_threads(monkeypatch):
+    """Names of the threads started while a test runs."""
+    started = []
+    real = threading.Thread.start
 
-    class Pool(ThreadPoolExecutor):
-        def __init__(self, max_workers, *args, **kwargs):
-            opened.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
+    def start(self):
+        started.append(self.name)
+        return real(self)
 
-    monkeypatch.setattr(simulation, "ThreadPoolExecutor", Pool)
-    return opened
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
 
 
 @pytest.mark.parametrize(
@@ -423,16 +425,18 @@ def decode_pools(monkeypatch):
     ids=["simulate", "exponent-sweep"],
 )
 def test_codeword_threads_follow_the_usable_cpus_and_change_no_byte(
-    tmp_path, monkeypatch, decode_pools, argv
+    tmp_path, monkeypatch, started_threads, argv
 ):
+    # codewords are decoded on the calling thread whatever the usable CPU
+    # count: no thread is started, and the bytes do not change
     out = tmp_path / "out.json"
     artifacts = []
-    for cpus, pools in ((1, []), (3, [2])):
+    for cpus in (1, 3):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
                             raising=False)
-        decode_pools.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
         assert main(argv + ["--out", str(out)]) == 0
-        assert set(decode_pools) == set(pools)
+        assert started_threads == []
         artifacts.append(re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""', out.read_bytes()))
     assert artifacts[0] == artifacts[1]
     # the manifest holds the parsed arguments, none of them the CPU count
@@ -670,27 +674,49 @@ def test_sweep_with_simulation_is_the_same_at_any_jobs(tmp_path):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_sweep_rows_decode_their_codewords_on_one_thread(tmp_path, monkeypatch, decode_pools, jobs):
-    # rows run on the --jobs pool; codeword threads must not nest inside it
+def test_sweep_rows_decode_their_codewords_on_one_thread(
+    tmp_path, monkeypatch, started_threads, jobs
+):
+    # rows run on the --jobs pool; each row's codewords are decoded on the
+    # row's own thread, and no thread but the pool's is started
     cfg = write_config(
         tmp_path,
         f"omega = {PI_ARG}\nt_obs = 6\nt_obs = 8\nenergy = 1\neps = 0.35\neps = 0.25\n"
         "delta = 0.2\nseed = 3\nsimulate = true\nsamples = 200\n"
         "max_codewords = 512\nmax_eval_codewords = 64\n",
     )
-    calls = []
-    real = simulation.estimate_error_fraction
+    rows = []  # (the row's thread, the threads its codewords were decoded on)
+    stray = []  # codewords decoded outside any row's estimate
+    local = threading.local()
+    real_estimate = simulation.estimate_error_fraction
+    real_stream = simulation._stream_from_digest
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def estimate(*args, **kwargs):
+        local.decoded = set()
+        try:
+            return real_estimate(*args, **kwargs)
+        finally:
+            rows.append((threading.get_ident(), local.decoded))
+            del local.decoded
 
-    monkeypatch.setattr(simulation, "estimate_error_fraction", spy)
+    def stream(digest):
+        decoded = getattr(local, "decoded", None)
+        if decoded is None:
+            stray.append(threading.get_ident())
+        else:
+            decoded.add(threading.get_ident())
+        return real_stream(digest)
+
+    monkeypatch.setattr(simulation, "estimate_error_fraction", estimate)
+    monkeypatch.setattr(simulation, "_stream_from_digest", stream)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     out = tmp_path / "rows.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 0
-    assert len(calls) == 4  # every row's estimate ran
-    assert decode_pools == []
+    assert len(rows) == 4  # every row's estimate ran
+    assert stray == []
+    assert all(decoded <= {row} for row, decoded in rows)
+    assert any(decoded for _, decoded in rows)
+    assert len(started_threads) <= int(jobs)
 
 
 def test_sweep_refuses_a_delta_zero_point_it_cannot_size(tmp_path, capsys):

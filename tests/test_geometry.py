@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import binomtest, ks_2samp
 
 from epscap import ConfigurationError, finite_reports
 from epscap.geometry import (
@@ -10,6 +11,7 @@ from epscap.geometry import (
     _pack_candidates,
     Ellipsoid,
     capacity_2eps_bounds,
+    cap_fractions,
     capacity_eps_delta_bounds,
     covering_overhead,
     entropy_eps_bounds,
@@ -18,11 +20,14 @@ from epscap.geometry import (
     oracle_cover_interval,
     oracle_pack_interval,
     per_unit_time_report,
+    sample_uniform_caps,
     squared_distances,
 )
 from epscap.params import SignalSpaceParams
 from reference import (
+    cap_fraction,
     log_ellipsoid_volume,
+    plain_ball_sample,
     plain_greedy_pack,
     sequential_pack_count,
     verify_pairwise_distance_inequality,
@@ -321,3 +326,45 @@ def test_squared_distances_are_the_plain_expression_bit_for_bit():
     assert np.array_equal(got, want) and np.shares_memory(got, out)
     # the packing screen's order, (-2 p + |x|^2) + |y|^2, is the same bits
     assert np.array_equal(got, (-2.0 * (x @ y.T) + x_sq[:, None]) + y_sq)
+
+
+# --- caps of the noise ball ---
+
+
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_caps_and_their_sampler_are_the_ball_beyond_the_bisector(dim):
+    # uniform points of the eps-ball (reference.plain_ball_sample) that lie
+    # beyond the hyperplane at d/2 along a unit vector are the cap: their
+    # share must be cap_fractions' (reference.cap_fraction, the definition),
+    # and the cap sampler's points must share their law along the vector,
+    # orthogonal to it and across it. Exact binomial and two-sample
+    # Kolmogorov-Smirnov tests, two-sided at level 1e-4 each.
+    rng = np.random.default_rng([11, dim])
+    eps = 0.8
+    d = 2.0 * eps * 0.9 / math.sqrt(dim + 2)  # a cap of about a fifth of the ball
+    unit = rng.standard_normal(dim)
+    unit /= np.linalg.norm(unit)
+    cap = float(cap_fractions(dim, eps, [d])[0])
+    assert cap == pytest.approx(cap_fraction(dim, eps, d), rel=1e-13)
+
+    ball = plain_ball_sample(dim, eps, rng, 200_000)
+    beyond = ball[ball @ unit >= d / 2.0]
+    assert binomtest(len(beyond), len(ball), cap).pvalue > 1e-4
+
+    n = 4000
+    drawn = sample_uniform_caps(eps, np.tile(unit, (n, 1)), np.full(n, cap), rng)
+    assert drawn.shape == (n, dim)
+    along = drawn @ unit
+    assert np.all(along >= d / 2.0 * (1.0 - 1e-12))
+    assert np.all(np.linalg.norm(drawn, axis=1) <= eps * (1.0 + 1e-12))
+    assert ks_2samp(along, beyond @ unit).pvalue > 1e-4
+    if dim > 1:
+        def across(points):
+            return np.linalg.norm(points - np.outer(points @ unit, unit), axis=1)
+
+        assert ks_2samp(across(drawn), across(beyond)).pvalue > 1e-4
+        # one fixed direction orthogonal to the unit vector
+        other = rng.standard_normal(dim)
+        other -= (other @ unit) * unit
+        other /= np.linalg.norm(other)
+        assert ks_2samp(drawn @ other, beyond @ other).pvalue > 1e-4

@@ -3,6 +3,7 @@ and of the packing and Monte Carlo hot paths against their one-at-a-time definit
 
 import dataclasses
 import math
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -16,11 +17,13 @@ from epscap.geometry import (
     entropy_eps_bounds,
     greedy_pack,
     per_unit_time_report,
+    row_square_sums,
     sample_uniform_ball,
 )
 from epscap.params import SignalSpaceParams
 from epscap.simulation import Codebook, error_exponent, estimate_error_fraction
 from reference import (
+    cap_fraction,
     plain_ball_sample,
     plain_decode_error_counts,
     plain_greedy_pack,
@@ -144,6 +147,28 @@ def test_ball_sampler_draws_the_out_of_place_bits(dim, radius, size, seed):
     assert np.array_equal(got, want)
 
 
+def test_ball_sampler_bits_hold_across_row_blocks():
+    # 20,000 rows span three of row_square_sums' default 8,192-row blocks
+    got = sample_uniform_ball(12, 0.7, np.random.default_rng(5), size=20_000)
+    assert np.array_equal(got, plain_ball_sample(12, 0.7, np.random.default_rng(5), 20_000))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dim=st.integers(min_value=1, max_value=12),
+    rows=st.integers(min_value=0, max_value=40),
+    block=st.integers(min_value=1, max_value=9),
+    scaled=st.booleans(),
+    seed=SEED,
+)
+def test_row_square_sums_are_the_one_shot_sums_in_any_block(dim, rows, block, scaled, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, dim)) * 10.0 ** rng.integers(-3, 4, size=dim)
+    scale = rng.uniform(0.1, 3.0, size=dim) if scaled else None
+    want = np.sum((x if scale is None else x / scale) ** 2, axis=1)
+    assert np.array_equal(row_square_sums(x, scale, block=block), want)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     radii=st.lists(st.floats(min_value=0.1, max_value=3.0), min_size=1, max_size=6),
@@ -189,6 +214,21 @@ def test_neighbor_lists_are_the_hit_by_hit_gather(book, chunk, data):
         assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
+def competitor_caps(points, eval_idx, eps, chunk):
+    """Per evaluated codeword: whether a competitor coincides with it, and
+    the largest and the sum S of the caps its competitors claim
+    (reference.cap_fraction)."""
+    dim = points.shape[1]
+    coincident, largest, totals = [], [], []
+    for i, nb in zip(eval_idx, plain_neighbor_lists(points, eval_idx, eps, chunk), strict=True):
+        dist = np.linalg.norm(points[nb] - points[i], axis=1)
+        caps = [cap_fraction(dim, eps, float(d)) for d in dist]
+        coincident.append(bool(np.any(dist == 0.0)))
+        largest.append(max(caps, default=0.0))
+        totals.append(math.fsum(caps))
+    return np.array(coincident, dtype=bool), np.array(largest), np.array(totals)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     book=small_codebooks(),
@@ -197,6 +237,10 @@ def test_neighbor_lists_are_the_hit_by_hit_gather(book, chunk, data):
     chunk=st.integers(min_value=1, max_value=40),
 )
 def test_error_counts_are_the_per_codeword_decode(book, seed, max_eval, chunk):
+    # where the caps' shares sum past 1 (beyond a roundoff margin) or a
+    # competitor coincides, the count is the one-by-one decode, bit for bit;
+    # where every cap is empty it is an exact zero. The codewords between
+    # are drawn from the caps: test_cap_decode_has_the_law_of_the_ball_decode
     points, eps = book
     codebook = Codebook(points=points)
     samples = 100
@@ -206,11 +250,20 @@ def test_error_counts_are_the_per_codeword_decode(book, seed, max_eval, chunk):
         )
     eval_idx = np.arange(len(points)) if result.eval_indices is None else result.eval_indices
     counts = plain_decode_error_counts(codebook, eval_idx, eps, samples, seed, chunk)
-    assert np.array_equal(result.error_fractions, counts / samples)
+    coincident, largest, totals = competitor_caps(points, eval_idx, eps, chunk)
+    exact = coincident | (totals > 1.0 + 1e-9)
+    assert np.array_equal(result.error_fractions[exact], counts[exact] / samples)
     # a coincident codeword ties every draw, and a tie is an error
-    _, inverse, copies = np.unique(points, axis=0, return_inverse=True, return_counts=True)
-    coincident = copies[inverse.reshape(-1)[eval_idx]] > 1
     assert np.all(result.error_fractions[coincident] == 1.0)
+    assert np.all(result.error_fraction_brackets[coincident] == 1.0)
+    empty = ~coincident & (totals == 0.0)
+    assert np.all(result.error_fractions[empty] == 0.0) and np.all(counts[empty] == 0)
+    # the bracket is [largest cap, min(1, S)]; an exact zero has the interval (0, 0)
+    want = np.stack([largest, np.minimum(1.0, totals)], axis=1)[~coincident]
+    np.testing.assert_allclose(result.error_fraction_brackets[~coincident], want, atol=1e-12)
+    zero = result.error_fraction_brackets[:, 1] == 0.0
+    assert np.all(result.error_fractions[zero] == 0.0)
+    assert np.all(result.error_fraction_cis[zero] == 0.0)
 
 
 @st.composite
@@ -234,34 +287,40 @@ def books_with_blocks(draw):
     max_eval=st.one_of(st.none(), st.integers(min_value=1, max_value=30)),
 )
 def test_error_fractions_are_the_same_on_any_number_of_threads(book, seed, max_eval):
+    # the same estimate on 1, 2 and 3 caller threads at once, as sweep's
+    # row pool runs its rows, gives every thread the serial result
     points, eps, chunk = book
     codebook = Codebook(points=points)
     samples = 100
-    runs = []
-    for threads in (1, 2, 3):
-        with (
-            mock.patch.object(simulation, "_NEIGHBOR_CHUNK", chunk),
-            mock.patch.object(simulation, "_codeword_threads", lambda samples, n=threads: n),
-        ):
-            runs.append(
-                estimate_error_fraction(
-                    codebook, eps, samples=samples, seed=seed, max_eval_codewords=max_eval
-                )
-            )
-    for run in runs[1:]:
+
+    def estimate(_):
+        return estimate_error_fraction(
+            codebook, eps, samples=samples, seed=seed, max_eval_codewords=max_eval
+        )
+
+    with mock.patch.object(simulation, "_NEIGHBOR_CHUNK", chunk):
+        serial = estimate(None)
+        runs = []
+        for threads in (1, 2, 3):
+            with ThreadPoolExecutor(threads) as pool:
+                runs.extend(pool.map(estimate, range(threads)))
+    for run in runs:
         for field in dataclasses.fields(run):
-            got, want = getattr(run, field.name), getattr(runs[0], field.name)
+            got, want = getattr(run, field.name), getattr(serial, field.name)
             if isinstance(want, np.ndarray):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
             else:
                 assert got == want
-    eval_idx = np.arange(len(points)) if runs[0].eval_indices is None else runs[0].eval_indices
+    # where the decode is one by one, it is the definition's, bit for bit
+    eval_idx = np.arange(len(points)) if serial.eval_indices is None else serial.eval_indices
     counts = plain_decode_error_counts(codebook, eval_idx, eps, samples, seed, chunk)
-    assert np.array_equal(runs[0].error_fractions, counts / samples)
+    coincident, _, totals = competitor_caps(points, eval_idx, eps, chunk)
+    exact = coincident | (totals > 1.0 + 1e-9)
+    assert np.array_equal(serial.error_fractions[exact], counts[exact] / samples)
 
 
 def test_criterion7_sized_neighbor_lists_are_the_fresh_products():
-    # full 16,384-column blocks and the tail go through one reused buffer,
+    # full 2,048-column blocks and the tail go through one reused buffer,
     # the tail through its leading columns; each must give the bits of a
     # fresh product per block, in 12-d where OpenBLAS bits depend on the
     # block width

@@ -1,15 +1,19 @@
 import math
-import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from scipy.stats import binom
+from scipy.stats import binom, binomtest, fisher_exact
 
 from epscap import ConfigurationError, simulation
-from epscap.geometry import per_unit_time_report, sample_uniform_ball, sample_uniform_ellipsoid
+from epscap.geometry import (
+    cap_fractions,
+    per_unit_time_report,
+    sample_uniform_ball,
+    sample_uniform_ellipsoid,
+)
 from epscap.params import SignalSpaceParams
 from epscap.simulation import (
     Codebook,
@@ -21,7 +25,12 @@ from epscap.simulation import (
     run_random_code_experiment,
     wilson_interval,
 )
-from reference import cap_fraction, decode_error_indicator
+from reference import (
+    cap_fraction,
+    decode_error_indicator,
+    plain_ball_sample,
+    plain_decode_error_counts,
+)
 
 
 def test_sample_uniform_ball_shapes_and_containment():
@@ -110,12 +119,15 @@ def test_two_codeword_overlap_matches_analytic():
 
 def test_cap_fraction_is_the_segment_in_one_and_two_dimensions():
     # 1-d: the interval share (1 - x)/2; 2-d: the circular segment
-    # (acos x - x sqrt(1 - x^2))/pi; x = d/(2 eps)
+    # (acos x - x sqrt(1 - x^2))/pi; x = d/(2 eps), and d = x at eps = 0.5.
+    # Both the reference and the package's cap_fractions.
     for x in (0.0, 0.1, 0.5, 0.9):
-        assert cap_fraction(1, 0.5, x) == pytest.approx((1.0 - x) / 2.0, rel=1e-12)
         segment = (math.acos(x) - x * math.sqrt(1.0 - x * x)) / math.pi
-        assert cap_fraction(2, 0.5, x) == pytest.approx(segment, rel=1e-12)
+        for dim, want in ((1, (1.0 - x) / 2.0), (2, segment)):
+            assert cap_fraction(dim, 0.5, x) == pytest.approx(want, rel=1e-12)
+            assert cap_fractions(dim, 0.5, [x])[0] == pytest.approx(want, rel=1e-12)
     assert cap_fraction(12, 0.25, 0.5) == 0.0
+    assert np.all(cap_fractions(12, 0.25, [0.5, 0.5 * (1.0 + 1e-12), 3.0]) == 0.0)
 
 
 def test_single_neighbour_intervals_cover_the_exact_cap():
@@ -140,112 +152,170 @@ def test_single_neighbour_intervals_cover_the_exact_cap():
             covered += bool(lo <= cap <= hi)
             trials += 1
     assert trials >= 250  # 304 at these seeds
-    # both tails at 1e-3: 288 of 304 covered at these seeds
+    # both tails at 1e-3: 291 of 304 covered at these seeds
     assert binom.cdf(covered, trials, 0.95) > 1e-3
     assert binom.sf(covered - 1, trials, 0.95) > 1e-3
 
 
+def overlapping_cluster(dim: int) -> Codebook:
+    """Eight codewords close enough (eps = 1) that each has several
+    competitors whose caps overlap, and far enough that their shares sum
+    to at most 1."""
+    radius = 2.2 / math.sqrt(dim + 1) * (1.0 + 1.5 / dim)
+    return Codebook(points=plain_ball_sample(dim, radius, np.random.default_rng([3, dim]), 8))
+
+
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_cap_decode_has_the_law_of_the_ball_decode(dim):
+    # the cap draw and the one-by-one decode of `samples` uniform draws
+    # (reference.plain_decode_error_counts, its definition) must give each
+    # codeword counts of one binomial law. Fisher's exact test, two-sided
+    # at level 1e-4 per codeword (96 codewords over the 12 dimensions:
+    # family-wise at most 1%), on independent streams (seeds 1-12 and
+    # 101-112).
+    book = overlapping_cluster(dim)
+    samples = 20_000
+    result = estimate_error_fraction(book, 1.0, samples=samples, seed=dim)
+    assert np.all(result.error_fraction_brackets[:, 1] < 1.0)  # every one drawn from its caps
+    assert np.any(result.error_fraction_brackets[:, 0] < result.error_fraction_brackets[:, 1])
+    counts = np.rint(result.error_fractions * samples).astype(int)
+    ball = plain_decode_error_counts(book, np.arange(8), 1.0, samples, dim + 100, chunk=8)
+    for got, want in zip(counts, ball, strict=True):
+        table = [[got, samples - got], [want, samples - want]]
+        assert fisher_exact(table).pvalue > 1e-4, (got, want)
+
+
+@pytest.mark.parametrize(
+    "competitors, lost",
+    [
+        # all on one side of the codeword: the caps [d/2, 1] nest
+        ([0.6, 1.0, 1.4], 0.35),
+        # nested on either side; the two sides are disjoint
+        ([-1.2, -0.8, 1.0, 1.6], 0.3 + 0.25),
+    ],
+)
+def test_nested_caps_in_one_dimension_lose_the_largest(competitors, lost):
+    # at eps = 1 the lost share of the codeword at 0 is (1 - d_min/2)/2 on
+    # each side that holds a competitor; exact binomial test, two-sided at
+    # level 1e-3
+    book = Codebook(points=np.array([[0.0], *([c] for c in competitors)]))
+    samples = 100_000
+    result = estimate_error_fraction(book, 1.0, samples=samples, seed=8)
+    caps = [(1.0 - abs(c) / 2.0) / 2.0 for c in competitors]
+    np.testing.assert_allclose(result.error_fraction_brackets[0], [max(caps), sum(caps)])
+    assert sum(caps) <= 1.0  # drawn from the caps
+    count = round(result.error_fractions[0] * samples)
+    assert binomtest(count, samples, lost).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("dim", [2, 6, 12])
+def test_wilson_intervals_meet_the_no_sampling_brackets(dim):
+    # each codeword's lost share lies in [largest cap, min(1, sum of caps)],
+    # and its 95% Wilson interval at 10^5 trials must reach that bracket
+    book = overlapping_cluster(dim)
+    result = estimate_error_fraction(book, 1.0, samples=100_000, seed=dim)
+    low, high = result.error_fraction_cis.T
+    bracket_low, bracket_high = result.error_fraction_brackets.T
+    assert np.all((low <= bracket_high) & (bracket_low <= high))
+    # the brackets come from the caps alone
+    dist = np.linalg.norm(book.points[:, None, :] - book.points[None, :, :], axis=2)
+    caps = [[cap_fraction(dim, 1.0, d) for j, d in enumerate(row) if j != i]
+            for i, row in enumerate(dist)]
+    np.testing.assert_allclose(bracket_low, [max(c) for c in caps], rtol=1e-12)
+    np.testing.assert_allclose(bracket_high, [min(1.0, sum(c)) for c in caps], rtol=1e-12)
+    assert result.mean_error_bracket == pytest.approx((bracket_low.mean(), bracket_high.mean()))
+
+
+@pytest.fixture(scope="module")
+def book_12d():
+    return generate_codebook(np.ones(12), 20_000, seed=12)
+
+
+@pytest.mark.parametrize("width", [7, 64, 2048, 16384])
+def test_neighbour_block_width_changes_no_result(monkeypatch, book_12d, width):
+    # a neighbour that only some block widths find sits at the cutoff's
+    # slack beyond 2*eps, where its cap is exactly 0: it is never drawn from
+    # and never closer than the codeword, so every field is the same as
+    # with the whole codebook in one block
+    def run():
+        return estimate_error_fraction(book_12d, 0.3, samples=10_000, seed=4, max_eval_codewords=64)
+
+    monkeypatch.setattr(simulation, "_NEIGHBOR_CHUNK", book_12d.n_codewords)
+    whole = run()
+    monkeypatch.setattr(simulation, "_NEIGHBOR_CHUNK", width)
+    got = run()
+    assert np.count_nonzero(whole.error_fractions) > 16
+    for name, want in vars(whole).items():
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(getattr(got, name), want), name
+        else:
+            assert getattr(got, name) == want, name
+
+
 @pytest.mark.parametrize("threads", [1, 3])
 def test_a_failed_codeword_stops_the_others(monkeypatch, threads):
+    # the same failing estimate on `threads` caller threads at once, as in
+    # sweep's row pool: each stops at the failed codeword by itself
     points = np.random.default_rng(5).uniform(-1.0, 1.0, size=(120, 2))
     eps = 0.5
     neighbors = simulation._neighbor_lists(points, np.arange(120), eps)
     assert all(len(nb) for nb in neighbors)  # every codeword is decoded
     index_of = {bytes(d): i for i, d in enumerate(simulation._codeword_digests(1, points))}
     failing = 4
-    started, released = [], []
-    pool_closing = threading.Event()
+    local = threading.local()
+    together = threading.Barrier(threads, timeout=30)
     real = simulation._stream_from_digest
 
     def stream(digest):
-        i = index_of[digest]
-        started.append(i)
+        i = index_of[bytes(digest)]
+        local.started.append(i)
         if i == failing:
             raise RuntimeError("codeword 4 fails")
-        if i > failing:
-            # hold later codewords until the pool is being shut down, so
-            # that only cancellation, not timing, can keep others from starting
-            released.append(pool_closing.wait(timeout=30))
         return real(digest)
 
-    class Pool(ThreadPoolExecutor):
-        def shutdown(self, *args, **kwargs):
-            pool_closing.set()
-            super().shutdown(*args, **kwargs)
+    def run(_):
+        local.started = []
+        together.wait()  # every caller is inside its estimate at once
+        with pytest.raises(RuntimeError, match="codeword 4"):
+            estimate_error_fraction(Codebook(points=points), eps, samples=100, seed=1)
+        return local.started
 
     monkeypatch.setattr(simulation, "_stream_from_digest", stream)
-    monkeypatch.setattr(simulation, "ThreadPoolExecutor", Pool)
-    monkeypatch.setattr(simulation, "_codeword_threads", lambda samples: threads)
-    with pytest.raises(RuntimeError, match="codeword 4"):
-        estimate_error_fraction(Codebook(points=points), eps, samples=100, seed=1)
-    if threads == 1:
-        assert started == list(range(failing + 1))
-    else:
-        # the codewords before it finish; of the rest, only those already
-        # in flight when it came out (at most one per thread) start
-        assert set(range(failing + 1)) <= set(started)
-        assert len(started) <= failing + 1 + threads
-        assert all(released)  # no held codeword timed out
+    with ThreadPoolExecutor(threads) as pool:
+        started = list(pool.map(run, range(threads)))
+    assert started == [list(range(failing + 1))] * threads
 
 
-def test_more_threads_than_cores_on_short_switches_give_the_serial_result(monkeypatch):
+def test_more_threads_than_cores_on_short_switches_give_the_serial_result():
+    # eight caller threads switching every microsecond each get the result
+    # of the serial call: the decode keeps no state between calls
     points = np.random.default_rng(9).uniform(-1.0, 1.0, size=(200, 3))
     book = Codebook(points=points)
-    monkeypatch.setattr(simulation, "_codeword_threads", lambda samples: 1)
     serial = estimate_error_fraction(book, 0.3, samples=200, seed=4)
-    monkeypatch.setattr(simulation, "_codeword_threads", lambda samples: 8)
     threaded = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        worker = threading.Thread(
-            target=lambda: threaded.append(
-                estimate_error_fraction(book, 0.3, samples=200, seed=4)
+        workers = [
+            threading.Thread(
+                target=lambda: threaded.append(
+                    estimate_error_fraction(book, 0.3, samples=200, seed=4)
+                )
             )
-        )
-        worker.start()
-        worker.join(timeout=60)
+            for _ in range(8)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-    assert not worker.is_alive() and len(threaded) == 1
-    assert np.array_equal(threaded[0].error_fractions, serial.error_fractions)
-    assert np.array_equal(threaded[0].error_fraction_cis, serial.error_fraction_cis)
-    assert threaded[0].mean_error_ci == serial.mean_error_ci
-
-
-@pytest.mark.parametrize(
-    "env, cpus, threads",
-    [
-        ({"OPENBLAS_NUM_THREADS": "1"}, 8, 2),
-        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
-        ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
-        ({"OMP_NUM_THREADS": "1"}, 4, 2),
-        ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 4, 2),
-        # OpenBLAS skips unset, unreadable and non-positive values
-        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4, 2),
-        ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 4, 2),
-        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4, 1),
-        ({"OMP_NUM_THREADS": "2"}, 4, 1),
-        ({}, 4, 1),
-    ],
-)
-def test_default_decode_threads_need_blas_on_one_thread(monkeypatch, env, cpus, threads):
-    for name in simulation._BLAS_THREAD_VARIABLES:
-        monkeypatch.delenv(name, raising=False)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    samples = simulation._MIN_THREADED_SAMPLES
-    assert simulation._codeword_threads(samples) == threads
-    assert simulation._codeword_threads(samples - 1) == 1
-    # off the main thread, as in a pool of the caller's, always one
-    off_main = []
-    worker = threading.Thread(target=lambda: off_main.append(simulation._codeword_threads(samples)))
-    worker.start()
-    worker.join(timeout=10)
-    assert not worker.is_alive() and off_main == [1]
-
+    assert not any(worker.is_alive() for worker in workers) and len(threaded) == 8
+    for run in threaded:
+        assert np.array_equal(run.error_fractions, serial.error_fractions)
+        assert np.array_equal(run.error_fraction_cis, serial.error_fraction_cis)
+        assert np.array_equal(run.error_fraction_brackets, serial.error_fraction_brackets)
+        assert run.mean_error_ci == serial.mean_error_ci
 
 def test_separated_codewords_are_error_free():
     pts = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
