@@ -317,7 +317,6 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_simulate(args) -> int:
     params = _signal_params(args, args.t_obs)
-    spectrum = _load_spectrum(args)
     config = ExperimentConfig(
         params=params,
         dim_override=args.dim,
@@ -330,6 +329,7 @@ def _cmd_simulate(args) -> int:
         max_eval_codewords=args.max_eval,
         mu=args.mu,
     )
+    spectrum = _load_spectrum(args)
     outcome = run_random_code_experiment(config, spectrum)
     payload = outcome.to_dict()
 

@@ -12,8 +12,9 @@ the observation window and takes the wide-window limit.
 The bound formulas (the eps-delta one also sizes the random codebooks
 of the experiments), the wide-window rates that the comparison table and
 the error exponent read, the working-dimension rule N = round(N0), the
-squared-distance expression, the cap of a ball that a competitor claims,
-and the uniform ball, cap and ellipsoid samplers all live here.
+squared-distance expression and the margin a screen by it keeps, the cap
+of a ball that a competitor claims, and the uniform ball, cap and
+ellipsoid samplers all live here.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from scipy.special import betainc, betaincinv, gammaln
 
 from .errors import ConfigurationError
-from .params import SignalSpaceParams, require_finite, require_int
+from .params import SignalSpaceParams, require_finite, require_int, require_seed
 from .spectrum import require_index, require_window, volume_correction
 
 _LN2 = math.log(2.0)
@@ -92,18 +93,32 @@ def row_square_sums(x: np.ndarray, scale=None, block: int = 8192) -> np.ndarray:
     return out
 
 
-def squared_distances(x, x_sq, y, y_sq, out=None) -> np.ndarray:
+def squared_distances(x, x_sq, y, y_sq) -> np.ndarray:
     """|x_i|^2 - 2 x_i.y_j + |y_j|^2 for every row pair, given the squared norms.
 
-    One matrix product (np.matmul, written into out when given), then
-    built in place in that order: times 2, subtracted from x_sq, plus
-    y_sq. Callers that replay a result bit for bit rely on that order.
+    One matrix product, then built in place in that order: times 2,
+    subtracted from x_sq, plus y_sq. Callers that replay a result bit for
+    bit rely on that order.
     """
-    d2 = np.matmul(x, y.T, out=out)
+    d2 = x @ y.T
     d2 *= 2.0
     np.subtract(x_sq[:, None], d2, out=d2)
     d2 += y_sq
     return d2
+
+
+def screen_margin(sq: np.ndarray) -> float:
+    """How far a screen by |x|^2 - 2 x.y + |y|^2 must stay from a cutoff on
+    squared distances, among points whose squared norms are sq.
+
+    1e-9 * (2 * max |x|)^2 plus the smallest normal number: orders above
+    the roundoff of that expression, summed in any order, or of a direct
+    difference (about 1e-15 * (|x| + |y|)^2, or one subnormal step per
+    operation), so a pair the screen puts beyond the cutoff by more than
+    this is beyond it by either reckoning, whatever BLAS summation order
+    was used.
+    """
+    return 4e-9 * float(sq.max(initial=0.0)) + np.finfo(float).tiny
 
 
 # --- samplers ---
@@ -473,14 +488,11 @@ def greedy_pack(
     against every point accepted before c. A screen only saves work: one
     matrix product gives |c|^2 - 2 c.a + |a|^2 for a block of candidates
     against the points accepted before the block, and a candidate is
-    rejected there only when its minimum lies below (2*eps)^2 - margin.
-    The margin, 1e-9 * (2 * max |c|)^2 plus the smallest normal number,
-    is orders above the roundoff of either expression (about
-    1e-15 * (|c| + |a|)^2, or one subnormal step per operation), so the
-    exact test would reject it too and BLAS summation order decides
-    nothing. The
-    survivors are settled in order by the exact test, against the points
-    accepted earlier in the same block as well.
+    rejected there only when its minimum lies below (2*eps)^2 minus
+    screen_margin, where the exact test would reject it too, so BLAS
+    summation order decides nothing. The survivors are settled in order by
+    the exact test, against the points accepted earlier in the same block
+    as well.
     """
     if ellipsoid.dim > 6:
         raise ConfigurationError(
@@ -488,7 +500,7 @@ def greedy_pack(
             "dimensions need exponentially many candidates to saturate"
         )
     require_finite("eps", eps)
-    seed = require_int("seed", seed, minimum=0)
+    seed = require_seed(seed)
     attempts = require_int("attempts", attempts)
     candidates = require_int("candidates", candidates)
 
@@ -509,9 +521,7 @@ def _pack_candidates(pts: np.ndarray, min_sep_sq: float) -> int:
     """The count sequential packing accepts from pts, in order: screened a
     block at a time, settled one by one (see greedy_pack)."""
     sq = np.einsum("ij,ij->i", pts, pts)
-    # the smallest normal number covers the absolute roundoff of subnormals
-    margin = 4e-9 * float(sq.max(initial=0.0)) + np.finfo(float).tiny
-    screen_floor = min_sep_sq - margin
+    screen_floor = min_sep_sq - screen_margin(sq)
     accepted = np.empty_like(pts)
     accepted_sq = np.empty_like(sq)
     count = 0

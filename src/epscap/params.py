@@ -1,8 +1,8 @@
 """Parameter containers for the signal space, and the package's input checks.
 
 Every integer the package takes from a caller (a count, a size, an index,
-a seed) passes through require_int, and every real one through
-require_finite: each rule is stated once, here.
+a seed) passes through require_int (a seed through require_seed), and
+every real one through require_finite: each rule is stated once, here.
 """
 
 from __future__ import annotations
@@ -39,18 +39,36 @@ def require_finite(name: str, value, nonnegative: bool = False) -> None:
         raise ValueError(f"{name} must be {sign} and finite, got {value}")
 
 
-def require_int(name: str, value, minimum: int = 1) -> int:
-    """value as a Python int, refused unless an integer >= minimum.
+def require_int(name: str, value, minimum: int = 1, maximum: int | None = None) -> int:
+    """value as a Python int, refused unless an integer >= minimum (and
+    <= maximum, when given).
 
     Python and numpy integers pass; a bool (Python or numpy), a float of
     any value and everything else is refused with a ConfigurationError.
     """
-    if _is_bool(value) or not isinstance(value, (int, np.integer)) or value < minimum:
-        what = {0: "a nonnegative integer", 1: "a positive integer"}.get(
-            minimum, f"an integer >= {minimum}"
-        )
+    if (
+        _is_bool(value)
+        or not isinstance(value, (int, np.integer))
+        or value < minimum
+        or (maximum is not None and value > maximum)
+    ):
+        if maximum is not None:
+            what = f"an integer in [{minimum}, {maximum}]"
+        else:
+            what = {0: "a nonnegative integer", 1: "a positive integer"}.get(
+                minimum, f"an integer >= {minimum}"
+            )
         raise ConfigurationError(f"{name} must be {what}, got {value}")
     return int(value)
+
+
+# The largest seed: codeword hashes take the seed as a signed 64-bit word.
+MAX_SEED = 2**63 - 1
+
+
+def require_seed(value) -> int:
+    """A seed as a Python int, refused unless an integer in [0, MAX_SEED]."""
+    return require_int("seed", value, 0, MAX_SEED)
 
 
 @dataclass(frozen=True)

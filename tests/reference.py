@@ -11,12 +11,7 @@ from scipy.special import betainc, expit, gammaln
 
 from epscap.comparison import jagerman_capacity_lower
 from epscap.geometry import Ellipsoid, wide_window_rates
-from epscap.simulation import (
-    _NEIGHBOR_SLACK,
-    Codebook,
-    _codeword_digests,
-    _stream_from_digest,
-)
+from epscap.simulation import Codebook, _codeword_digests, _stream_from_digest
 from epscap.spectrum import EigenSpectrum, _transition_log
 
 
@@ -191,13 +186,34 @@ def plain_greedy_pack(radii, eps: float, seed: int, attempts: int, candidates: i
     return best
 
 
-def plain_neighbor_lists(points: np.ndarray, eval_idx: np.ndarray, eps: float, chunk: int):
-    """Indices within 2*eps(1 + slack) of each evaluated codeword, gathered
-    hit by hit from blocks of chunk columns."""
+def direct_neighbor_lists(points: np.ndarray, eval_idx: np.ndarray, eps: float):
+    """Indices j != i with |points[j] - points[i]|^2 <= (2*eps)^2, one
+    evaluated codeword i at a time over the whole codebook: the direct
+    differences, squared and summed by the einsum the decode reads its caps
+    from (np.sum's order differs from it in the last bit at distances of
+    exactly 2*eps, where the cap is 0 either way)."""
+    lists = []
+    for i in eval_idx:
+        offsets = points - points[i]
+        near = np.flatnonzero(np.einsum("ij,ij->i", offsets, offsets) <= (2.0 * eps) ** 2)
+        lists.append(near[near != i])
+    return lists
+
+
+# The slack of the formula rule below, relative to (2*eps)^2.
+FORMULA_SLACK = 1e-12
+
+
+def formula_neighbor_lists(points: np.ndarray, eval_idx: np.ndarray, eps: float, chunk: int):
+    """Indices j != i with |x|^2 - 2 x.y_j + |y_j|^2 <= (2*eps)^2 * (1 + slack),
+    x = points[i], computed in blocks of chunk columns: the rule the dense
+    neighbour search kept before it settled each pair by its direct
+    difference. It misses true neighbours once the expression's roundoff,
+    about 1e-16 * |x|^2, outgrows the slack: at eps << |x|."""
     sq_all = np.einsum("ij,ij->i", points, points)
     eval_pts = points[eval_idx]
     sq_eval = sq_all[eval_idx]
-    cutoff = (2.0 * eps) ** 2 * (1.0 + _NEIGHBOR_SLACK)
+    cutoff = (2.0 * eps) ** 2 * (1.0 + FORMULA_SLACK)
     hits = [[] for _ in range(len(eval_idx))]
     for start in range(0, len(points), chunk):
         stop = min(start + chunk, len(points))
@@ -212,14 +228,14 @@ def plain_neighbor_lists(points: np.ndarray, eval_idx: np.ndarray, eps: float, c
 
 
 def plain_decode_error_counts(
-    codebook: Codebook, eval_idx: np.ndarray, eps: float, samples: int, seed: int, chunk: int
+    codebook: Codebook, eval_idx: np.ndarray, eps: float, samples: int, seed: int
 ) -> np.ndarray:
     """Errors among `samples` draws in each evaluated codeword's eps-ball,
     decoded by minimum distance over its neighbours, ties counted as errors."""
     points = codebook.points
     dim = points.shape[1]
     digests = _codeword_digests(seed, points)
-    neighbors = plain_neighbor_lists(points, eval_idx, eps, chunk)
+    neighbors = direct_neighbor_lists(points, eval_idx, eps)
     counts = np.zeros(len(eval_idx), dtype=np.int64)
     for r, i in enumerate(eval_idx):
         nb = neighbors[r]

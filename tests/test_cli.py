@@ -319,6 +319,45 @@ def test_simulate_too_few_samples_is_config_error():
     assert code == 2
 
 
+SEED_2_63 = "9223372036854775808"
+SEED_MESSAGE = f"seed must be an integer in [0, 9223372036854775807], got {SEED_2_63}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--omega", PI_ARG, "--t-obs", "12", "--energy", "1", "--eps", "0.25",
+         "--delta", "0.1", "--dim", "12", "--samples", "10000", "--seed", SEED_2_63],
+        ["exponent-sweep", "--omega", PI_ARG, "--energy", "1", "--eps", "0.25",
+         "--rate", "0.5", "--t-list", "8,12", "--seed", SEED_2_63],
+    ],
+    ids=["simulate", "exponent-sweep"],
+)
+def test_a_seed_beyond_63_bits_is_refused_before_a_codebook(monkeypatch, capsys, argv):
+    # codeword hashes key on the seed as a signed 64-bit word; 2^63 once
+    # drew the 2^18-point codebook and then died with a struct.error
+    def drawn(*args, **kwargs):
+        raise AssertionError("a codebook was drawn")
+
+    monkeypatch.setattr(simulation, "generate_codebook", drawn)
+    assert main(argv) == 2
+    assert SEED_MESSAGE in capsys.readouterr().err
+
+
+def test_sweep_refuses_a_seed_beyond_63_bits_before_writing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(simulation, "generate_codebook", None)
+    big_seed = BASE_CFG.replace("seed = 2\n", f"seed = {SEED_2_63}\n")
+    cfg = write_config(tmp_path, big_seed + "simulate = true\n")
+    out = tmp_path / "seed.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert SEED_MESSAGE in capsys.readouterr().err
+    assert not out.exists()
+    # the largest seed is taken
+    monkeypatch.undo()
+    cfg = write_config(tmp_path, BASE_CFG + "simulate = true\nsamples = 100\nmax_codewords = 64\n")
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--seed", str(2**63 - 1)]) == 0
+
+
 def test_simulate_rate_too_low_still_succeeds(tmp_path):
     payload = run_json(
         tmp_path,

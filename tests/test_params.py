@@ -19,9 +19,10 @@ from epscap.geometry import (
     sample_uniform_ball,
     working_dimension,
 )
-from epscap.params import MIN_SAMPLES, SignalSpaceParams, require_int
+from epscap.params import MAX_SEED, MIN_SAMPLES, SignalSpaceParams, require_int, require_seed
 from epscap.simulation import (
     ExperimentConfig,
+    empirical_exponent_sweep,
     error_exponent,
     estimate_error_fraction,
     generate_codebook,
@@ -105,6 +106,28 @@ def test_require_int_returns_a_python_int_and_names_the_bound():
     for minimum, what in bounds.items():
         with pytest.raises(ConfigurationError, match=f"^n must be {what}, got {minimum - 1}$"):
             require_int("n", minimum - 1, minimum)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        *(call for name, call, _ in INTEGER_INPUTS if name == "seed"),
+        lambda v: empirical_exponent_sweep(PARAMS, 0.5, [4.0, 8.0], v, samples=MIN_SAMPLES),
+    ],
+)
+def test_seeds_beyond_63_bits_are_refused(call):
+    # codeword hashes take the seed as a signed 64-bit word
+    with pytest.raises(ConfigurationError, match=r"^seed must be an integer in \[0, 9223372036854775807\], got 9223372036854775808$"):
+        call(MAX_SEED + 1)
+    with pytest.raises(ConfigurationError, match="seed must be an integer in"):
+        call(-1)
+    assert require_seed(np.uint64(MAX_SEED)) == MAX_SEED
+
+
+def test_require_int_names_an_upper_bound():
+    assert require_int("n", 5, 0, 5) == 5
+    with pytest.raises(ConfigurationError, match=r"^n must be an integer in \[0, 5\], got 6$"):
+        require_int("n", 6, 0, 5)
 
 
 def test_successes_refuse_bools_and_out_of_range_counts():

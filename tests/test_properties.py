@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from epscap import build_spectrum, finite_reports, simulation
 from epscap.comparison import comparison_table
 from epscap.geometry import (
     Ellipsoid,
+    cap_fractions,
     entropy_eps_bounds,
     greedy_pack,
     per_unit_time_report,
@@ -24,10 +26,11 @@ from epscap.params import SignalSpaceParams
 from epscap.simulation import Codebook, error_exponent, estimate_error_fraction
 from reference import (
     cap_fraction,
+    direct_neighbor_lists,
+    formula_neighbor_lists,
     plain_ball_sample,
     plain_decode_error_counts,
     plain_greedy_pack,
-    plain_neighbor_lists,
 )
 
 OMEGA = st.floats(min_value=1e-3, max_value=1e3)
@@ -198,29 +201,103 @@ def small_codebooks(draw):
     return np.concatenate([points, points[repeats]]), eps
 
 
-@settings(max_examples=300, deadline=None)
-@given(book=small_codebooks(), chunk=st.integers(min_value=1, max_value=40), data=st.data())
-def test_neighbor_lists_are_the_hit_by_hit_gather(book, chunk, data):
-    points, eps = book
-    m = len(points)
-    eval_idx = np.array(
-        sorted(data.draw(st.sets(st.integers(min_value=0, max_value=m - 1), min_size=1)))
-    )
-    with mock.patch.object(simulation, "_NEIGHBOR_CHUNK", chunk):
-        got = simulation._neighbor_lists(points, eval_idx, eps)
-    want = plain_neighbor_lists(points, eval_idx, eps, chunk)
+TILE = st.integers(min_value=1, max_value=40)
+
+
+def tiles(rows, cols):
+    """The neighbour screen's tile, patched to rows x cols."""
+    return mock.patch.multiple(simulation, _TILE_ROWS=rows, _TILE_COLS=cols)
+
+
+def assert_same_lists(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want, strict=True):
         assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
-def competitor_caps(points, eval_idx, eps, chunk):
+def eval_subsets(m):
+    return st.sets(st.integers(min_value=0, max_value=m - 1), min_size=1).map(
+        lambda s: np.array(sorted(s))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(book=small_codebooks(), rows=TILE, cols=TILE, data=st.data())
+def test_neighbor_lists_are_the_direct_difference_oracle(book, rows, cols, data):
+    points, eps = book
+    eval_idx = data.draw(eval_subsets(len(points)))
+    with tiles(rows, cols):
+        got = simulation._neighbor_lists(points, eval_idx, eps)
+    assert_same_lists(got, direct_neighbor_lists(points, eval_idx, eps))
+
+
+@pytest.mark.parametrize(
+    "scale, eps",
+    [(1e-160, 1e-162), (1e-160, 1e-170), (1e200, 1e150), (1e200, 1.0)],
+)
+def test_neighbor_lists_are_the_oracle_where_squares_leave_the_normal_range(scale, eps):
+    # subnormal squares carry an absolute roundoff that a margin relative
+    # to the codebook does not cover; overflowing ones make the screen NaN
+    # or infinite, and such pairs go on to the settle
+    rng = np.random.default_rng(2)
+    points = rng.uniform(-scale, scale, size=(60, 2))
+    points[1::3] = points[::3] + rng.uniform(-eps, eps, size=(20, 2))
+    eval_idx = np.arange(0, 60, 2)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"), tiles(7, 9):
+        got = simulation._neighbor_lists(points, eval_idx, eps)
+        want = direct_neighbor_lists(points, eval_idx, eps)
+    assert any(len(w) for w in want)
+    assert_same_lists(got, want)
+
+
+def assert_differ_only_by_empty_caps(points, eval_idx, eps, got, other):
+    """Every competitor in one list and not the other claims a cap of
+    exactly 0 of the codeword's noise ball, by the decode's own distance."""
+    dim = points.shape[1]
+    for i, g, o in zip(eval_idx, got, other, strict=True):
+        extra = np.setxor1d(g, o)
+        offsets = points[extra] - points[i]
+        dist = np.sqrt(np.einsum("ij,ij->i", offsets, offsets))
+        assert np.all(cap_fractions(dim, eps, dist) == 0.0), (i, extra)
+
+
+@settings(max_examples=300, deadline=None)
+@given(book=small_codebooks(), chunk=TILE, data=st.data())
+def test_formula_lists_differ_only_by_empty_caps(book, chunk, data):
+    # the rule the dense search kept before the settle, |x|^2 - 2 x.y +
+    # |y|^2 within a relative slack of (2*eps)^2, differs from the settled
+    # lists only by competitors the decode never draws from or counts as
+    # closer: why the settle leaves every output byte the same at these
+    # scales
+    points, eps = book
+    eval_idx = data.draw(eval_subsets(len(points)))
+    got = simulation._neighbor_lists(points, eval_idx, eps)
+    other = formula_neighbor_lists(points, eval_idx, eps, chunk)
+    assert_differ_only_by_empty_caps(points, eval_idx, eps, got, other)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=SEED, m=st.integers(min_value=1, max_value=60), data=st.data())
+def test_evaluated_subset_is_the_stable_argsort_prefix(seed, m, data):
+    # digests of 0/1 bytes, so that leading 8-byte words tie often, whole
+    # digests (repeated codewords) tie too, and trailing zeros appear
+    rng = np.random.default_rng(seed)
+    raw = rng.integers(0, 2, size=(m, 32), dtype=np.uint8)
+    raw[:, : rng.integers(0, 9)] = 0
+    raw = raw[rng.integers(0, m, size=m)]
+    digests = np.frombuffer(raw.tobytes(), dtype="S32")
+    k = data.draw(st.integers(min_value=1, max_value=m))
+    want = np.sort(np.argsort(digests, kind="stable")[:k])
+    assert np.array_equal(simulation._smallest_digests(digests, k), want)
+
+
+def competitor_caps(points, eval_idx, eps):
     """Per evaluated codeword: whether a competitor coincides with it, and
     the largest and the sum S of the caps its competitors claim
     (reference.cap_fraction)."""
     dim = points.shape[1]
     coincident, largest, totals = [], [], []
-    for i, nb in zip(eval_idx, plain_neighbor_lists(points, eval_idx, eps, chunk), strict=True):
+    for i, nb in zip(eval_idx, direct_neighbor_lists(points, eval_idx, eps), strict=True):
         dist = np.linalg.norm(points[nb] - points[i], axis=1)
         caps = [cap_fraction(dim, eps, float(d)) for d in dist]
         coincident.append(bool(np.any(dist == 0.0)))
@@ -234,9 +311,10 @@ def competitor_caps(points, eval_idx, eps, chunk):
     book=small_codebooks(),
     seed=SEED,
     max_eval=st.one_of(st.none(), st.integers(min_value=1, max_value=30)),
-    chunk=st.integers(min_value=1, max_value=40),
+    rows=TILE,
+    cols=TILE,
 )
-def test_error_counts_are_the_per_codeword_decode(book, seed, max_eval, chunk):
+def test_error_counts_are_the_per_codeword_decode(book, seed, max_eval, rows, cols):
     # where the caps' shares sum past 1 (beyond a roundoff margin) or a
     # competitor coincides, the count is the one-by-one decode, bit for bit;
     # where every cap is empty it is an exact zero. The codewords between
@@ -244,13 +322,13 @@ def test_error_counts_are_the_per_codeword_decode(book, seed, max_eval, chunk):
     points, eps = book
     codebook = Codebook(points=points)
     samples = 100
-    with mock.patch.object(simulation, "_NEIGHBOR_CHUNK", chunk):
+    with tiles(rows, cols):
         result = estimate_error_fraction(
             codebook, eps, samples=samples, seed=seed, max_eval_codewords=max_eval
         )
     eval_idx = np.arange(len(points)) if result.eval_indices is None else result.eval_indices
-    counts = plain_decode_error_counts(codebook, eval_idx, eps, samples, seed, chunk)
-    coincident, largest, totals = competitor_caps(points, eval_idx, eps, chunk)
+    counts = plain_decode_error_counts(codebook, eval_idx, eps, samples, seed)
+    coincident, largest, totals = competitor_caps(points, eval_idx, eps)
     exact = coincident | (totals > 1.0 + 1e-9)
     assert np.array_equal(result.error_fractions[exact], counts[exact] / samples)
     # a coincident codeword ties every draw, and a tie is an error
@@ -268,9 +346,9 @@ def test_error_counts_are_the_per_codeword_decode(book, seed, max_eval, chunk):
 
 @st.composite
 def books_with_blocks(draw):
-    """(points, eps, chunk): a small codebook with a neighbour-free codeword
-    and a coincident pair, and a block width that leaves at least two full
-    blocks and a short tail."""
+    """(points, eps, cols): a small codebook with a neighbour-free codeword
+    and a coincident pair, and a tile width that leaves at least two full
+    tiles and a short tail."""
     points, eps = draw(small_codebooks())
     far = np.full((1, points.shape[1]), 10.0)  # farther than 2*eps from all
     points = np.concatenate([points, points[:1], far])
@@ -285,11 +363,12 @@ def books_with_blocks(draw):
     book=books_with_blocks(),
     seed=SEED,
     max_eval=st.one_of(st.none(), st.integers(min_value=1, max_value=30)),
+    rows=TILE,
 )
-def test_error_fractions_are_the_same_on_any_number_of_threads(book, seed, max_eval):
+def test_error_fractions_are_the_same_on_any_number_of_threads(book, seed, max_eval, rows):
     # the same estimate on 1, 2 and 3 caller threads at once, as sweep's
     # row pool runs its rows, gives every thread the serial result
-    points, eps, chunk = book
+    points, eps, cols = book
     codebook = Codebook(points=points)
     samples = 100
 
@@ -298,7 +377,7 @@ def test_error_fractions_are_the_same_on_any_number_of_threads(book, seed, max_e
             codebook, eps, samples=samples, seed=seed, max_eval_codewords=max_eval
         )
 
-    with mock.patch.object(simulation, "_NEIGHBOR_CHUNK", chunk):
+    with tiles(rows, cols):
         serial = estimate(None)
         runs = []
         for threads in (1, 2, 3):
@@ -313,24 +392,23 @@ def test_error_fractions_are_the_same_on_any_number_of_threads(book, seed, max_e
                 assert got == want
     # where the decode is one by one, it is the definition's, bit for bit
     eval_idx = np.arange(len(points)) if serial.eval_indices is None else serial.eval_indices
-    counts = plain_decode_error_counts(codebook, eval_idx, eps, samples, seed, chunk)
-    coincident, _, totals = competitor_caps(points, eval_idx, eps, chunk)
+    counts = plain_decode_error_counts(codebook, eval_idx, eps, samples, seed)
+    coincident, _, totals = competitor_caps(points, eval_idx, eps)
     exact = coincident | (totals > 1.0 + 1e-9)
     assert np.array_equal(serial.error_fractions[exact], counts[exact] / samples)
 
 
-def test_criterion7_sized_neighbor_lists_are_the_fresh_products():
-    # full 2,048-column blocks and the tail go through one reused buffer,
-    # the tail through its leading columns; each must give the bits of a
-    # fresh product per block, in 12-d where OpenBLAS bits depend on the
-    # block width
+def test_criterion7_sized_neighbor_lists_are_the_oracle():
+    # a 2^18 x 12 codebook: 1,024 full tiles of the screen, whose BLAS bits
+    # depend on the tile shape in 12-d, must give the oracle's lists; the
+    # 2,048-column formula lists differ from them by empty caps at most
     rng = np.random.default_rng(12)
-    m = 2 * simulation._NEIGHBOR_CHUNK + 1234
+    m = 2**18
     points = sample_uniform_ball(12, 1.0, rng, size=m)
     eval_idx = np.sort(rng.choice(m, size=64, replace=False))
-    got = simulation._neighbor_lists(points, eval_idx, 0.3)
-    want = plain_neighbor_lists(points, eval_idx, 0.3, simulation._NEIGHBOR_CHUNK)
+    got = simulation._neighbor_lists(points, eval_idx, 0.25)
+    want = direct_neighbor_lists(points, eval_idx, 0.25)
     assert sum(len(w) for w in want) > 64  # the lists are not all empty
-    assert len(got) == len(want)
-    for g, w in zip(got, want, strict=True):
-        assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert_same_lists(got, want)
+    other = formula_neighbor_lists(points, eval_idx, 0.25, 2048)
+    assert_differ_only_by_empty_caps(points, eval_idx, 0.25, got, other)

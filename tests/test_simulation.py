@@ -1,6 +1,10 @@
+import hashlib
 import math
+import os
+import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -28,6 +32,7 @@ from epscap.simulation import (
 from reference import (
     cap_fraction,
     decode_error_indicator,
+    direct_neighbor_lists,
     plain_ball_sample,
     plain_decode_error_counts,
 )
@@ -179,7 +184,7 @@ def test_cap_decode_has_the_law_of_the_ball_decode(dim):
     assert np.all(result.error_fraction_brackets[:, 1] < 1.0)  # every one drawn from its caps
     assert np.any(result.error_fraction_brackets[:, 0] < result.error_fraction_brackets[:, 1])
     counts = np.rint(result.error_fractions * samples).astype(int)
-    ball = plain_decode_error_counts(book, np.arange(8), 1.0, samples, dim + 100, chunk=8)
+    ball = plain_decode_error_counts(book, np.arange(8), 1.0, samples, dim + 100)
     for got, want in zip(counts, ball, strict=True):
         table = [[got, samples - got], [want, samples - want]]
         assert fisher_exact(table).pvalue > 1e-4, (got, want)
@@ -233,16 +238,17 @@ def book_12d():
 
 @pytest.mark.parametrize("width", [7, 64, 2048, 16384])
 def test_neighbour_block_width_changes_no_result(monkeypatch, book_12d, width):
-    # a neighbour that only some block widths find sits at the cutoff's
-    # slack beyond 2*eps, where its cap is exactly 0: it is never drawn from
-    # and never closer than the codeword, so every field is the same as
-    # with the whole codebook in one block
+    # the screen's BLAS bits depend on the tile's shape in 12-d, but the
+    # settle decides every pair by its direct difference, so every field is
+    # the same as with the whole codebook in one tile; 24-row tiles split
+    # the 64 evaluated codewords into two full tiles and a short one
     def run():
         return estimate_error_fraction(book_12d, 0.3, samples=10_000, seed=4, max_eval_codewords=64)
 
-    monkeypatch.setattr(simulation, "_NEIGHBOR_CHUNK", book_12d.n_codewords)
+    monkeypatch.setattr(simulation, "_TILE_COLS", book_12d.n_codewords)
     whole = run()
-    monkeypatch.setattr(simulation, "_NEIGHBOR_CHUNK", width)
+    monkeypatch.setattr(simulation, "_TILE_COLS", width)
+    monkeypatch.setattr(simulation, "_TILE_ROWS", 24)
     got = run()
     assert np.count_nonzero(whole.error_fractions) > 16
     for name, want in vars(whole).items():
@@ -250,6 +256,67 @@ def test_neighbour_block_width_changes_no_result(monkeypatch, book_12d, width):
             assert np.array_equal(getattr(got, name), want), name
         else:
             assert getattr(got, name) == want, name
+
+
+def test_a_neighbour_at_tiny_eps_is_found():
+    # at eps << |x| the expansion |x|^2 - 2 x.y + |y|^2 loses about
+    # 1e-16 * |x|^2 absolutely, far more than a slack relative to (2*eps)^2;
+    # the settle reads the direct difference, so a competitor just inside
+    # 2*eps claims its cap, (1 - d/(2*eps))/2 = 6e-9 in 1-d
+    eps = 1e-6
+    points = np.array([[0.8121], [0.8121 - 2.0 * eps * (1.0 - 1.2e-8)]])
+    assert simulation._neighbor_lists(points, np.arange(2), eps)[0].tolist() == [1]
+    result = estimate_error_fraction(Codebook(points=points), eps, samples=100, seed=0)
+    d = float(points[0, 0] - points[1, 0])
+    share = (1.0 - d / (2.0 * eps)) / 2.0
+    assert share == pytest.approx(6e-9, rel=1e-2)
+    np.testing.assert_allclose(result.error_fraction_brackets, share, rtol=1e-6)
+    assert np.all(result.error_fraction_cis[:, 1] > 0.0)
+
+
+def test_neighbour_search_memory_is_a_tile_whatever_is_evaluated():
+    # 20,000 evaluated codewords against 20,000: a block of all evaluated
+    # rows by 2,048 columns would be 328 MB; the screen's 512 x 256 tile is
+    # 1 MB, and the lists themselves (about 11 neighbours each) under 11 MB
+    points = sample_uniform_ball(6, 1.0, np.random.default_rng(3), size=20_000)
+    eval_idx = np.arange(20_000)
+    tracemalloc.start()
+    try:
+        neighbors = simulation._neighbor_lists(points, eval_idx, 0.15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(nb) for nb in neighbors) > 10 * 20_000
+    assert peak < 24 * 2**20, peak
+
+
+def test_neighbour_lists_are_the_same_with_blas_threads_free():
+    # the screen's BLAS sums in an order that changes with the thread count;
+    # the lists in a process with BLAS on one thread and in one with its
+    # threads left free are the oracle's
+    code = (
+        "import hashlib, sys, numpy as np\n"
+        "from epscap import simulation\n"
+        "from epscap.geometry import sample_uniform_ball\n"
+        "points = sample_uniform_ball(12, 1.0, np.random.default_rng(8), size=20_000)\n"
+        "lists = simulation._neighbor_lists(points, np.arange(0, 20_000, 25), 0.35)\n"
+        "sys.stdout.write(hashlib.sha256(np.concatenate(lists).tobytes()"
+        " + np.array([len(nb) for nb in lists]).tobytes()).hexdigest())\n"
+    )
+    points = sample_uniform_ball(12, 1.0, np.random.default_rng(8), size=20_000)
+    want = direct_neighbor_lists(points, np.arange(0, 20_000, 25), 0.35)
+    assert sum(len(nb) for nb in want) > 800
+    digest = hashlib.sha256(
+        np.concatenate(want).tobytes() + np.array([len(nb) for nb in want]).tobytes()
+    ).hexdigest()
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    for threads in ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, {}):
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env | threads, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == digest, threads
 
 
 @pytest.mark.parametrize("threads", [1, 3])
