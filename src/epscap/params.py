@@ -2,12 +2,14 @@
 
 Every integer the package takes from a caller (a count, a size, an index,
 a seed) passes through require_int (a seed through require_seed), and
-every real one through require_finite: each rule is stated once, here.
+every real one through require_finite (the eps of a codebook run through
+require_codebook_eps): each rule is stated once, here.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +62,22 @@ def require_int(name: str, value, minimum: int = 1, maximum: int | None = None) 
             )
         raise ConfigurationError(f"{name} must be {what}, got {value}")
     return int(value)
+
+
+# The largest eps a codebook run takes: its neighbour rule compares squared
+# distances with (2*eps)^2, which must be a finite double.
+MAX_CODEBOOK_EPS = math.sqrt(sys.float_info.max) / 2
+
+
+def require_codebook_eps(eps) -> None:
+    """Refuse an eps that is not positive and finite, or whose (2*eps)^2
+    overflows: the noise radius a codebook run takes."""
+    require_finite("eps", eps)
+    if eps > MAX_CODEBOOK_EPS:
+        raise ValueError(
+            f"eps must be at most {MAX_CODEBOOK_EPS!r} for a codebook run, so that "
+            f"(2*eps)^2 is finite, got {eps}"
+        )
 
 
 # The largest seed: codeword hashes take the seed as a signed 64-bit word.

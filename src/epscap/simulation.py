@@ -9,9 +9,13 @@ control: random codebooks of size floor(delta * (zeta*sqrt(E)/eps)^N)
 should keep the mean at or below delta.
 
 Randomness is reproducible and order-independent: each codeword gets its
-own generator seeded from a content hash of (global seed, codeword
-bytes), so permuting the codebook permutes the per-codeword results
-without changing any of them.
+own generator seeded from the SHA-256 of (global seed, codeword bytes),
+so permuting the codebook permutes the per-codeword results without
+changing any of them. Only the codewords the decode reads are hashed: the
+evaluated ones and their neighbours within 2*eps. A run that evaluates a
+subset picks it by a cheaper 64-bit content key of the same (seed, codeword
+bytes), computed for every codeword; a run that evaluates every codeword
+computes no key.
 
 The cap shares, the uniform ball, cap and ellipsoid samplers, the squared
 distances, the bound reports (which give each run its working dimension N
@@ -44,7 +48,14 @@ from .geometry import (
     squared_distances,
     zeta_or_one,
 )
-from .params import MIN_SAMPLES, SignalSpaceParams, require_finite, require_int, require_seed
+from .params import (
+    MIN_SAMPLES,
+    SignalSpaceParams,
+    require_codebook_eps,
+    require_finite,
+    require_int,
+    require_seed,
+)
 from .spectrum import build_spectrum, degrees_of_freedom, require_window
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -126,30 +137,61 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return lower, upper
 
 
+# splitmix64's increment and finaliser multipliers (Steele, Lea and Flood,
+# OOPSLA 2014)
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _codeword_keys(seed: int, points: np.ndarray, block: int = 8192) -> np.ndarray:
+    """A 64-bit content key per codeword, which picks the evaluated subset.
+
+    From the seed, each little-endian 8-byte word of the codeword's
+    coordinates is folded in by one splitmix64 step: key ^= word, then the
+    finaliser of key + 0x9E3779B97F4A7C15. Blocks of `block` rows keep the
+    work in cache: on a 2^18 x 12 codebook (2-core x86-64) this takes
+    0.016 s, 0.030 s unblocked, where a SHA-256 per codeword took 0.26 s.
+    """
+    keys = np.full(len(points), seed, dtype=np.uint64)
+    words = points.view("<u8")
+    for r0 in range(0, len(points), block):
+        key = keys[r0 : r0 + block]
+        for word in words[r0 : r0 + block].T:
+            key ^= word
+            key += _GOLDEN
+            key ^= key >> np.uint64(30)
+            key *= _MIX1
+            key ^= key >> np.uint64(27)
+            key *= _MIX2
+            key ^= key >> np.uint64(31)
+    return keys
+
+
+def _smallest_keys(keys: np.ndarray, points: np.ndarray, k: int) -> np.ndarray:
+    """Ascending indices of the k codewords of smallest key.
+
+    Equal keys are ordered by the codeword's coordinate bytes, then by
+    index, so that a permutation of the codebook selects the same codeword
+    values. Only the codewords that share the k-th smallest key are sorted.
+    """
+    kth = np.partition(keys, k - 1)[k - 1]
+    below = np.flatnonzero(keys < kth)
+    ties = np.flatnonzero(keys == kth)
+    # same-width byte strings order as their bytes do, trailing nulls included
+    row_bytes = points[ties].view(f"S{points.shape[1] * points.itemsize}").ravel()
+    ties = ties[np.argsort(row_bytes, kind="stable")]
+    return np.sort(np.concatenate([below, ties[: k - len(below)]]))
+
+
 def _codeword_digests(seed: int, points: np.ndarray) -> np.ndarray:
-    """Content hash per codeword; the basis of order-independent streams."""
+    """SHA-256 of (seed, codeword bytes) per codeword: the basis of each
+    codeword's stream and of its competitors' order."""
     prefix = struct.pack("<q", seed)
     out = np.empty(len(points), dtype="S32")
     for i, row in enumerate(points):
         out[i] = hashlib.sha256(prefix + row.tobytes()).digest()
     return out
-
-
-def _smallest_digests(digests: np.ndarray, k: int) -> np.ndarray:
-    """Ascending indices of the k smallest digests, equal ones in index order:
-    np.argsort(digests, kind="stable")[:k], sorted, so that a permutation of
-    the codebook selects the same set of codeword values.
-
-    Found by a partition on each digest's leading 8 bytes read big-endian,
-    which order as the bytes do; only the digests that share the k-th
-    smallest leading word are sorted whole.
-    """
-    lead = digests.view(">u8")[::4]
-    kth = np.partition(lead, k - 1)[k - 1]
-    below = np.flatnonzero(lead < kth)
-    ties = np.flatnonzero(lead == kth)
-    ties = ties[np.argsort(digests[ties], kind="stable")]
-    return np.sort(np.concatenate([below, ties[: k - len(below)]]))
 
 
 def _stream_from_digest(digest: bytes) -> np.random.Generator:
@@ -288,11 +330,12 @@ def estimate_error_fraction(
     [max cap_j, min(1, S)] of the share needs no sampling.
 
     With max_eval_codewords set below the codebook size, evaluation runs
-    on that many codewords chosen by smallest content hash (a fixed
-    pseudo-random subset independent of codebook order), and the mean's
-    interval widens to cover codeword-to-codeword spread.
+    on that many codewords chosen by smallest 64-bit content key
+    (_codeword_keys: a fixed pseudo-random subset independent of codebook
+    order), and the mean's interval widens to cover codeword-to-codeword
+    spread. Each evaluated codeword's count is the one a full run gives it.
     """
-    require_finite("eps", eps)
+    require_codebook_eps(eps)
     samples = require_int("samples", samples, MIN_SAMPLES)
     seed = require_seed(seed)
     if target_delta is not None and not (0.0 < target_delta < 1.0):
@@ -303,20 +346,24 @@ def estimate_error_fraction(
     points = codebook.points
     m, dim = points.shape
 
-    digests = _codeword_digests(seed, points)
     subsampled = max_eval_codewords is not None and m > max_eval_codewords
     if subsampled:
-        eval_idx = _smallest_digests(digests, max_eval_codewords)
+        eval_idx = _smallest_keys(_codeword_keys(seed, points), points, max_eval_codewords)
     else:
         eval_idx = np.arange(m)
 
     neighbors = _neighbor_lists(points, eval_idx, eps)
+    # only the rows the decode reads are hashed, each once: the evaluated
+    # codewords, then each one's neighbours, from ends[r] to ends[r + 1]
+    hashed, read = np.unique(np.concatenate([eval_idx, *neighbors]), return_inverse=True)
+    digests = _codeword_digests(seed, points[hashed])[read]
+    ends = np.cumsum([len(eval_idx), *map(len, neighbors)]).tolist()
 
     def decode(r: int) -> tuple[int, float, float]:
         """The r-th evaluated codeword's error count and the bracket of its share."""
         i = int(eval_idx[r])
         # in digest order, so that a permuted codebook draws the same candidates
-        competitors = neighbors[r][np.argsort(digests[neighbors[r]], kind="stable")]
+        competitors = neighbors[r][np.argsort(digests[ends[r] : ends[r + 1]], kind="stable")]
         offsets = points[competitors] - points[i]
         sq = np.einsum("ij,ij->i", offsets, offsets)
         if not np.all(sq):
@@ -328,7 +375,7 @@ def estimate_error_fraction(
         low, high = float(caps.max()), min(1.0, total)
         if total == 0.0:
             return 0, low, high
-        rng = _stream_from_digest(bytes(digests[i]))
+        rng = _stream_from_digest(bytes(digests[r]))
         if total > 1.0:
             draws = sample_uniform_ball(dim, eps, rng, size=samples) + points[i]
             # the definition's bits: competitors by index, own distance in the same matmul
@@ -430,6 +477,7 @@ class ExperimentConfig:
                 setting(name)
         setting("samples", MIN_SAMPLES)
         object.__setattr__(self, "seed", require_seed(self.seed))
+        require_codebook_eps(self.params.eps)
         setting("max_codewords")
         setting("retries")
         if self.rate is not None:

@@ -5,6 +5,7 @@ a closed form, a limit, or a search the package itself never runs.
 """
 
 import math
+import struct
 
 import numpy as np
 from scipy.special import betainc, expit, gammaln
@@ -198,6 +199,20 @@ def direct_neighbor_lists(points: np.ndarray, eval_idx: np.ndarray, eps: float):
         near = np.flatnonzero(np.einsum("ij,ij->i", offsets, offsets) <= (2.0 * eps) ** 2)
         lists.append(near[near != i])
     return lists
+
+
+def plain_codeword_key(seed: int, row) -> int:
+    """The 64-bit content key of one codeword in Python integers: from the
+    seed, each little-endian 8-byte word of the row folded in by one
+    splitmix64 step (Steele, Lea and Flood, OOPSLA 2014)."""
+    mask = 2**64 - 1
+    key = seed
+    for (word,) in struct.iter_unpack("<Q", np.asarray(row, dtype="<f8").tobytes()):
+        z = ((key ^ word) + 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        key = z ^ (z >> 31)
+    return key
 
 
 # The slack of the formula rule below, relative to (2*eps)^2.

@@ -344,6 +344,27 @@ def test_a_seed_beyond_63_bits_is_refused_before_a_codebook(monkeypatch, capsys,
     assert SEED_MESSAGE in capsys.readouterr().err
 
 
+def test_an_eps_whose_doubled_square_overflows_is_refused_without_a_traceback(monkeypatch):
+    # (2*eps)^2 once overflowed in the neighbour search: an OverflowError
+    # traceback and exit 1, after the codebook was drawn
+    argv = [
+        "simulate", "--omega", PI_ARG, "--t-obs", "4", "--energy", "1", "--eps", "1e200",
+        "--messages", "10", "--samples", "100",
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-m", "epscap.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: eps must be at most 6.703903964971298e+153 for a codebook run, "
+        "so that (2*eps)^2 is finite, got 1e+200\n"
+    )
+    monkeypatch.setattr(simulation, "generate_codebook", None)
+    assert main(argv) == 2  # refused before a codebook is drawn
+
+
 def test_sweep_refuses_a_seed_beyond_63_bits_before_writing(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(simulation, "generate_codebook", None)
     big_seed = BASE_CFG.replace("seed = 2\n", f"seed = {SEED_2_63}\n")

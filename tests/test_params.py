@@ -3,8 +3,10 @@
 Real-valued inputs refuse bools too, though a bool compares as 0 or 1.
 """
 
+import dataclasses
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +21,14 @@ from epscap.geometry import (
     sample_uniform_ball,
     working_dimension,
 )
-from epscap.params import MAX_SEED, MIN_SAMPLES, SignalSpaceParams, require_int, require_seed
+from epscap.params import (
+    MAX_CODEBOOK_EPS,
+    MAX_SEED,
+    MIN_SAMPLES,
+    SignalSpaceParams,
+    require_int,
+    require_seed,
+)
 from epscap.simulation import (
     ExperimentConfig,
     empirical_exponent_sweep,
@@ -122,6 +131,26 @@ def test_seeds_beyond_63_bits_are_refused(call):
     with pytest.raises(ConfigurationError, match="seed must be an integer in"):
         call(-1)
     assert require_seed(np.uint64(MAX_SEED)) == MAX_SEED
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda eps: ExperimentConfig(params=dataclasses.replace(PARAMS, eps=eps), n_codewords=2),
+        lambda eps: estimate_error_fraction(BOOK, eps, samples=MIN_SAMPLES, seed=0),
+    ],
+    ids=["ExperimentConfig", "estimate_error_fraction"],
+)
+def test_an_eps_whose_doubled_square_overflows_is_refused(call):
+    # the neighbour rule compares squared distances with (2*eps)^2
+    assert (2.0 * MAX_CODEBOOK_EPS) ** 2 <= sys.float_info.max
+    call(MAX_CODEBOOK_EPS)
+    message = (
+        r"^eps must be at most 6\.703903964971298e\+153 for a codebook run, "
+        r"so that \(2\*eps\)\^2 is finite, got 6\.703903964971299e\+153$"
+    )
+    with pytest.raises(ValueError, match=message):
+        call(math.nextafter(MAX_CODEBOOK_EPS, math.inf))
 
 
 def test_require_int_names_an_upper_bound():

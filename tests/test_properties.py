@@ -29,6 +29,7 @@ from reference import (
     direct_neighbor_lists,
     formula_neighbor_lists,
     plain_ball_sample,
+    plain_codeword_key,
     plain_decode_error_counts,
     plain_greedy_pack,
 )
@@ -276,19 +277,43 @@ def test_formula_lists_differ_only_by_empty_caps(book, chunk, data):
     assert_differ_only_by_empty_caps(points, eval_idx, eps, got, other)
 
 
-@settings(max_examples=200, deadline=None)
-@given(seed=SEED, m=st.integers(min_value=1, max_value=60), data=st.data())
-def test_evaluated_subset_is_the_stable_argsort_prefix(seed, m, data):
-    # digests of 0/1 bytes, so that leading 8-byte words tie often, whole
-    # digests (repeated codewords) tie too, and trailing zeros appear
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=SEED,
+    m=st.integers(min_value=1, max_value=60),
+    dim=st.integers(min_value=1, max_value=3),
+    scale=st.sampled_from([1, 2**63]),
+    data=st.data(),
+)
+def test_evaluated_subset_is_the_smallest_keys_then_bytes(seed, m, dim, scale, data):
+    # keys of 0 or `scale`, so that they tie often; rows of 0/1 bytes that
+    # repeat, share a leading run of bytes with row 0 (so that some differ
+    # only in trailing bytes) and often end in zero bytes
     rng = np.random.default_rng(seed)
-    raw = rng.integers(0, 2, size=(m, 32), dtype=np.uint8)
-    raw[:, : rng.integers(0, 9)] = 0
-    raw = raw[rng.integers(0, m, size=m)]
-    digests = np.frombuffer(raw.tobytes(), dtype="S32")
+    raw = rng.integers(0, 2, size=(m, 8 * dim), dtype=np.uint8)
+    shared = rng.integers(0, 8 * dim + 1)
+    raw[:, :shared] = raw[0, :shared]
+    points = raw[rng.integers(0, m, size=m)].view("<f8")
+    keys = rng.integers(0, 2, size=m).astype(np.uint64) * np.uint64(scale)
     k = data.draw(st.integers(min_value=1, max_value=m))
-    want = np.sort(np.argsort(digests, kind="stable")[:k])
-    assert np.array_equal(simulation._smallest_digests(digests, k), want)
+    # Python's sort is stable: equal (key, bytes) stay in index order
+    order = sorted(range(m), key=lambda i: (int(keys[i]), points[i].tobytes()))
+    want = np.sort(order[:k])
+    assert np.array_equal(simulation._smallest_keys(keys, points, k), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**63 - 1),
+    m=st.integers(min_value=1, max_value=30),
+    dim=st.integers(min_value=1, max_value=4),
+    block=st.integers(min_value=1, max_value=9),
+)
+def test_codeword_keys_are_the_plain_fold_in_any_block(seed, m, dim, block):
+    points = np.random.default_rng(seed % 2**32).uniform(-1.0, 1.0, size=(m, dim))
+    want = [plain_codeword_key(seed, row) for row in points]
+    assert simulation._codeword_keys(seed, points, block).tolist() == want
+    assert simulation._codeword_keys(seed, points).tolist() == want
 
 
 def competitor_caps(points, eval_idx, eps):

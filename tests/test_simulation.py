@@ -34,6 +34,7 @@ from reference import (
     decode_error_indicator,
     direct_neighbor_lists,
     plain_ball_sample,
+    plain_codeword_key,
     plain_decode_error_counts,
 )
 
@@ -436,6 +437,47 @@ def test_permutation_invariance_with_subset():
         np.sort(perm[shuffled.eval_indices]), np.sort(base.eval_indices)
     )
     assert shuffled.mean_error_fraction == base.mean_error_fraction
+
+
+@pytest.mark.parametrize(
+    "seed, row, key",
+    [
+        # splitmix64's first output from state 0
+        (0, [0.0], 0xE220A8397B1DCDAF),
+        (1, [0.5, -0.25], 0x1F31B2A4F866AE88),
+        (2**63 - 1, [1.0, 2.0, 3.0], 0x61CBAFB920F03FAF),
+        (7, [-0.0, 1e-300, 5e-324, 1.7976931348623157e308], 0xE625F4B2F57F6BA7),
+    ],
+)
+def test_codeword_keys_are_frozen(seed, row, key):
+    # every subsampled artifact's choice of codewords rests on these values
+    assert plain_codeword_key(seed, row) == key
+    assert simulation._codeword_keys(seed, np.array([row])).tolist() == [key]
+
+
+@pytest.mark.parametrize(
+    "dim, m, repeated",
+    [(2, 80, False), (3, 150, True), (5, 120, False), (12, 200, True)],
+)
+@pytest.mark.parametrize("eps", [0.2, 0.45])
+def test_a_subset_estimates_each_codeword_as_the_full_run_does(dim, m, repeated, eps):
+    # only the choice of evaluated codewords depends on the subset: each one
+    # keeps its stream, competitor order and so its count, interval and bracket
+    rng = np.random.default_rng(dim * m)
+    points = sample_uniform_ball(dim, 1.0, rng, size=m)
+    if repeated:  # a third of the rows are copies of others
+        points[: m // 3] = points[rng.integers(m // 3, m, size=m // 3)]
+    book = Codebook(points=points)
+    full = estimate_error_fraction(book, eps, samples=300, seed=11)
+    assert full.eval_indices is None
+    for k in (1, m // 4, m - 1):
+        sub = estimate_error_fraction(book, eps, samples=300, seed=11, max_eval_codewords=k)
+        idx = sub.eval_indices
+        assert len(idx) == k and np.all(np.diff(idx) > 0)
+        assert np.array_equal(sub.error_fractions, full.error_fractions[idx])
+        assert np.array_equal(sub.error_fraction_cis, full.error_fraction_cis[idx])
+        assert np.array_equal(sub.error_fraction_brackets, full.error_fraction_brackets[idx])
+    assert np.any(full.error_fractions > 0)
 
 
 def test_estimate_rejects_few_samples():
