@@ -121,10 +121,5 @@ class SignalSpaceParams:
         return nominal_dimension(self.omega, self.t_obs)
 
     @property
-    def snr(self) -> float:
-        """Energy-to-noise-power ratio E/eps^2."""
-        return self.energy / self.eps**2
-
-    @property
     def sqrt_snr(self) -> float:
         return math.sqrt(self.energy) / self.eps

@@ -10,30 +10,44 @@ eigenvalues 1 > lambda_1 > lambda_2 > ... > 0 cluster near 1 up to about
 N0 = Omega*T/pi and then plunge to 0 across a transition band of width
 O(log N0). Everything downstream (effective dimensionality, volume
 corrections, capacity and entropy bounds) is a functional of this spectrum.
-The stored eigenvalues are only non-increasing where lambda or 1 - lambda
-is below roundoff (the tests take 1e-13 as that floor): there the distinct
-exact values can tie or swap, e.g. lambda_3 and lambda_4 both store as
-1 - 2.9e-15 at N0 = 20 with quadrature order 512.
 
-The discretization is the Nystrom method on a Gauss-Legendre rule:
-with nodes t_i and weights w_i on [-T/2, T/2], the symmetrized matrix
+build_spectrum solves the differential operator that commutes with the
+integral one (Slepian & Pollak 1961; Osipov, Rokhlin & Xiao, "Prolate
+Spheroidal Wave Functions of Order Zero", 2013). On [-1, 1], with
+c = Omega*T/2, it is -(d/dx)(1 - x^2)(d/dx) + c^2 x^2; in the normalised
+Legendre basis Pbar_k = sqrt(k + 1/2) P_k it is a symmetric matrix coupling
+k only to k and k +- 2, so it splits into an even and an odd tridiagonal,
+each solved for its eigenvectors by MRRR on about c + 32 Legendre degrees
+past the modes wanted. The eigenvalues then come from the coefficients:
+the largest from psi_0(0) (the prolate functions count from 0, so psi_n
+belongs to lambda_{n+1}), and each later one from the ratio identity of
+_prolate_ratios, whose two inner products are O(1), so a tiny lambda
+keeps full relative accuracy. No matrix of the order's size is built,
+and the work does not grow with the order: the order only sets how many
+eigenvalues are reported (modes below CLIP_FLOOR store the floor) and,
+for eigenvectors, the Gauss-Legendre nodes they are sampled at.
+
+Two checks can fail. The exact eigenvalues sum to the operator's trace,
+N0, so trace_error = |sum of computed lambda - N0| measures the solve
+(2e-12 at N0 = 200, 1.4e-11 at N0 = 1000). And every mode's trailing
+Legendre coefficients must be negligible, or the basis truncated it.
+
+The stored eigenvalues are non-increasing. On the plateau, where 1 - lambda
+is below roundoff (the tests take 1e-13 as that floor), the recurrence's
+product carries a few ulps of noise; a running minimum removes its rises,
+and there the stored order of the distinct exact values is roundoff.
+
+build_kernel_matrix and compute_spectrum keep the Nystrom method on a
+Gauss-Legendre rule as an independent oracle for the tests: with nodes t_i
+and weights w_i, the symmetrized matrix
 
     K_ij = sqrt(w_i w_j) * (Omega/pi) * sinc(Omega (t_i - t_j))
 
-has the same eigenvalues as the quadrature-discretized operator. Its
-trace equals (Omega/pi) * sum(w_i) = N0 exactly; the recorded trace_error
-compares the eigenvalue sum with N0, but since that sum always equals the
-trace, the check is tautological and cannot catch a wrong solve.
-
-The kernel is even and the Gauss nodes are symmetric about 0, so K is
-centrosymmetric (K = J K J, J the reversal matrix). With K split into
-blocks A = K[:m, :m] and B = K[:m, -m:], m = order // 2, it is similar to
-the direct sum of the half-size blocks A + B J (even functions) and
-A - B J (odd functions); an odd order adds the middle node to the even
-block with a sqrt(2) coupling. This is the even/odd split of the prolate
-functions (Slepian & Pollak 1961). Each block is solved for eigenvalues
-only; eigenvectors are built, through [I; +-J] / sqrt(2), only when they
-are asked for, and never change the eigenvalues.
+has the eigenvalues of the quadrature-discretized operator. K is
+centrosymmetric, so it is solved as the direct sum of its half-size even
+(A + B J) and odd (A - B J) blocks, A = K[:m, :m], B = K[:m, -m:],
+m = order // 2; an odd order adds the middle node to the even block with
+a sqrt(2) coupling. Its eigenvalue sum equals its trace, N0, identically.
 
 Index conventions follow the classical literature: eigenvalues are
 1-based in formulas (lambda_1 is the largest) and stored 0-based in
@@ -49,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre
-from scipy.linalg import eigh, eigvalsh_tridiagonal
+from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .errors import ConfigurationError, InsufficientSpectrumError, NumericalError
 from .params import nominal_dimension, require_finite, require_int
@@ -57,9 +71,13 @@ from .params import nominal_dimension, require_finite, require_int
 logger = logging.getLogger(__name__)
 
 # Eigenvalues are clipped into [CLIP_FLOOR, 1 - CLIP_FLOOR]: the exact ones
-# lie strictly inside (0, 1), while the discretized tail goes negative at
-# roundoff scale and the leading plateau rounds to 1.
+# lie strictly inside (0, 1), while a double-precision solve rounds the
+# leading plateau to 1 and cannot resolve the deep tail.
 CLIP_FLOOR = 1e-15
+
+# A solved mode's last Legendre coefficients (of a unit coefficient vector)
+# must stay below this; a larger one means the basis cut the mode off.
+_TAIL_TOLERANCE = 1e-14
 
 # Below arg = 1e-6, sin(arg)/arg loses accuracy to cancellation; the Taylor
 # series is exact to double precision there.
@@ -94,14 +112,30 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def default_quad_order(omega: float, t_obs: float) -> int:
-    """Default quadrature order: max(256, 8 * ceil(N0)).
+    """Default order: max(256, 8 * ceil(N0)).
 
-    Gauss-Legendre converges spectrally for this analytic kernel; eight
-    nodes per nominal degree of freedom resolves the transition band with
-    a wide margin (doubling the order moves the first 2*N0 eigenvalues
-    by less than 1e-12 in practice).
+    build_spectrum reports that many eigenvalues, and samples eigenvectors
+    at that many Gauss-Legendre nodes; the Nystrom oracle uses it as its
+    node count, where eight nodes per nominal degree of freedom resolve the
+    transition band with a wide margin.
     """
     return max(256, 8 * math.ceil(nominal_dimension(omega, t_obs)))
+
+
+def _checked_order(omega: float, t_obs: float, quad_order: int | None) -> int:
+    """The order (default_quad_order when None), refused below 4 * ceil(N0)."""
+    require_finite("omega", omega)
+    require_finite("t_obs", t_obs)
+    if quad_order is None:
+        quad_order = default_quad_order(omega, t_obs)
+    quad_order = require_int("quad_order", quad_order)
+    min_order = 4 * math.ceil(nominal_dimension(omega, t_obs))
+    if quad_order < min_order:
+        raise ConfigurationError(
+            f"quad_order {quad_order} is below 4 * ceil(N0) = {min_order}; "
+            "the eigenvalue transition band would be unresolved"
+        )
+    return quad_order
 
 
 @dataclass(frozen=True)
@@ -120,16 +154,20 @@ class KernelMatrix:
 class EigenSpectrum:
     """Descending eigenvalues and, on request, node-sampled eigenfunctions.
 
-    lambdas:     eigenvalues sorted descending, clipped to
-                 [clip_floor, 1 - clip_floor]
+    lambdas:     the first quad_order eigenvalues, non-increasing, clipped
+                 to [clip_floor, 1 - clip_floor]
     eigvecs:     None unless vectors were requested (build_spectrum(...,
                  vectors=True)); then column n holds psi_{n+1} evaluated at
-                 the nodes, assembled from the even/odd block eigenvectors
-                 and scaled so that the L2 norm over the whole line is 1,
-                 equivalently sum_i w_i psi_n(t_i)^2 == lambda_n
+                 the nodes, scaled so that the L2 norm over the whole line
+                 is 1, equivalently sum_i w_i psi_n(t_i)^2 == lambda_n
                  (concentration on the observation window)
-    trace_error: |sum of raw eigenvalues - N0|; the sum equals the matrix
-                 trace by construction, so this check cannot fail
+    nodes:       the quad_order Gauss-Legendre nodes on [-T/2, T/2] and
+    weights:     their weights (sum T); build_spectrum leaves both empty
+                 unless eigvecs is set
+    quad_order:  how many eigenvalues are reported; it does not set their
+                 accuracy
+    trace_error: |sum of computed eigenvalues - N0|; the exact ones sum to
+                 N0, so a wrong solve shows here
     """
 
     lambdas: np.ndarray
@@ -150,10 +188,198 @@ class EigenSpectrum:
         return len(self.lambdas)
 
 
+def _legendre_count(c: float, n_modes: int) -> int:
+    """Legendre coefficients kept for the first n_modes prolate functions.
+
+    An even count of about n_modes + c + 32: psi_n's coefficients fall
+    below 1e-17 within 0.7 c + 30 degrees past n, and closer once n >> c
+    (measured up to N0 = 1000); _prolate_coefficients refuses a shortfall.
+    """
+    return 2 * ((n_modes + math.ceil(c)) // 2 + 16)
+
+
+def _prolate_coefficients(
+    c: float, n_coeffs: int, n_modes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Normalised Legendre coefficients of psi_0, ..., psi_{n_modes-1}.
+
+    The prolate operator's matrix on Pbar_0, ..., Pbar_{n_coeffs-1} has
+    diagonal k(k+1) + c^2 (2k(k+1) - 1) / ((2k+3)(2k-1)) and couples k to
+    k + 2 by c^2 (k+2)(k+1) / ((2k+3) sqrt((2k+1)(2k+5))). Its eigenvectors,
+    by ascending eigenvalue, are the prolate functions by descending lambda.
+    Returns (even, odd): column j of even holds psi_{2j} on Pbar_0, Pbar_2,
+    ...; column j of odd holds psi_{2j+1} on Pbar_1, Pbar_3, .... Each
+    column has unit norm, so each function has unit norm on [-1, 1].
+
+    Raises NumericalError when a mode's trailing coefficients exceed
+    _TAIL_TOLERANCE: n_coeffs truncated it.
+    """
+    k = np.arange(n_coeffs, dtype=float)
+    diagonal = k * (k + 1) + c * c * (2 * k * (k + 1) - 1) / ((2 * k + 3) * (2 * k - 1))
+    k = k[:-2]
+    coupling = c * c * (k + 2) * (k + 1) / ((2 * k + 3) * np.sqrt((2 * k + 1) * (2 * k + 5)))
+    blocks = []
+    for parity in (0, 1):
+        try:
+            # MRRR makes no BLAS-3 call, so the bits do not follow BLAS
+            # threads; solving every mode is faster than selecting some
+            _, vecs = eigh_tridiagonal(
+                diagonal[parity::2], coupling[parity::2], lapack_driver="stemr"
+            )
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - MRRR on
+            # a finite symmetric tridiagonal essentially cannot fail
+            raise NumericalError(f"prolate eigensolve failed: {exc}") from exc
+        blocks.append(vecs[:, : (n_modes + 1 - parity) // 2])
+    tail = max(float(np.max(np.abs(vecs[-2:]))) for vecs in blocks)
+    if not tail <= _TAIL_TOLERANCE:
+        raise NumericalError(
+            f"{n_coeffs} Legendre coefficients truncate the first {n_modes} "
+            f"prolate functions: a trailing coefficient is {tail:.3g}"
+        )
+    return blocks[0], blocks[1]
+
+
+def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner product of each column of a with the same column of b."""
+    return np.einsum("ij,ij->j", a, b)
+
+
+def _prolate_ratios(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """lambda_{n+2} / lambda_{n+1} from psi_n and psi_{n+1}, for each n.
+
+    With F psi = integral_{-1}^{1} exp(icxt) psi(t) dt, F psi_n = mu_n psi_n
+    and lambda_{n+1} = (c / 2 pi) |mu_n|^2. Differentiating under the
+    integral gives mu_n <psi_m, psi_n'> = ic mu_m <x psi_n, psi_m>, so
+    |<psi_{n+1}, psi_n'>| / |<psi_n, psi_{n+1}'>| is the eigenvalue ratio,
+    both inner products O(1). The derivative of a Pbar series beta is
+    (D beta)_j = sqrt(2j+1) sum_{k>j, k+j odd} sqrt(2k+1) beta_k: a reverse
+    cumulative sum over the other parity's rows.
+    """
+    rows = np.arange(len(even))[:, None]
+    root_even = np.sqrt(4 * rows + 1)  # sqrt(2k+1) at k = 2 * row
+    root_odd = np.sqrt(4 * rows + 3)  # sqrt(2k+1) at k = 2 * row + 1
+    # even modes' derivatives on the odd rows (k = 2i > j = 2l + 1: i > l),
+    # odd modes' on the even rows (k = 2i + 1 > j = 2l: i >= l)
+    d_even = np.zeros_like(even)
+    d_even[:-1] = root_odd[:-1] * np.cumsum((root_even * even)[::-1], axis=0)[-2::-1]
+    d_odd = root_even * np.cumsum((root_odd * odd)[::-1], axis=0)[::-1]
+    n_even, n_odd = even.shape[1], odd.shape[1]
+    ratios = np.empty(n_even + n_odd - 1)
+    # from psi_2a to psi_2a+1, then from psi_2a+1 to psi_2a+2
+    ratios[0::2] = np.abs(_column_dots(odd, d_even[:, :n_odd])) / np.abs(
+        _column_dots(even[:, :n_odd], d_odd)
+    )
+    ratios[1::2] = np.abs(_column_dots(even[:, 1:], d_odd[:, : n_even - 1])) / np.abs(
+        _column_dots(odd[:, : n_even - 1], d_even[:, 1:])
+    )
+    return ratios
+
+
+def _prolate_lambda1(c: float, even: np.ndarray) -> float:
+    """lambda_1 = (c / 2 pi) mu_0^2, with mu_0 = sqrt(2) beta_0 / psi_0(0).
+
+    F psi_0 = mu_0 psi_0 at x = 0 reads mu_0 psi_0(0) = integral psi_0 =
+    sqrt(2) beta_0, and Pbar_2i(0) = sqrt(2i + 1/2) P_2i(0) with
+    P_2i(0) = prod_{j=1}^{i} -(2j - 1) / (2j).
+    """
+    j = np.arange(1, len(even))
+    p_at_zero = np.cumprod(np.concatenate([[1.0], (1 - 2 * j) / (2 * j)]))
+    psi0_at_zero = float(np.sum(even[:, 0] * np.sqrt(2 * np.arange(len(even)) + 0.5) * p_at_zero))
+    mu0 = math.sqrt(2.0) * float(even[0, 0]) / psi0_at_zero
+    return c / (2.0 * math.pi) * mu0 * mu0
+
+
+def _prolate_values(c: float, n_modes: int, x: np.ndarray) -> np.ndarray:
+    """psi_0, ..., psi_{n_modes-1} (unit norm on [-1, 1]) at the points x."""
+    even, odd = _prolate_coefficients(c, _legendre_count(c, n_modes), n_modes)
+    degrees = np.arange(2 * len(even))
+    vander = legendre.legvander(x, degrees[-1]) * np.sqrt(degrees + 0.5)
+    values = np.empty((len(x), n_modes))
+    values[:, 0::2] = vander[:, 0::2] @ even
+    values[:, 1::2] = vander[:, 1::2] @ odd
+    return values
+
+
+def _clip(raw_lambdas: np.ndarray) -> np.ndarray:
+    """Clip into [CLIP_FLOOR, 1 - CLIP_FLOOR], logging how many moved."""
+    below = int(np.sum(raw_lambdas < CLIP_FLOOR))
+    above = int(np.sum(raw_lambdas > 1.0 - CLIP_FLOOR))
+    if below or above:
+        logger.debug(
+            "clipped %d eigenvalues below %g and %d above %g",
+            below,
+            CLIP_FLOOR,
+            above,
+            1.0 - CLIP_FLOOR,
+        )
+    return np.clip(raw_lambdas, CLIP_FLOOR, 1.0 - CLIP_FLOOR)
+
+
+def build_spectrum(
+    omega: float, t_obs: float, quad_order: int | None = None, vectors: bool = False
+) -> EigenSpectrum:
+    """The first quad_order eigenvalues, from the prolate tridiagonals.
+
+    Args:
+        omega: one-sided angular bandwidth in rad/s, > 0.
+        t_obs: observation window length, > 0.
+        quad_order: eigenvalues reported, and Gauss-Legendre nodes for the
+            eigenvectors; defaults to max(256, 8 * ceil(N0)) and must be
+            >= 4 * ceil(N0).
+        vectors: also sample the eigenfunctions at the nodes. The
+            eigenvalues are the same either way.
+
+    Modes are solved until the eigenvalue falls below CLIP_FLOOR (the
+    later ones store the floor), starting from 16 past the asymptotic
+    count of eigenvalues above CLIP_FLOOR and doubling while that falls
+    short.
+    """
+    quad_order = _checked_order(omega, t_obs, quad_order)
+    n0 = nominal_dimension(omega, t_obs)
+    c = omega * t_obs / 2.0
+    above_floor = dof_asymptotic(max(n0, 2.0), 1.0, math.sqrt(CLIP_FLOOR))
+    n_modes = min(quad_order, math.ceil(above_floor) + 16)
+    while True:
+        even, odd = _prolate_coefficients(c, _legendre_count(c, n_modes), n_modes)
+        steps = np.concatenate([[_prolate_lambda1(c, even)], _prolate_ratios(even, odd)])
+        raw_lambdas = np.cumprod(steps)
+        if not np.all(np.isfinite(raw_lambdas)):
+            raise NumericalError("prolate recurrence returned non-finite eigenvalues")
+        if raw_lambdas[-1] < CLIP_FLOOR or n_modes == quad_order:
+            break
+        n_modes = min(quad_order, 2 * n_modes)
+
+    trace_error = abs(float(raw_lambdas.sum()) - n0)
+    # the exact values strictly decrease; the running minimum takes out the
+    # few-ulp rises of the product on the plateau
+    lambdas = _clip(
+        np.concatenate([np.minimum.accumulate(raw_lambdas), np.zeros(quad_order - n_modes)])
+    )
+    nodes = weights = np.empty(0)
+    eigvecs = None
+    if vectors:
+        x, w = gauss_legendre(quad_order)
+        half = t_obs / 2.0
+        nodes, weights = x * half, w * half
+        # unit norm on [-1, 1] -> on the window -> energy lambda_n inside it
+        eigvecs = _prolate_values(c, quad_order, x) * np.sqrt(lambdas / half)
+    return EigenSpectrum(
+        lambdas=lambdas,
+        eigvecs=eigvecs,
+        nodes=nodes,
+        weights=weights,
+        omega=omega,
+        t_obs=t_obs,
+        quad_order=quad_order,
+        clip_floor=CLIP_FLOOR,
+        trace_error=trace_error,
+    )
+
+
 def build_kernel_matrix(
     omega: float, t_obs: float, quad_order: int | None = None
 ) -> KernelMatrix:
-    """Discretize the sinc kernel on a Gauss-Legendre rule.
+    """Discretize the sinc kernel on a Gauss-Legendre rule (the test oracle).
 
     Args:
         omega: one-sided angular bandwidth in rad/s, > 0.
@@ -165,19 +391,7 @@ def build_kernel_matrix(
     Returns:
         KernelMatrix with the symmetric matrix, nodes, and weights.
     """
-    require_finite("omega", omega)
-    require_finite("t_obs", t_obs)
-    n0 = nominal_dimension(omega, t_obs)
-    if quad_order is None:
-        quad_order = default_quad_order(omega, t_obs)
-    quad_order = require_int("quad_order", quad_order)
-    min_order = 4 * math.ceil(n0)
-    if quad_order < min_order:
-        raise ConfigurationError(
-            f"quad_order {quad_order} is below 4 * ceil(N0) = {min_order}; "
-            "the eigenvalue transition band would be unresolved"
-        )
-
+    quad_order = _checked_order(omega, t_obs, quad_order)
     x, w = gauss_legendre(quad_order)
     nodes = x * (t_obs / 2.0)
     weights = w * (t_obs / 2.0)
@@ -256,17 +470,17 @@ def _parity_eigvecs(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
 
 
 def compute_spectrum(kernel: KernelMatrix, vectors: bool = False) -> EigenSpectrum:
-    """Solve the symmetric eigenproblem and postprocess the spectrum.
+    """Solve the Nystrom matrix's eigenproblem (the test oracle).
 
     The matrix is split into its even and odd parity blocks (see the
     module docstring), each solved for eigenvalues only. Eigenvalues are
-    sorted descending and clipped into [CLIP_FLOOR, 1 - CLIP_FLOOR];
-    clipping events are counted and logged because they mark where the
-    discretized tail is pure roundoff. With ``vectors=True`` the blocks are
-    solved a second time for eigenvectors, whose columns are rescaled from
-    the symmetrized coordinates back to function values at the nodes,
-    normalized to unit energy on the whole line; the eigenvalues always
-    come from the eigenvalues-only solve.
+    sorted descending and clipped into [CLIP_FLOOR, 1 - CLIP_FLOOR]. With
+    ``vectors=True`` the blocks are solved a second time for eigenvectors,
+    whose columns are rescaled from the symmetrized coordinates back to
+    function values at the nodes, normalized to unit energy on the whole
+    line; the eigenvalues always come from the eigenvalues-only solve. The
+    trace_error is |eigenvalue sum - N0|, which equals the matrix trace's
+    distance from N0 whatever the solve did.
     """
     even, odd = _parity_blocks(kernel.matrix)
     try:
@@ -283,18 +497,7 @@ def compute_spectrum(kernel: KernelMatrix, vectors: bool = False) -> EigenSpectr
 
     n0 = nominal_dimension(kernel.omega, kernel.t_obs)
     trace_error = abs(float(raw_lambdas.sum()) - n0)
-
-    below = int(np.sum(raw_lambdas < CLIP_FLOOR))
-    above = int(np.sum(raw_lambdas > 1.0 - CLIP_FLOOR))
-    if below or above:
-        logger.debug(
-            "clipped %d eigenvalues below %g and %d above %g",
-            below,
-            CLIP_FLOOR,
-            above,
-            1.0 - CLIP_FLOOR,
-        )
-    lambdas = np.clip(raw_lambdas, CLIP_FLOOR, 1.0 - CLIP_FLOOR)
+    lambdas = _clip(raw_lambdas)
 
     eigvecs = None
     if raw_vecs is not None:
@@ -314,17 +517,6 @@ def compute_spectrum(kernel: KernelMatrix, vectors: bool = False) -> EigenSpectr
         clip_floor=CLIP_FLOOR,
         trace_error=trace_error,
     )
-
-
-def build_spectrum(
-    omega: float, t_obs: float, quad_order: int | None = None, vectors: bool = False
-) -> EigenSpectrum:
-    """Convenience wrapper: discretize and solve in one call.
-
-    Eigenvectors are built only with ``vectors=True``; the eigenvalues are
-    the same either way.
-    """
-    return compute_spectrum(build_kernel_matrix(omega, t_obs, quad_order), vectors=vectors)
 
 
 # --- scalar functionals of the spectrum ---

@@ -54,9 +54,9 @@ def test_criterion_01_spectrum_fidelity(capsys):
 
     head_ok = lam[0] > 0.999
     # the exact eigenvalues are distinct, but where lambda or 1 - lambda is
-    # below roundoff their stored order is noise (lambda_3 and lambda_4 tie
-    # at 1 - 2.9e-15 here), so strict decrease is required only between
-    # the two floors
+    # below roundoff their stored order is noise (lambda_1 to lambda_6 all
+    # store as the clipped 1 - 1e-15 here), so strict decrease is required
+    # only between the two floors
     resolvable = (lam > 1e-13) & (1.0 - lam > 1e-13)
     strict_ok = bool(np.all(np.diff(lam[resolvable]) < 0) and np.all(np.diff(lam) <= 0))
     trace_ok = spec.trace_error <= 1e-4
@@ -65,7 +65,7 @@ def test_criterion_01_spectrum_fidelity(capsys):
     # Landau (1993): the count of eigenvalues above 1/2 is floor(N0) or
     # floor(N0) + 1, at every N0, not only in the limit
     spectra = {20.0: spec}
-    for n0 in (20.5, 40.0, 80.0, 160.0):
+    for n0 in (20.5, 40.0, 80.0, 160.0, 400.0, 1000.0):
         spectra[n0] = build_spectrum(math.pi, n0)
     above_half = {n0: int(np.sum(s.lambdas > 0.5)) for n0, s in spectra.items()}
     bracket_ok = all(
@@ -73,9 +73,8 @@ def test_criterion_01_spectrum_fidelity(capsys):
     )
     # Landau & Widom (1980): lambda_N0 -> 1/2 as N0 -> infinity; at finite
     # N0 the residual is positive and shrinks (logarithmically)
-    residuals = [
-        float(spectra[n0].lambdas[int(n0) - 1]) - 0.5 for n0 in (20.0, 40.0, 80.0, 160.0)
-    ]
+    limit_n0s = (20.0, 40.0, 80.0, 160.0, 400.0, 1000.0)
+    residuals = [float(spectra[n0].lambdas[int(n0) - 1]) - 0.5 for n0 in limit_n0s]
     limit_ok = min(residuals) > 0 and bool(np.all(np.diff(residuals) < 0))
     lam20 = float(lam[19])
     pin_ok = bool(np.isclose(lam20, FROZEN_T20_TRANSITION[4], rtol=1e-6, atol=1e-14))
@@ -91,7 +90,7 @@ def test_criterion_01_spectrum_fidelity(capsys):
         f"1e-13, non-increasing elsewhere {strict_ok}; "
         f"|trace-20|={spec.trace_error:.2e} (<=1e-4 {trace_ok}); "
         f"#(lambda>1/2) at N0 {counts} in [floor(N0), floor(N0)+1] {bracket_ok}; "
-        f"lambda_N0-1/2 at N0=20,40,80,160 = "
+        f"lambda_N0-1/2 at N0={','.join(f'{n0:g}' for n0 in limit_n0s)} = "
         f"{', '.join(f'{r:.4f}' for r in residuals)} positive and decreasing "
         f"{limit_ok}; lambda_20={lam20:.10f} equal to the frozen "
         f"{FROZEN_T20_TRANSITION[4]:.10f} (rtol 1e-6) {pin_ok}; "

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from epscap import (
     build_spectrum,
     volume_correction,
 )
+from epscap import spectrum
 from epscap.spectrum import (
     CLIP_FLOOR,
     build_kernel_matrix,
@@ -78,7 +80,7 @@ def test_monotone_nonincreasing(spec_t20, spec_t20_512):
         assert np.all(np.diff(lam) <= 0)
         # strictly decreasing where lambda and 1 - lambda both exceed roundoff;
         # nearer either end the stored order of the (distinct) exact values
-        # is noise (at order 512 lambda_3 and lambda_4 tie at 1 - 2.9e-15)
+        # is noise (lambda_1 to lambda_6 all store as the clipped 1 - 1e-15)
         resolvable = (lam > 1e-13) & (1.0 - lam > 1e-13)
         assert np.all(np.diff(lam[resolvable]) < 0)
 
@@ -100,8 +102,65 @@ def test_refinement_stability(spec_t20_512):
 
 
 def test_quadrature_order_precondition():
-    with pytest.raises(ConfigurationError):
-        build_kernel_matrix(math.pi, 20.0, quad_order=40)
+    for build in (build_kernel_matrix, build_spectrum):
+        with pytest.raises(ConfigurationError, match="below 4 \\* ceil\\(N0\\) = 80"):
+            build(math.pi, 20.0, quad_order=40)
+
+
+def test_order_sets_the_count_not_the_values(spec_t20, spec_t20_512):
+    # the modes solved depend on N0 alone, so a larger order only appends
+    # eigenvalues at the floor
+    assert np.array_equal(spec_t20_512.lambdas[: len(spec_t20)], spec_t20.lambdas)
+    assert np.all(spec_t20_512.lambdas[len(spec_t20) :] == CLIP_FLOOR)
+
+
+@pytest.mark.parametrize(
+    "t_obs, order", [(6.0, 64), (6.0, 65), (20.0, 256), (20.0, 512), (50.0, 400), (100.0, 800)]
+)
+def test_prolate_spectrum_matches_the_nystrom_oracle(t_obs, order):
+    prolate = build_spectrum(math.pi, t_obs, order).lambdas
+    nystrom = compute_spectrum(build_kernel_matrix(math.pi, t_obs, order)).lambdas
+    assert len(prolate) == len(nystrom) == order
+    lead = 2 * round(t_obs)
+    np.testing.assert_allclose(prolate[:lead], nystrom[:lead], rtol=0, atol=1e-12)
+
+
+def test_build_spectrum_builds_no_dense_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_spectrum reached the Nystrom oracle")
+
+    monkeypatch.setattr(spectrum, "build_kernel_matrix", refuse)
+    monkeypatch.setattr(spectrum, "compute_spectrum", refuse)
+    tracemalloc.start()
+    try:
+        spec = build_spectrum(math.pi, 200.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one order x order float64 matrix would be 20 MB at order 1600
+    assert spec.quad_order == 1600 and spec.eigvecs is None and spec.nodes.size == 0
+    assert peak < 8 * 1600**2 / 4
+    assert build_spectrum(math.pi, 20.0, vectors=True).eigvecs.shape == (256, 256)
+
+
+def test_trace_error_catches_a_perturbed_ratio(monkeypatch):
+    # mutation: one step of the eigenvalue-ratio recurrence off by 1e-9
+    exact = spectrum._prolate_ratios
+
+    def perturbed(even, odd):
+        ratios = exact(even, odd)
+        ratios[0] *= 1.0 + 1e-9
+        return ratios
+
+    monkeypatch.setattr(spectrum, "_prolate_ratios", perturbed)
+    assert build_spectrum(math.pi, 20.0).trace_error > 1e-10
+
+
+def test_too_few_legendre_coefficients_raise(monkeypatch):
+    # mutation: two coefficients past the last mode cannot hold its tail
+    monkeypatch.setattr(spectrum, "_legendre_count", lambda c, n_modes: 2 * (n_modes // 2 + 1))
+    with pytest.raises(NumericalError, match="Legendre coefficients truncate"):
+        build_spectrum(math.pi, 20.0)
 
 
 def test_kernel_matrix_symmetric():
@@ -114,9 +173,10 @@ def test_kernel_matrix_symmetric():
 
 def test_eigvec_weighted_gram(spec_t20_vectors):
     # the scaled vectors satisfy sum_i w_i psi_n(t_i) psi_m(t_i) = lam_n delta_nm
-    v = spec_t20_vectors.eigvecs[:, :8]
+    v = spec_t20_vectors.eigvecs
+    assert v.shape == (spec_t20_vectors.quad_order,) * 2
     gram = v.T @ (spec_t20_vectors.weights[:, None] * v)
-    np.testing.assert_allclose(gram, np.diag(spec_t20_vectors.lambdas[:8]), atol=1e-10)
+    np.testing.assert_allclose(gram, np.diag(spec_t20_vectors.lambdas), atol=1e-10)
 
 
 def test_eigvecs_only_on_request(spec_t20, spec_t20_vectors):
