@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc, betaincinv, gammaln
+from scipy.special import betainc, betaincinv, gammaln, ndtri
 
 from .errors import ConfigurationError
 from .params import SignalSpaceParams, require_finite, require_int, require_seed
@@ -140,26 +140,37 @@ def sample_uniform_ball(dim: int, radius: float, rng: np.random.Generator, size:
 
 
 def sample_uniform_caps(
-    radius: float, units: np.ndarray, shares: np.ndarray, rng: np.random.Generator
+    radius: float, units: np.ndarray, shares: np.ndarray, uniforms: np.ndarray
 ) -> np.ndarray:
     """One uniform point in each of len(shares) caps of the ball about the origin.
 
     Cap k lies beyond a hyperplane normal to the unit vector units[k] and
-    holds the share shares[k] of the ball (a cap_fractions value). Its
+    holds the share shares[k] of the ball (a cap_fractions value). Row k of
+    uniforms holds dim + 1 uniforms in (0, 1). By the first, the point's
     coordinate t along units[k] solves 1/2 * I_{1 - (t/r)^2}((dim + 1)/2,
-    1/2) = U * shares[k], U uniform; the rest is uniform in the (dim - 1)-ball
-    of radius sqrt(r^2 - t^2) orthogonal to units[k] (nothing in 1-d).
+    1/2) = U * shares[k]; the rest of it is uniform in the (dim - 1)-ball of
+    radius sqrt(r^2 - t^2) orthogonal to units[k], at a radius set by the
+    second and in the direction of the dim - 1 normals (ndtri) of the
+    others. In 1-d there is no such ball and the second goes unread.
     """
     n, dim = units.shape
     # w = 1 - (t/r)^2: t = r*sqrt(1 - w), and the disc radius is r*sqrt(w)
-    w = betaincinv((dim + 1) / 2.0, 0.5, 2.0 * shares * rng.random(n))
+    w = betaincinv((dim + 1) / 2.0, 0.5, 2.0 * shares * uniforms[:, 0])
     points = (radius * np.sqrt(1.0 - w))[:, None] * units
     if dim > 1:
-        disc = rng.standard_normal((n, dim))
-        disc -= np.einsum("ij,ij->i", disc, units)[:, None] * units
-        norms = np.sqrt(np.einsum("ij,ij->i", disc, disc))
+        # the normals fill the coordinates orthogonal to e_1; the Householder
+        # reflection about v = units[k] + s e_1, s = +-1 the sign of
+        # units[k, 0] (|v|^2 = 2 (1 + |units[k, 0]|) >= 2), takes e_1 to
+        # -s units[k] and so them to the plane orthogonal to units[k]
+        normals = ndtri(uniforms[:, 2:])
+        head = units[:, 0]
+        coef = np.einsum("ij,ij->i", units[:, 1:], normals) / (1.0 + np.abs(head))
+        disc = -coef[:, None] * units
+        disc[:, 0] -= np.where(head < 0.0, -coef, coef)
+        disc[:, 1:] += normals
+        norms = np.sqrt(np.einsum("ij,ij->i", normals, normals))  # a reflection keeps lengths
         norms[norms == 0.0] = 1.0  # probability-zero guard
-        scale = radius * np.sqrt(w) * rng.random(n) ** (1.0 / (dim - 1)) / norms
+        scale = radius * np.sqrt(w) * uniforms[:, 1] ** (1.0 / (dim - 1)) / norms
         points += scale[:, None] * disc
     return points
 

@@ -8,14 +8,13 @@ the codebook-wide mean is the quantity the eps-delta capacity bounds
 control: random codebooks of size floor(delta * (zeta*sqrt(E)/eps)^N)
 should keep the mean at or below delta.
 
-Randomness is reproducible and order-independent: each codeword gets its
-own generator seeded from the SHA-256 of (global seed, codeword bytes),
-so permuting the codebook permutes the per-codeword results without
-changing any of them. Only the codewords the decode reads are hashed: the
-evaluated ones and their neighbours within 2*eps. A run that evaluates a
-subset picks it by a cheaper 64-bit content key of the same (seed, codeword
-bytes), computed for every codeword; a run that evaluates every codeword
-computes no key.
+Randomness is reproducible and order-independent. Every codeword gets a
+64-bit content key from (global seed, codeword bytes), computed in numpy
+for the whole codebook. The key picks the evaluated subset, orders each
+codeword's competitors, and keys the codeword's own counter-based stream:
+each uniform is a pure function of (key, counter), so permuting the
+codebook permutes the per-codeword results without changing any of them,
+and all codewords are decoded in one numpy batch.
 
 The cap shares, the uniform ball, cap and ellipsoid samplers, the squared
 distances, the bound reports (which give each run its working dimension N
@@ -25,12 +24,11 @@ error exponent all live in :mod:`epscap.geometry`.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import bdtr
 
 from .errors import ConfigurationError
 from .geometry import (
@@ -64,6 +62,11 @@ Z95 = 1.959963984540054  # two-sided 95% normal quantile
 # codewords.
 _TILE_ROWS = 512
 _TILE_COLS = 256
+# The decode works through this many (codeword, competitor) pairs at a
+# time, and through the (candidate, competitor) pairs of its candidates in
+# blocks of this many.
+_PAIR_CHUNK = 2**14
+_PAIR_BLOCK = 2**13
 
 
 # --- codebooks ---
@@ -125,16 +128,22 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     successes = require_int("successes", successes, minimum=0)
     if successes > trials:
         raise ValueError(f"successes {successes} outside [0, {trials}]")
+    lower, upper = _wilson_intervals(np.array([successes]), trials)[0]
+    return float(lower), float(upper)
+
+
+def _wilson_intervals(successes: np.ndarray, trials: int) -> np.ndarray:
+    """wilson_interval of each count in [0, trials], as rows (lower, upper)."""
     p = successes / trials
     z2 = Z95 * Z95
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
-    half = Z95 * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials**2)) / denom
+    half = Z95 * np.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials**2)) / denom
     # the exact endpoints at the degenerate counts; roundoff must not
     # push the interval off the point estimate
-    lower = 0.0 if successes == 0 else max(0.0, center - half)
-    upper = 1.0 if successes == trials else min(1.0, center + half)
-    return lower, upper
+    lower = np.where(successes == 0, 0.0, np.maximum(0.0, center - half))
+    upper = np.where(successes == trials, 1.0, np.minimum(1.0, center + half))
+    return np.stack([lower, upper], axis=1)
 
 
 # splitmix64's increment and finaliser multipliers (Steele, Lea and Flood,
@@ -144,14 +153,25 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
+def _finalise(z: np.ndarray) -> np.ndarray:
+    """splitmix64's finaliser, in place on a uint64 array, which it returns."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
 def _codeword_keys(seed: int, points: np.ndarray, block: int = 8192) -> np.ndarray:
-    """A 64-bit content key per codeword, which picks the evaluated subset.
+    """A 64-bit content key per codeword, which picks the evaluated subset,
+    orders each codeword's competitors and keys its random stream.
 
     From the seed, each little-endian 8-byte word of the codeword's
     coordinates is folded in by one splitmix64 step: key ^= word, then the
     finaliser of key + 0x9E3779B97F4A7C15. Blocks of `block` rows keep the
     work in cache: on a 2^18 x 12 codebook (2-core x86-64) this takes
-    0.016 s, 0.030 s unblocked, where a SHA-256 per codeword took 0.26 s.
+    0.016 s, 0.030 s unblocked.
     """
     keys = np.full(len(points), seed, dtype=np.uint64)
     words = points.view("<u8")
@@ -160,11 +180,7 @@ def _codeword_keys(seed: int, points: np.ndarray, block: int = 8192) -> np.ndarr
         for word in words[r0 : r0 + block].T:
             key ^= word
             key += _GOLDEN
-            key ^= key >> np.uint64(30)
-            key *= _MIX1
-            key ^= key >> np.uint64(27)
-            key *= _MIX2
-            key ^= key >> np.uint64(31)
+            _finalise(key)
     return keys
 
 
@@ -184,20 +200,30 @@ def _smallest_keys(keys: np.ndarray, points: np.ndarray, k: int) -> np.ndarray:
     return np.sort(np.concatenate([below, ties[: k - len(below)]]))
 
 
-def _codeword_digests(seed: int, points: np.ndarray) -> np.ndarray:
-    """SHA-256 of (seed, codeword bytes) per codeword: the basis of each
-    codeword's stream and of its competitors' order."""
-    prefix = struct.pack("<q", seed)
-    out = np.empty(len(points), dtype="S32")
-    for i, row in enumerate(points):
-        out[i] = hashlib.sha256(prefix + row.tobytes()).digest()
-    return out
+def _uniforms(stream_keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Uniform doubles in (0, 1), each a pure function of (stream key, counter).
+
+    The splitmix64 output of stream key + (counter + 1) * 0x9E3779B97F4A7C15,
+    broadcast over the two uint64 arrays; its top 52 bits plus one half,
+    times 2^-52. (Open at both ends: the top 53 bits plus one half would
+    round to 1.0 at the top.)
+    """
+    z = stream_keys + (counters + np.uint64(1)) * _GOLDEN
+    return ((_finalise(z) >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52
 
 
-def _stream_from_digest(digest: bytes) -> np.random.Generator:
-    # S-dtype retrieval strips trailing nulls; digests are exactly 32 bytes
-    words = struct.unpack("<4Q", digest.ljust(32, b"\x00"))
-    return np.random.default_rng(np.random.SeedSequence(list(words)))
+def _binomial_counts(u: np.ndarray, trials: int, p: np.ndarray) -> np.ndarray:
+    """Binomial(trials, p) by inversion of the uniforms u: the smallest k with
+    bdtr(k, trials, p) >= u, by bisection on each element at once."""
+    low = np.full(len(u), -1)  # P(X <= -1) = 0 < u
+    high = np.full(len(u), trials)  # P(X <= trials) = 1 >= u
+    while np.any(high - low > 1):
+        # a settled element has mid = low, where the cdf is below u (NaN at -1)
+        mid = (low + high) // 2
+        above = bdtr(mid, trials, p) >= u
+        high = np.where(above, mid, high)
+        low = np.where(above, low, mid)
+    return high
 
 
 @dataclass(frozen=True)
@@ -306,6 +332,100 @@ def _neighbor_lists(points: np.ndarray, eval_idx: np.ndarray, eps: float) -> lis
     return np.split(cols, np.cumsum(counts)[:-1])
 
 
+def _decode(
+    points: np.ndarray,
+    eval_idx: np.ndarray,
+    neighbors: list[np.ndarray],
+    keys: np.ndarray,
+    eps: float,
+    samples: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Error counts, and the brackets [largest cap, min(1, S)] of the lost
+    shares, of the codewords eval_idx, whose competitors are neighbors.
+
+    Competitors go in content-key order, equal keys by their bytes. Each
+    codeword reads its own stream, keyed by its content key through the
+    finaliser once more, at fixed counters: 0 for its Binomial(samples, S)
+    candidate count, then dim + 3 for each candidate c = 0, 1, ... from
+    1 + c * (dim + 3) on: its cap, its point in that cap (the dim + 1
+    uniforms of sample_uniform_caps) and its keep, with probability one
+    over the number of caps the point lies in. The candidates of every
+    codeword are drawn together, in blocks of about _PAIR_BLOCK (candidate,
+    competitor) pairs, so that the memory does not grow with samples. A
+    codeword whose S exceeds 1 draws its samples from a Generator seeded
+    with its stream key instead, and decodes them one by one.
+    """
+    k, dim = len(eval_idx), points.shape[1]
+    lengths = np.array([len(nb) for nb in neighbors], dtype=np.intp)
+    starts = np.cumsum(lengths) - lengths
+    rows = np.repeat(np.arange(k), lengths)
+    cols = np.concatenate([np.empty(0, dtype=np.intp), *neighbors])
+    offsets = points[cols]
+    order = np.lexsort((offsets.view(f"S{dim * points.itemsize}").ravel(), keys[cols], rows))
+    cols, offsets = cols[order], offsets[order]
+    offsets -= points[eval_idx[rows]]
+    sq = np.einsum("ij,ij->i", offsets, offsets)
+    dist = np.sqrt(sq)
+    caps = cap_fractions(dim, eps, dist)
+    # each codeword's running sum of its own caps, in its competitors' order
+    cdf = caps.copy()
+    for step in range(1, lengths.max(initial=0)):
+        at = starts[lengths > step] + step
+        cdf[at] += cdf[at - 1]
+    totals, largest, coincident = np.zeros(k), np.zeros(k), np.zeros(k, dtype=bool)
+    np.maximum.at(totals, rows, cdf)  # the last of each, as caps are >= 0
+    np.maximum.at(largest, rows, caps)
+    coincident[rows[sq == 0.0]] = True
+    counts = np.where(coincident, samples, 0)
+    brackets = np.stack([largest, np.minimum(1.0, totals)], axis=1)
+    brackets[coincident] = 1.0
+    stream = _finalise(keys[eval_idx])
+
+    for r in np.flatnonzero(~coincident & (totals > 1.0)):
+        i = eval_idx[r]
+        rng = np.random.default_rng(int(stream[r]))
+        draws = sample_uniform_ball(dim, eps, rng, size=samples) + points[i]
+        # the definition's bits: competitors by index, own distance in the same matmul
+        near = np.concatenate([points[i : i + 1], points[neighbors[r]]], axis=0)
+        d2 = squared_distances(
+            draws, np.einsum("ij,ij->i", draws, draws), near, np.einsum("ij,ij->i", near, near)
+        )
+        counts[r] = np.count_nonzero(d2[:, 1:].min(axis=1) <= d2[:, 0])
+
+    live = np.flatnonzero(~coincident & (totals > 0.0) & (totals <= 1.0))
+    drawn = _binomial_counts(_uniforms(stream[live], np.uint64(0)), samples, totals[live])
+    drawn_end, n_drawn = np.cumsum(drawn), int(drawn.sum())
+    width = np.uint64(dim + 3)
+    block = max(1, _PAIR_BLOCK // int(lengths.max(initial=1)))
+    for q0 in range(0, n_drawn, block):
+        # candidates q0 on: each the c-th of its codeword r
+        q = np.arange(q0, min(q0 + block, n_drawn))
+        owner = np.searchsorted(drawn_end, q, side="right")
+        r = live[owner]
+        c = (q - drawn_end[owner] + drawn[owner]).astype(np.uint64)
+        counters = (1 + c * width)[:, None] + np.arange(width, dtype=np.uint64)
+        u = _uniforms(stream[r, None], counters)
+        # (candidate, competitor) pairs: pair_c the candidate, at the
+        # competitor's place in its codeword's list, pairs its flat index
+        seg, base = lengths[r], starts[r]
+        first = np.cumsum(seg) - seg
+        pair_c = np.repeat(np.arange(len(q)), seg)
+        at = np.arange(len(pair_c)) - first[pair_c]
+        pairs = base[pair_c] + at
+        # the cap: competitor j with probability cap_j/S
+        pick = np.add.reduceat(cdf[pairs] / totals[r][pair_c] <= u[pair_c, 0], first)
+        picked = base + pick
+        x = sample_uniform_caps(eps, offsets[picked] / dist[picked, None], caps[picked], u[:, 1:-1])
+        # competitor j is at least as close to x as the codeword is when
+        # 2 x.v_j >= |v_j|^2; the cap x came from counts whatever roundoff
+        # says at its edge
+        closer = 2.0 * np.einsum("ij,ij->i", x[pair_c], offsets[pairs]) >= sq[pairs]
+        closer[at == pick[pair_c]] = True
+        keep = u[:, -1] < 1.0 / np.add.reduceat(closer, first)
+        counts += np.bincount(r[keep], minlength=k)
+    return counts, brackets
+
+
 def estimate_error_fraction(
     codebook: Codebook,
     eps: float,
@@ -327,7 +447,10 @@ def estimate_error_fraction(
     probability 1/c, c the number of competitors at least as close to it as
     the codeword: the kept count is Binomial(samples, S*E[1/c]), the union's
     share (Karp, Luby and Madras, J. Algorithms 10, 1989). The bracket
-    [max cap_j, min(1, S)] of the share needs no sampling.
+    [max cap_j, min(1, S)] of the share needs no sampling. Every codeword
+    draws from its own counter-based stream, and all are decoded in one
+    batch (_decode), run after run of about _PAIR_CHUNK (codeword,
+    competitor) pairs.
 
     With max_eval_codewords set below the codebook size, evaluation runs
     on that many codewords chosen by smallest 64-bit content key
@@ -344,65 +467,33 @@ def estimate_error_fraction(
         max_eval_codewords = require_int("max_eval_codewords", max_eval_codewords)
 
     points = codebook.points
-    m, dim = points.shape
-
+    m = len(points)
+    keys = _codeword_keys(seed, points)
     subsampled = max_eval_codewords is not None and m > max_eval_codewords
     if subsampled:
-        eval_idx = _smallest_keys(_codeword_keys(seed, points), points, max_eval_codewords)
+        eval_idx = _smallest_keys(keys, points, max_eval_codewords)
     else:
         eval_idx = np.arange(m)
 
     neighbors = _neighbor_lists(points, eval_idx, eps)
-    # only the rows the decode reads are hashed, each once: the evaluated
-    # codewords, then each one's neighbours, from ends[r] to ends[r + 1]
-    hashed, read = np.unique(np.concatenate([eval_idx, *neighbors]), return_inverse=True)
-    digests = _codeword_digests(seed, points[hashed])[read]
-    ends = np.cumsum([len(eval_idx), *map(len, neighbors)]).tolist()
-
-    def decode(r: int) -> tuple[int, float, float]:
-        """The r-th evaluated codeword's error count and the bracket of its share."""
-        i = int(eval_idx[r])
-        # in digest order, so that a permuted codebook draws the same candidates
-        competitors = neighbors[r][np.argsort(digests[ends[r] : ends[r + 1]], kind="stable")]
-        offsets = points[competitors] - points[i]
-        sq = np.einsum("ij,ij->i", offsets, offsets)
-        if not np.all(sq):
-            return samples, 1.0, 1.0
-        dist = np.sqrt(sq)
-        caps = cap_fractions(dim, eps, dist)
-        cdf = np.cumsum(caps)
-        total = float(cdf[-1])
-        low, high = float(caps.max()), min(1.0, total)
-        if total == 0.0:
-            return 0, low, high
-        rng = _stream_from_digest(bytes(digests[r]))
-        if total > 1.0:
-            draws = sample_uniform_ball(dim, eps, rng, size=samples) + points[i]
-            # the definition's bits: competitors by index, own distance in the same matmul
-            cols = np.concatenate([points[i : i + 1], points[neighbors[r]]], axis=0)
-            d2 = squared_distances(
-                draws, np.einsum("ij,ij->i", draws, draws), cols, np.einsum("ij,ij->i", cols, cols)
-            )
-            return int(np.count_nonzero(d2[:, 1:].min(axis=1) <= d2[:, 0])), low, high
-        n = int(rng.binomial(samples, total))
-        pick = np.searchsorted(cdf / total, rng.random(n), side="right")
-        u = sample_uniform_caps(eps, offsets[pick] / dist[pick, None], caps[pick], rng)
-        # competitor k is at least as close to x + u as x is when 2 u.v_k >= |v_k|^2;
-        # the cap u came from counts whatever roundoff says at its edge
-        closer = 2.0 * (u @ offsets.T) >= sq
-        closer[np.arange(n), pick] = True
-        kept = rng.random(n) < 1.0 / np.count_nonzero(closer, axis=1)
-        return int(np.count_nonzero(kept)), low, high
-
     k = len(eval_idx)
-    decoded = np.array([decode(r) if len(neighbors[r]) else (0, 0.0, 0.0) for r in range(k)])
-    error_counts, brackets = decoded[:, 0].astype(np.int64), decoded[:, 1:]
+    error_counts = np.zeros(k, dtype=np.int64)
+    brackets = np.zeros((k, 2))
+    ends = np.cumsum([len(nb) for nb in neighbors])
+    r0 = 0
+    while r0 < k:
+        # at least one codeword, and as many more as fit in _PAIR_CHUNK pairs
+        limit = ends[r0] - len(neighbors[r0]) + _PAIR_CHUNK
+        r1 = max(r0 + 1, int(np.searchsorted(ends, limit, side="right")))
+        error_counts[r0:r1], brackets[r0:r1] = _decode(
+            points, eval_idx[r0:r1], neighbors[r0:r1], keys, eps, samples
+        )
+        r0 = r1
     # a codeword whose caps are all empty is an exact zero, its interval (0, 0)
-    live = np.flatnonzero(brackets[:, 1])
+    live = brackets[:, 1] > 0.0
     fractions = error_counts / samples
     cis = np.zeros((k, 2))
-    for r in live:
-        cis[r] = wilson_interval(error_counts[r], samples)
+    cis[live] = _wilson_intervals(error_counts[live], samples)
 
     # exactly rounded sums: the mean and the spread must not depend on the
     # order of the codebook

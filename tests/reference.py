@@ -12,7 +12,7 @@ from scipy.special import betainc, expit, gammaln
 
 from epscap.comparison import jagerman_capacity_lower
 from epscap.geometry import Ellipsoid, wide_window_rates
-from epscap.simulation import Codebook, _codeword_digests, _stream_from_digest
+from epscap.simulation import Codebook
 from epscap.spectrum import EigenSpectrum, _transition_log
 
 
@@ -201,18 +201,40 @@ def direct_neighbor_lists(points: np.ndarray, eval_idx: np.ndarray, eps: float):
     return lists
 
 
+# splitmix64 (Steele, Lea and Flood, OOPSLA 2014) in Python integers, so
+# that no step leans on numpy's uint64 wraparound
+_MASK = 2**64 - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def plain_finalise(z: int) -> int:
+    """splitmix64's finaliser of a 64-bit integer."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
 def plain_codeword_key(seed: int, row) -> int:
-    """The 64-bit content key of one codeword in Python integers: from the
-    seed, each little-endian 8-byte word of the row folded in by one
-    splitmix64 step (Steele, Lea and Flood, OOPSLA 2014)."""
-    mask = 2**64 - 1
+    """The 64-bit content key of one codeword: from the seed, each
+    little-endian 8-byte word of the row folded in by one splitmix64 step."""
     key = seed
     for (word,) in struct.iter_unpack("<Q", np.asarray(row, dtype="<f8").tobytes()):
-        z = ((key ^ word) + 0x9E3779B97F4A7C15) & mask
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        key = z ^ (z >> 31)
+        key = plain_finalise(((key ^ word) + _GOLDEN) & _MASK)
     return key
+
+
+def plain_stream_key(seed: int, row) -> int:
+    """The key of one codeword's random stream: its content key through the
+    finaliser once more."""
+    return plain_finalise(plain_codeword_key(seed, row))
+
+
+def plain_uniform(stream_key: int, counter: int) -> float:
+    """The stream's uniform at a counter: the splitmix64 output of
+    stream_key + (counter + 1) * 0x9E3779B97F4A7C15, its top 52 bits plus
+    one half over 2^52."""
+    z = plain_finalise((stream_key + (counter + 1) * _GOLDEN) & _MASK)
+    return ((z >> 12) + 0.5) / 2**52
 
 
 # The slack of the formula rule below, relative to (2*eps)^2.
@@ -246,17 +268,17 @@ def plain_decode_error_counts(
     codebook: Codebook, eval_idx: np.ndarray, eps: float, samples: int, seed: int
 ) -> np.ndarray:
     """Errors among `samples` draws in each evaluated codeword's eps-ball,
-    decoded by minimum distance over its neighbours, ties counted as errors."""
+    decoded by minimum distance over its neighbours, ties counted as errors;
+    the draws come from a Generator seeded with the codeword's stream key."""
     points = codebook.points
     dim = points.shape[1]
-    digests = _codeword_digests(seed, points)
     neighbors = direct_neighbor_lists(points, eval_idx, eps)
     counts = np.zeros(len(eval_idx), dtype=np.int64)
     for r, i in enumerate(eval_idx):
         nb = neighbors[r]
         if len(nb) == 0:
             continue
-        rng = _stream_from_digest(bytes(digests[i]))
+        rng = np.random.default_rng(plain_stream_key(seed, points[i]))
         draws = points[i] + plain_ball_sample(dim, eps, rng, samples)
         cols = np.concatenate([points[i : i + 1], points[nb]], axis=0)
         d2 = (

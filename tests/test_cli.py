@@ -737,19 +737,20 @@ def test_sweep_with_simulation_is_the_same_at_any_jobs(tmp_path):
 def test_sweep_rows_decode_their_codewords_on_one_thread(
     tmp_path, monkeypatch, started_threads, jobs
 ):
-    # rows run on the --jobs pool; each row's codewords are decoded on the
-    # row's own thread, and no thread but the pool's is started
+    # rows run on the --jobs pool; each row's batch of codewords is decoded
+    # on the row's own thread (every draw reads the stream), and no thread
+    # but the pool's is started
     cfg = write_config(
         tmp_path,
         f"omega = {PI_ARG}\nt_obs = 6\nt_obs = 8\nenergy = 1\neps = 0.35\neps = 0.25\n"
         "delta = 0.2\nseed = 3\nsimulate = true\nsamples = 200\n"
         "max_codewords = 512\nmax_eval_codewords = 64\n",
     )
-    rows = []  # (the row's thread, the threads its codewords were decoded on)
-    stray = []  # codewords decoded outside any row's estimate
+    rows = []  # (the row's thread, the threads its stream was read on)
+    stray = []  # streams read outside any row's estimate
     local = threading.local()
     real_estimate = simulation.estimate_error_fraction
-    real_stream = simulation._stream_from_digest
+    real_uniforms = simulation._uniforms
 
     def estimate(*args, **kwargs):
         local.decoded = set()
@@ -759,16 +760,16 @@ def test_sweep_rows_decode_their_codewords_on_one_thread(
             rows.append((threading.get_ident(), local.decoded))
             del local.decoded
 
-    def stream(digest):
+    def uniforms(*args):
         decoded = getattr(local, "decoded", None)
         if decoded is None:
             stray.append(threading.get_ident())
         else:
             decoded.add(threading.get_ident())
-        return real_stream(digest)
+        return real_uniforms(*args)
 
     monkeypatch.setattr(simulation, "estimate_error_fraction", estimate)
-    monkeypatch.setattr(simulation, "_stream_from_digest", stream)
+    monkeypatch.setattr(simulation, "_uniforms", uniforms)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     out = tmp_path / "rows.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 0

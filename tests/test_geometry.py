@@ -335,13 +335,14 @@ def test_caps_and_their_sampler_are_the_ball_beyond_the_bisector(dim):
     # uniform points of the eps-ball (reference.plain_ball_sample) that lie
     # beyond the hyperplane at d/2 along a unit vector are the cap: their
     # share must be cap_fractions' (reference.cap_fraction, the definition),
-    # and the cap sampler's points must share their law along the vector,
-    # orthogonal to it and across it. Exact binomial and two-sample
+    # and the cap sampler's points, from dim + 1 uniforms each, must share
+    # their law along the vector, orthogonal to it and across it. Exact binomial and two-sample
     # Kolmogorov-Smirnov tests, two-sided at level 1e-4 each.
     rng = np.random.default_rng([11, dim])
     eps = 0.8
     d = 2.0 * eps * 0.9 / math.sqrt(dim + 2)  # a cap of about a fifth of the ball
     unit = rng.standard_normal(dim)
+    unit[0] = (-1) ** dim * abs(unit[0])  # the sampler branches on this sign
     unit /= np.linalg.norm(unit)
     cap = float(cap_fractions(dim, eps, [d])[0])
     assert cap == pytest.approx(cap_fraction(dim, eps, d), rel=1e-13)
@@ -351,7 +352,8 @@ def test_caps_and_their_sampler_are_the_ball_beyond_the_bisector(dim):
     assert binomtest(len(beyond), len(ball), cap).pvalue > 1e-4
 
     n = 4000
-    drawn = sample_uniform_caps(eps, np.tile(unit, (n, 1)), np.full(n, cap), rng)
+    uniforms = rng.random((n, dim + 1))
+    drawn = sample_uniform_caps(eps, np.tile(unit, (n, 1)), np.full(n, cap), uniforms)
     assert drawn.shape == (n, dim)
     along = drawn @ unit
     assert np.all(along >= d / 2.0 * (1.0 - 1e-12))

@@ -32,6 +32,8 @@ from reference import (
     plain_codeword_key,
     plain_decode_error_counts,
     plain_greedy_pack,
+    plain_stream_key,
+    plain_uniform,
 )
 
 OMEGA = st.floats(min_value=1e-3, max_value=1e3)
@@ -314,6 +316,31 @@ def test_codeword_keys_are_the_plain_fold_in_any_block(seed, m, dim, block):
     want = [plain_codeword_key(seed, row) for row in points]
     assert simulation._codeword_keys(seed, points, block).tolist() == want
     assert simulation._codeword_keys(seed, points).tolist() == want
+    streams = simulation._finalise(simulation._codeword_keys(seed, points))
+    assert streams.tolist() == [plain_stream_key(seed, row) for row in points]
+
+
+WORD = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    keys=st.lists(
+        st.one_of(WORD, st.integers(min_value=2**64 - 2**16, max_value=2**64 - 1)),
+        min_size=1,
+        max_size=6,
+    ),
+    counters=st.lists(st.one_of(st.integers(min_value=0, max_value=2**20), WORD), max_size=6),
+)
+def test_stream_uniforms_are_the_plain_splitmix64(keys, counters):
+    # numpy's uint64 arithmetic wraps where the oracle's Python integers are
+    # reduced mod 2^64, stream keys near 2^64 - 1 included; every value lies
+    # strictly inside (0, 1)
+    got = simulation._uniforms(
+        np.array(keys, dtype=np.uint64)[:, None], np.array(counters, dtype=np.uint64)
+    )
+    assert got.tolist() == [[plain_uniform(k, c) for c in counters] for k in keys]
+    assert np.all((0.0 < got) & (got < 1.0))
 
 
 def competitor_caps(points, eval_idx, eps):

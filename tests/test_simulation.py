@@ -18,7 +18,7 @@ from epscap.geometry import (
     sample_uniform_ball,
     sample_uniform_ellipsoid,
 )
-from epscap.params import SignalSpaceParams
+from epscap.params import MIN_SAMPLES, SignalSpaceParams
 from epscap.simulation import (
     Codebook,
     ExperimentConfig,
@@ -36,6 +36,8 @@ from reference import (
     plain_ball_sample,
     plain_codeword_key,
     plain_decode_error_counts,
+    plain_stream_key,
+    plain_uniform,
 )
 
 
@@ -259,6 +261,28 @@ def test_neighbour_block_width_changes_no_result(monkeypatch, book_12d, width):
             assert getattr(got, name) == want, name
 
 
+@pytest.mark.parametrize("chunk, block", [(1, 1), (7, 50), (300, 2**20)])
+def test_decode_runs_and_blocks_change_no_result(monkeypatch, chunk, block):
+    # every draw is a function of (stream key, counter), so how the codewords
+    # are split into runs of pairs, and their candidates into blocks, decides
+    # nothing; the codebook has coincident, S > 1 and cap-drawn codewords
+    rng = np.random.default_rng(31)
+    points = sample_uniform_ball(3, 1.0, rng, size=150)
+    points[:20] = points[rng.integers(20, 150, size=20)]
+    book = Codebook(points=points)
+    whole = estimate_error_fraction(book, 0.25, samples=100, seed=9)
+    low, high = whole.error_fraction_brackets.T
+    assert np.any(low == 1.0) and np.any((high == 1.0) & (low < 1.0)) and np.any(high < 1.0)
+    monkeypatch.setattr(simulation, "_PAIR_CHUNK", chunk)
+    monkeypatch.setattr(simulation, "_PAIR_BLOCK", block)
+    got = estimate_error_fraction(book, 0.25, samples=100, seed=9)
+    for name, want in vars(whole).items():
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(getattr(got, name), want), name
+        else:
+            assert getattr(got, name) == want, name
+
+
 def test_a_neighbour_at_tiny_eps_is_found():
     # at eps << |x| the expansion |x|^2 - 2 x.y + |y|^2 loses about
     # 1e-16 * |x|^2 absolutely, far more than a slack relative to (2*eps)^2;
@@ -323,35 +347,34 @@ def test_neighbour_lists_are_the_same_with_blas_threads_free():
 @pytest.mark.parametrize("threads", [1, 3])
 def test_a_failed_codeword_stops_the_others(monkeypatch, threads):
     # the same failing estimate on `threads` caller threads at once, as in
-    # sweep's row pool: each stops at the failed codeword by itself
-    points = np.random.default_rng(5).uniform(-1.0, 1.0, size=(120, 2))
-    eps = 0.5
-    neighbors = simulation._neighbor_lists(points, np.arange(120), eps)
-    assert all(len(nb) for nb in neighbors)  # every codeword is decoded
-    index_of = {bytes(d): i for i, d in enumerate(simulation._codeword_digests(1, points))}
-    failing = 4
+    # sweep's row pool: the batch of candidates that fails stops its own
+    # caller's decode, each caller's by itself, and no later batch runs
+    book = Codebook(points=np.random.default_rng(5).uniform(-1.0, 1.0, size=(120, 2)))
     local = threading.local()
     together = threading.Barrier(threads, timeout=30)
-    real = simulation._stream_from_digest
+    real = simulation.sample_uniform_caps
 
-    def stream(digest):
-        i = index_of[bytes(digest)]
-        local.started.append(i)
-        if i == failing:
-            raise RuntimeError("codeword 4 fails")
-        return real(digest)
+    def caps(*args):
+        local.batches += 1
+        if local.batches == local.failing:
+            raise RuntimeError(f"batch {local.failing} fails")
+        return real(*args)
 
     def run(_):
-        local.started = []
+        local.batches, local.failing = 0, 3
         together.wait()  # every caller is inside its estimate at once
-        with pytest.raises(RuntimeError, match="codeword 4"):
-            estimate_error_fraction(Codebook(points=points), eps, samples=100, seed=1)
-        return local.started
+        with pytest.raises(RuntimeError, match="batch 3 fails"):
+            estimate_error_fraction(book, 0.1, samples=100, seed=1)
+        return local.batches
 
-    monkeypatch.setattr(simulation, "_stream_from_digest", stream)
+    monkeypatch.setattr(simulation, "_PAIR_BLOCK", 256)  # many batches per estimate
+    monkeypatch.setattr(simulation, "sample_uniform_caps", caps)
+    local.batches, local.failing = 0, None
+    estimate_error_fraction(book, 0.1, samples=100, seed=1)
+    assert local.batches > 30
     with ThreadPoolExecutor(threads) as pool:
         started = list(pool.map(run, range(threads)))
-    assert started == [list(range(failing + 1))] * threads
+    assert started == [3] * threads
 
 
 def test_more_threads_than_cores_on_short_switches_give_the_serial_result():
@@ -453,6 +476,60 @@ def test_codeword_keys_are_frozen(seed, row, key):
     # every subsampled artifact's choice of codewords rests on these values
     assert plain_codeword_key(seed, row) == key
     assert simulation._codeword_keys(seed, np.array([row])).tolist() == [key]
+
+
+@pytest.mark.parametrize(
+    "seed, row, counter, uniform",
+    [
+        (0, [0.0], 0, 0.33805245419550556),
+        (1, [0.5, -0.25], 1, 0.018229226914142305),
+        (2**63 - 1, [1.0, 2.0, 3.0], 14, 0.7601278319421695),
+        (7, [-0.0, 1e-300, 5e-324, 1.7976931348623157e308], 2**40, 0.3648605037524387),
+    ],
+)
+def test_stream_uniforms_are_frozen(seed, row, counter, uniform):
+    # every simulated count rests on these values
+    assert plain_uniform(plain_stream_key(seed, row), counter) == uniform
+    stream = simulation._finalise(simulation._codeword_keys(seed, np.array([row])))
+    got = simulation._uniforms(stream, np.array([counter], dtype=np.uint64))
+    assert got.tolist() == [uniform]
+
+
+@pytest.mark.parametrize("trials", [MIN_SAMPLES, 1000, 10_000])
+def test_binomial_counts_are_the_binomial_quantiles(trials):
+    # inversion by bisection on bdtr gives scipy's quantile function on a
+    # grid of uniforms from the stream's smallest value to 1 - 1e-12. Above
+    # that the quantile turns on the last bits of a cdf next to 1, where
+    # neither is exact: at 1 - 2^-53, trials = 100 and p = 1/2 both read 88,
+    # and the exact quantile is 89
+    p = np.array([1e-300, 1e-9, 1e-4, 0.003, 0.05, 0.3, 0.5, 0.77, 0.999, 1.0])
+    u = np.concatenate([[2.0**-53, 1e-12, 1e-6], np.linspace(0.01, 0.99, 41), [1.0 - 1e-12]])
+    uu, pp = (a.ravel() for a in np.meshgrid(u, p))
+    got = simulation._binomial_counts(uu, trials, pp)
+    assert np.array_equal(got, binom.ppf(uu, trials, pp).astype(int))
+    assert np.all(got[pp == 1.0] == trials) and np.all(got[pp == 1e-300] == 0)
+
+
+def test_decode_memory_does_not_grow_with_samples():
+    # the criterion-7 decode: 512 evaluated codewords of a 2^18 x 12
+    # codebook. Expanding every (candidate, competitor) pair at once would
+    # hold about 60 MB at 10,000 samples and grow with them; the blocks of
+    # _PAIR_BLOCK pairs and the per-codeword arrays stay under a fixed budget
+    points = generate_codebook(np.ones(12), 2**18, seed=[20260821, 0]).points
+    keys = simulation._codeword_keys(1, points)
+    eval_idx = simulation._smallest_keys(keys, points, 512)
+    neighbors = simulation._neighbor_lists(points, eval_idx, 0.25)
+    peaks = []
+    for samples in (10_000, 30_000):
+        tracemalloc.start()
+        try:
+            counts, brackets = simulation._decode(points, eval_idx, neighbors, keys, 0.25, samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() > samples  # the candidates were drawn
+        assert np.all(brackets[:, 1] < 1.0)  # and all from the caps
+    assert max(peaks) < 6 * 2**20, peaks
 
 
 @pytest.mark.parametrize(
