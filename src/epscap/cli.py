@@ -48,6 +48,7 @@ from .manifest import (
 from .params import SignalSpaceParams, require_int
 from .simulation import (
     ExperimentConfig,
+    ExperimentOutcome,
     SweepPoint,
     empirical_exponent_sweep,
     run_random_code_experiment,
@@ -60,18 +61,6 @@ from .spectrum import (
     spectrum_record,
     volume_correction,
 )
-
-_SIM_COLUMNS = [
-    "sim_n_codewords",
-    "sim_log2_target_size",
-    "sim_capped",
-    "sim_attempts",
-    "sim_mean_error_fraction",
-    "sim_ci_low",
-    "sim_ci_high",
-    "sim_verdict",
-]
-
 
 def main(argv=None) -> int:
     parser = _build_parser()
@@ -384,19 +373,9 @@ def _cmd_exponent_sweep(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    omega = _omega_value(args)
-    rows_data = comparison_table(omega, args.snr, nominal_dim=args.n0)
-    rows = [
-        {
-            "label": r.label,
-            "stochastic_bits_per_s": r.stochastic_value,
-            "deterministic_lower_bits_per_s": r.deterministic_lower,
-            "deterministic_upper_bits_per_s": r.deterministic_upper,
-            "note": r.note,
-        }
-        for r in rows_data
-    ]
-    return _emit(args, {"rows": [r.to_dict() for r in rows_data]}, rows)
+    table = comparison_table(_omega_value(args), args.snr, nominal_dim=args.n0)
+    rows = [r.to_dict() for r in table]
+    return _emit(args, {"rows": rows}, rows)
 
 
 # --- sweep ---
@@ -485,17 +464,28 @@ def _experiment_config(params: SignalSpaceParams, fixed: dict) -> ExperimentConf
     )
 
 
-def _sim_cells(params: SignalSpaceParams, fixed: dict, spectra: dict) -> list:
-    """One sweep row's cells under _SIM_COLUMNS; none without simulate."""
+def _outcome_cells(outcome: ExperimentOutcome | None) -> dict:
+    """An experiment's sweep cells by column; all None for no outcome, whose
+    names head the file before any experiment runs."""
+    res = outcome and outcome.result  # None when the codebook size floored to zero
+    return {
+        "sim_n_codewords": outcome and outcome.n_codewords,
+        "sim_log2_target_size": outcome and outcome.log2_target_size,
+        "sim_capped": outcome and outcome.capped,
+        "sim_attempts": outcome and outcome.attempts,
+        "sim_mean_error_fraction": res and res.mean_error_fraction,
+        "sim_ci_low": res and res.mean_error_ci[0],
+        "sim_ci_high": res and res.mean_error_ci[1],
+        "sim_verdict": res and res.verdict,
+    }
+
+
+def _sim_cells(params: SignalSpaceParams, fixed: dict, spectra: dict) -> dict:
+    """One sweep row's simulation cells; none without simulate."""
     if not fixed.get("simulate"):
-        return []
+        return {}
     spectrum = spectra.get((params.omega, params.t_obs))
-    outcome = run_random_code_experiment(_experiment_config(params, fixed), spectrum)
-    cells = [outcome.n_codewords, outcome.log2_target_size, outcome.capped, outcome.attempts]
-    res = outcome.result
-    if res is None:  # the codebook size floored to zero
-        return cells + [None] * 4
-    return cells + [res.mean_error_fraction, *res.mean_error_ci, res.verdict]
+    return _outcome_cells(run_random_code_experiment(_experiment_config(params, fixed), spectrum))
 
 
 def _cmd_sweep(args) -> int:
@@ -533,7 +523,7 @@ def _cmd_sweep(args) -> int:
         for p in points
     ]
     first_line = manifest_line(manifest)
-    header = csv_line([*bound_rows[0], *(_SIM_COLUMNS if fixed.get("simulate") else [])])
+    header = csv_line([*bound_rows[0], *(_outcome_cells(None) if fixed.get("simulate") else {})])
 
     skip = 0
     out = contextlib.nullcontext(sys.stdout)
@@ -552,7 +542,7 @@ def _cmd_sweep(args) -> int:
         # waits for the rows in flight, which are not written
         cells_of = functools.partial(_sim_cells, fixed=fixed, spectra=spectra)
         for bounds, sim in zip(bound_rows[skip:], pool.map(cells_of, points[skip:])):
-            print(csv_line([*bounds.values(), *sim]), end="", file=fh, flush=True)
+            print(csv_line([*bounds.values(), *sim.values()]), end="", file=fh, flush=True)
     return 0
 
 

@@ -71,26 +71,20 @@ def jagerman_entropy_upper(omega: float, snr: float) -> float:
 class ComparisonRow:
     """One quantity rendered in both models.
 
-    stochastic_value is a rate in bits/s; the deterministic side is an
+    stochastic_bits_per_s is a rate in bits/s; the deterministic side is an
     interval (equal endpoints when the value is exact in the limit).
     """
 
     label: str
-    stochastic_value: float
-    deterministic_lower: float
-    deterministic_upper: float
+    stochastic_bits_per_s: float
+    deterministic_lower_bits_per_s: float
+    deterministic_upper_bits_per_s: float
     note: str = ""
 
     def __post_init__(self):
-        if math.isfinite(self.deterministic_lower) and math.isfinite(
-            self.deterministic_upper
-        ):
-            if self.deterministic_lower > self.deterministic_upper + 1e-12:
-                raise ValueError(
-                    f"{self.label}: deterministic lower "
-                    f"{self.deterministic_lower} exceeds upper "
-                    f"{self.deterministic_upper}"
-                )
+        lower, upper = self.deterministic_lower_bits_per_s, self.deterministic_upper_bits_per_s
+        if math.isfinite(lower) and math.isfinite(upper) and lower > upper + 1e-12:
+            raise ValueError(f"{self.label}: deterministic lower {lower} exceeds upper {upper}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -110,23 +104,23 @@ def comparison_table(
     rows = [
         ComparisonRow(
             label="capacity (bits/s)",
-            stochastic_value=shannon_capacity(omega, snr),
-            deterministic_lower=rates["capacity_eps_delta"][0],
-            deterministic_upper=rates["capacity_eps_delta"][1],
+            stochastic_bits_per_s=shannon_capacity(omega, snr),
+            deterministic_lower_bits_per_s=rates["capacity_eps_delta"][0],
+            deterministic_upper_bits_per_s=rates["capacity_eps_delta"][1],
             note="deterministic side: eps-delta capacity per unit time",
         ),
         ComparisonRow(
             label="source rate at fixed fidelity (bits/s)",
-            stochastic_value=shannon_rate_distortion(omega, snr),
-            deterministic_lower=rates["entropy_eps"][0],
-            deterministic_upper=rates["entropy_eps"][1],
+            stochastic_bits_per_s=shannon_rate_distortion(omega, snr),
+            deterministic_lower_bits_per_s=rates["entropy_eps"][0],
+            deterministic_upper_bits_per_s=rates["entropy_eps"][1],
             note="deterministic side: eps-entropy per unit time (exact limit)",
         ),
         ComparisonRow(
             label="zero-error capacity (bits/s)",
-            stochastic_value=0.0,
-            deterministic_lower=rates["capacity_2eps"][0],
-            deterministic_upper=rates["capacity_2eps"][1],
+            stochastic_bits_per_s=0.0,
+            deterministic_lower_bits_per_s=rates["capacity_2eps"][0],
+            deterministic_upper_bits_per_s=rates["capacity_2eps"][1],
             note="stochastic zero-error capacity of the AWGN channel is 0",
         ),
     ]
@@ -134,11 +128,11 @@ def comparison_table(
         rows.append(
             ComparisonRow(
                 label="classical lattice capacity lower bound (bits/s)",
-                stochastic_value=math.nan,
-                deterministic_lower=jagerman_capacity_lower_rate(
+                stochastic_bits_per_s=math.nan,
+                deterministic_lower_bits_per_s=jagerman_capacity_lower_rate(
                     omega, nominal_dim, snr
                 ),
-                deterministic_upper=rates["capacity_eps_delta"][1],
+                deterministic_upper_bits_per_s=rates["capacity_eps_delta"][1],
                 note=f"at nominal dimension {nominal_dim:g}; vanishes as the window grows",
             )
         )

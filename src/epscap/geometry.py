@@ -12,7 +12,7 @@ the observation window and takes the wide-window limit.
 The bound formulas (the eps-delta one also sizes the random codebooks
 of the experiments), the wide-window rates that the comparison table and
 the error exponent read, the working-dimension rule N = round(N0), the
-squared-distance expression and the margin a screen by it keeps, the cap
+padded operands of the close-pair screens and the margin they keep, the cap
 of a ball that a competitor claims, and the uniform ball, cap and
 ellipsoid samplers all live here.
 """
@@ -93,18 +93,19 @@ def row_square_sums(x: np.ndarray, scale=None, block: int = 8192) -> np.ndarray:
     return out
 
 
-def squared_distances(x, x_sq, y, y_sq) -> np.ndarray:
-    """|x_i|^2 - 2 x_i.y_j + |y_j|^2 for every row pair, given the squared norms.
-
-    One matrix product, then built in place in that order: times 2,
-    subtracted from x_sq, plus y_sq. Callers that replay a result bit for
-    bit rely on that order.
-    """
-    d2 = x @ y.T
-    d2 *= 2.0
-    np.subtract(x_sq[:, None], d2, out=d2)
-    d2 += y_sq
-    return d2
+def screen_operands(points: np.ndarray, sq: np.ndarray, out: np.ndarray, right: bool = False):
+    """points padded into out, (len(points), dim + 2), so that a left row
+    [x, |x|^2, 1] times a right row [-2y, 1, |y|^2] is |x|^2 - 2 x.y + |y|^2:
+    one matrix product screens every pair of a block. sq holds the points'
+    squared norms. Returns out."""
+    dim = points.shape[1]
+    if right:
+        np.multiply(points, -2.0, out=out[:, :dim])
+        out[:, dim], out[:, dim + 1] = 1.0, sq
+    else:
+        out[:, :dim] = points
+        out[:, dim], out[:, dim + 1] = sq, 1.0
+    return out
 
 
 def screen_margin(sq: np.ndarray) -> float:
@@ -497,13 +498,13 @@ def greedy_pack(
     Each attempt replays the one-candidate-at-a-time rule exactly: every
     decision is made by np.sum((accepted - c) ** 2, axis=1) >= (2*eps)^2
     against every point accepted before c. A screen only saves work: one
-    matrix product gives |c|^2 - 2 c.a + |a|^2 for a block of candidates
-    against the points accepted before the block, and a candidate is
-    rejected there only when its minimum lies below (2*eps)^2 minus
-    screen_margin, where the exact test would reject it too, so BLAS
-    summation order decides nothing. The survivors are settled in order by
-    the exact test, against the points accepted earlier in the same block
-    as well.
+    matrix product of screen_operands gives |c|^2 - 2 c.a + |a|^2 for a
+    block of candidates against the points accepted before the block, and
+    a candidate is rejected there only when its minimum lies below
+    (2*eps)^2 minus screen_margin, where the exact test would reject it
+    too, so BLAS summation order decides nothing. The survivors are
+    settled in order by the exact test, against the points accepted
+    earlier in the same block as well.
     """
     if ellipsoid.dim > 6:
         raise ConfigurationError(
@@ -531,28 +532,35 @@ _PACK_BLOCK = 64
 def _pack_candidates(pts: np.ndarray, min_sep_sq: float) -> int:
     """The count sequential packing accepts from pts, in order: screened a
     block at a time, settled one by one (see greedy_pack)."""
+    n, dim = pts.shape
     sq = np.einsum("ij,ij->i", pts, pts)
     screen_floor = min_sep_sq - screen_margin(sq)
-    accepted = np.empty_like(pts)
-    accepted_sq = np.empty_like(sq)
+    # the accepted points as the screen's left operands, whose first dim
+    # columns are the points themselves, in a buffer doubled when full (a
+    # row per candidate raised a sweep-then-pack process's peak by 1-2 MB);
+    # a block's candidates as its right ones
+    accepted = np.empty((_PACK_BLOCK, dim + 2))
+    right = np.empty((_PACK_BLOCK, dim + 2))
     count = 0
-    for start in range(0, len(pts), _PACK_BLOCK):
+    for start in range(0, n, _PACK_BLOCK):
         block = pts[start : start + _PACK_BLOCK]
         if count:
-            g = squared_distances(
-                block, sq[start : start + _PACK_BLOCK], accepted[:count], accepted_sq[:count]
-            )
+            y = right[: len(block)]
+            screen_operands(block, sq[start : start + _PACK_BLOCK], y, right=True)
+            g = accepted[:count] @ y.T
             # a NaN minimum (norms that overflow) goes on to the exact test
-            survivors = np.flatnonzero(~(g.min(axis=1) < screen_floor))
+            survivors = np.flatnonzero(~(g.min(axis=0) < screen_floor))
         else:
             survivors = range(len(block))
         for i in survivors:
             cand = block[i]
             if count:
-                d2 = np.sum((accepted[:count] - cand) ** 2, axis=1)
+                d2 = np.sum((accepted[:count, :dim] - cand) ** 2, axis=1)
                 if float(d2.min()) < min_sep_sq:
                     continue
-            accepted[count] = cand
-            accepted_sq[count] = sq[start + i]
+            if count == len(accepted):
+                accepted = np.concatenate([accepted, np.empty_like(accepted)])
+            one = slice(start + i, start + i + 1)
+            screen_operands(pts[one], sq[one], accepted[count : count + 1])
             count += 1
     return count

@@ -16,10 +16,11 @@ each uniform is a pure function of (key, counter), so permuting the
 codebook permutes the per-codeword results without changing any of them,
 and all codewords are decoded in one numpy batch.
 
-The cap shares, the uniform ball, cap and ellipsoid samplers, the squared
-distances, the bound reports (which give each run its working dimension N
-and zeta), the satisfying-size formula and the wide-window rate behind the
-error exponent all live in :mod:`epscap.geometry`.
+The cap shares, the uniform ball, cap and ellipsoid samplers, the
+neighbour screen's padded operands and margin, the bound reports (which
+give each run its working dimension N and zeta), the satisfying-size
+formula and the wide-window rate behind the error exponent all live in
+:mod:`epscap.geometry`.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .geometry import (
     sample_uniform_caps,
     sample_uniform_ellipsoid,
     screen_margin,
-    squared_distances,
+    screen_operands,
     zeta_or_one,
 )
 from .params import (
@@ -214,7 +215,12 @@ def _uniforms(stream_keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
 
 def _binomial_counts(u: np.ndarray, trials: int, p: np.ndarray) -> np.ndarray:
     """Binomial(trials, p) by inversion of the uniforms u: the smallest k with
-    bdtr(k, trials, p) >= u, by bisection on each element at once."""
+    bdtr(k, trials, p) >= u, by bisection on each element at once.
+
+    The law is Binomial(trials, p) to bdtr's accuracy, about 1e-11 near the
+    median at large trial counts: bdtr(6172, 12345, 0.5) is 0.49999999999384,
+    where scipy.stats.binom.cdf gives 0.4999999999999998.
+    """
     low = np.full(len(u), -1)  # P(X <= -1) = 0 < u
     high = np.full(len(u), trials)  # P(X <= trials) = 1 >= u
     while np.any(high - low > 1):
@@ -265,8 +271,12 @@ class SimulationResult:
         }
 
 
-def _neighbor_lists(points: np.ndarray, eval_idx: np.ndarray, eps: float) -> list[np.ndarray]:
-    """Indices within 2*eps of each evaluated codeword (itself excluded), ascending.
+def _neighbor_lists(
+    points: np.ndarray, eval_idx: np.ndarray, eps: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices within 2*eps of each evaluated codeword (itself excluded), as
+    (cols, starts): cols[starts[r]:starts[r + 1]] are the r-th evaluated
+    codeword's, ascending, and starts has len(eval_idx) + 1 entries.
 
     Codeword j is a neighbour of codeword i when the squared length of
     points[j] - points[i], summed by np.einsum, is at most (2*eps)^2. The
@@ -275,19 +285,19 @@ def _neighbor_lists(points: np.ndarray, eval_idx: np.ndarray, eps: float) -> lis
     since sqrt(fl(y^2)) = y for a double y whose square stays normal.
 
     A screen, then a settle, as geometry's packing does. The screen is one
-    matrix product per tile of _TILE_ROWS evaluated codewords by
-    _TILE_COLS codewords, [x, |x|^2, 1] . [-2y, 1, |y|^2] = |x|^2 - 2 x.y +
-    |y|^2, written into one reused buffer of 1 MB, which stays in cache
-    whatever the number of evaluated codewords. It drops a pair only above
-    (2*eps)^2 + screen_margin, where the rule drops it too, so the BLAS
-    summation order, which changes with the thread count and the tile
-    shape, decides nothing (a NaN from overflowing norms goes on). The
-    settle applies the rule to the survivors.
+    matrix product of screen_operands per tile of _TILE_ROWS evaluated
+    codewords by _TILE_COLS codewords, [x, |x|^2, 1] . [-2y, 1, |y|^2] =
+    |x|^2 - 2 x.y + |y|^2, written into one reused buffer of 1 MB, which
+    stays in cache whatever the number of evaluated codewords. It drops a
+    pair only above (2*eps)^2 + screen_margin, where the rule drops it too,
+    so the BLAS summation order, which changes with the thread count and
+    the tile shape, decides nothing (a NaN from overflowing norms goes on).
+    The settle applies the rule to the survivors.
 
     On a 2^18 x 12 codebook with 512 evaluated codewords (2-core x86-64,
     OpenBLAS on one thread) this takes 0.2-0.25 s. Tiles 2,048 or 64
     columns wide took 0.28 and 0.30 s; blocks of all evaluated rows by
-    2,048 columns of squared_distances against a slack relative to
+    2,048 columns of |x|^2 - 2 x.y + |y|^2 against a slack relative to
     (2*eps)^2, which missed true neighbours at eps << |x|, 0.5 s; scipy's
     cKDTree 1.5 s. A window on the norm, exact as it is (|x| - |y| <=
     |x - y|), keeps nearly every codeword in these dimensions, since in a
@@ -300,19 +310,14 @@ def _neighbor_lists(points: np.ndarray, eval_idx: np.ndarray, eps: float) -> lis
     lhs = np.empty((min(len(eval_idx), _TILE_ROWS), dim + 2))
     rhs = np.empty((min(m, _TILE_COLS), dim + 2))
     tile = np.empty((len(lhs), len(rhs)))
-    lhs[:, dim + 1] = 1.0
-    rhs[:, dim] = 1.0
     all_rows, all_cols = [], []
     for r0 in range(0, len(eval_idx), _TILE_ROWS):
         own = eval_idx[r0 : r0 + _TILE_ROWS]
-        x = lhs[: len(own)]
-        x[:, :dim] = points[own]
-        x[:, dim] = sq[own]
+        x = screen_operands(points[own], sq[own], lhs[: len(own)])
         hit_rows, hit_cols = [], []
         for c0 in range(0, m, _TILE_COLS):
-            y = rhs[: min(_TILE_COLS, m - c0)]
-            np.multiply(points[c0 : c0 + len(y)], -2.0, out=y[:, :dim])
-            y[:, dim + 1] = sq[c0 : c0 + len(y)]
+            c1 = min(c0 + _TILE_COLS, m)
+            y = screen_operands(points[c0:c1], sq[c0:c1], rhs[: c1 - c0], right=True)
             g = np.matmul(x, y.T, out=tile[: len(x), : len(y)])
             # one flat scan: the 2-d np.nonzero costs ten times as much here
             rows, cols = np.divmod(np.flatnonzero(~(g > bound)), len(y))
@@ -328,20 +333,23 @@ def _neighbor_lists(points: np.ndarray, eval_idx: np.ndarray, eps: float) -> lis
     # tiles of a row in ascending column order, so a stable sort by row
     # leaves every list ascending
     cols = cols[np.argsort(rows, kind="stable")]
-    counts = np.bincount(rows, minlength=len(eval_idx))
-    return np.split(cols, np.cumsum(counts)[:-1])
+    starts = np.zeros(len(eval_idx) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=len(eval_idx)), out=starts[1:])
+    return cols, starts
 
 
 def _decode(
     points: np.ndarray,
     eval_idx: np.ndarray,
-    neighbors: list[np.ndarray],
+    cols: np.ndarray,
+    starts: np.ndarray,
     keys: np.ndarray,
     eps: float,
     samples: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Error counts, and the brackets [largest cap, min(1, S)] of the lost
-    shares, of the codewords eval_idx, whose competitors are neighbors.
+    shares, of the codewords eval_idx, whose competitors are
+    cols[starts[r]:starts[r + 1]] (_neighbor_lists' format).
 
     Competitors go in content-key order, equal keys by their bytes. Each
     codeword reads its own stream, keyed by its content key through the
@@ -356,13 +364,11 @@ def _decode(
     with its stream key instead, and decodes them one by one.
     """
     k, dim = len(eval_idx), points.shape[1]
-    lengths = np.array([len(nb) for nb in neighbors], dtype=np.intp)
-    starts = np.cumsum(lengths) - lengths
+    lengths = np.diff(starts)
     rows = np.repeat(np.arange(k), lengths)
-    cols = np.concatenate([np.empty(0, dtype=np.intp), *neighbors])
     offsets = points[cols]
     order = np.lexsort((offsets.view(f"S{dim * points.itemsize}").ravel(), keys[cols], rows))
-    cols, offsets = cols[order], offsets[order]
+    offsets = offsets[order]
     offsets -= points[eval_idx[rows]]
     sq = np.einsum("ij,ij->i", offsets, offsets)
     dist = np.sqrt(sq)
@@ -370,7 +376,7 @@ def _decode(
     # each codeword's running sum of its own caps, in its competitors' order
     cdf = caps.copy()
     for step in range(1, lengths.max(initial=0)):
-        at = starts[lengths > step] + step
+        at = starts[:-1][lengths > step] + step
         cdf[at] += cdf[at - 1]
     totals, largest, coincident = np.zeros(k), np.zeros(k), np.zeros(k, dtype=bool)
     np.maximum.at(totals, rows, cdf)  # the last of each, as caps are >= 0
@@ -382,15 +388,13 @@ def _decode(
     stream = _finalise(keys[eval_idx])
 
     for r in np.flatnonzero(~coincident & (totals > 1.0)):
-        i = eval_idx[r]
         rng = np.random.default_rng(int(stream[r]))
-        draws = sample_uniform_ball(dim, eps, rng, size=samples) + points[i]
-        # the definition's bits: competitors by index, own distance in the same matmul
-        near = np.concatenate([points[i : i + 1], points[neighbors[r]]], axis=0)
-        d2 = squared_distances(
-            draws, np.einsum("ij,ij->i", draws, draws), near, np.einsum("ij,ij->i", near, near)
-        )
-        counts[r] = np.count_nonzero(d2[:, 1:].min(axis=1) <= d2[:, 0])
+        u = sample_uniform_ball(dim, eps, rng, size=samples)
+        # the draw u is lost to the competitor at offset v_j when
+        # 2 u.v_j >= |v_j|^2, the rule the candidates below are kept by
+        own = slice(starts[r], starts[r + 1])
+        closer = 2.0 * (u @ offsets[own].T) >= sq[own]
+        counts[r] = np.count_nonzero(closer.any(axis=1))
 
     live = np.flatnonzero(~coincident & (totals > 0.0) & (totals <= 1.0))
     drawn = _binomial_counts(_uniforms(stream[live], np.uint64(0)), samples, totals[live])
@@ -475,18 +479,18 @@ def estimate_error_fraction(
     else:
         eval_idx = np.arange(m)
 
-    neighbors = _neighbor_lists(points, eval_idx, eps)
+    cols, starts = _neighbor_lists(points, eval_idx, eps)
     k = len(eval_idx)
     error_counts = np.zeros(k, dtype=np.int64)
     brackets = np.zeros((k, 2))
-    ends = np.cumsum([len(nb) for nb in neighbors])
     r0 = 0
     while r0 < k:
         # at least one codeword, and as many more as fit in _PAIR_CHUNK pairs
-        limit = ends[r0] - len(neighbors[r0]) + _PAIR_CHUNK
-        r1 = max(r0 + 1, int(np.searchsorted(ends, limit, side="right")))
+        fit = np.searchsorted(starts[1:], starts[r0] + _PAIR_CHUNK, side="right")
+        r1 = max(r0 + 1, int(fit))
+        run = cols[starts[r0] : starts[r1]]
         error_counts[r0:r1], brackets[r0:r1] = _decode(
-            points, eval_idx[r0:r1], neighbors[r0:r1], keys, eps, samples
+            points, eval_idx[r0:r1], run, starts[r0 : r1 + 1] - starts[r0], keys, eps, samples
         )
         r0 = r1
     # a codeword whose caps are all empty is an exact zero, its interval (0, 0)

@@ -187,6 +187,21 @@ def plain_greedy_pack(radii, eps: float, seed: int, attempts: int, candidates: i
     return best
 
 
+def per_codeword_lists(cols: np.ndarray, starts: np.ndarray) -> list[np.ndarray]:
+    """The neighbour search's flat pairs (cols, starts) as one array per
+    evaluated codeword, cols[starts[r]:starts[r + 1]]; starts must run from 0
+    to len(cols) without a step down."""
+    assert starts[0] == 0 and starts[-1] == len(cols) and np.all(np.diff(starts) >= 0)
+    return [cols[a:b] for a, b in zip(starts[:-1], starts[1:], strict=True)]
+
+
+def assert_same_lists(got, want):
+    """Equal neighbour lists, dtype included."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
 def direct_neighbor_lists(points: np.ndarray, eval_idx: np.ndarray, eps: float):
     """Indices j != i with |points[j] - points[i]|^2 <= (2*eps)^2, one
     evaluated codeword i at a time over the whole codebook: the direct
@@ -269,7 +284,9 @@ def plain_decode_error_counts(
 ) -> np.ndarray:
     """Errors among `samples` draws in each evaluated codeword's eps-ball,
     decoded by minimum distance over its neighbours, ties counted as errors;
-    the draws come from a Generator seeded with the codeword's stream key."""
+    the draws come from a Generator seeded with the codeword's stream key.
+    Each |draw - y|^2 is summed from the difference, as in
+    direct_neighbor_lists, so that the decisions hold at eps << |x| too."""
     points = codebook.points
     dim = points.shape[1]
     neighbors = direct_neighbor_lists(points, eval_idx, eps)
@@ -280,11 +297,7 @@ def plain_decode_error_counts(
             continue
         rng = np.random.default_rng(plain_stream_key(seed, points[i]))
         draws = points[i] + plain_ball_sample(dim, eps, rng, samples)
-        cols = np.concatenate([points[i : i + 1], points[nb]], axis=0)
-        d2 = (
-            np.einsum("ij,ij->i", draws, draws)[:, None]
-            - 2.0 * (draws @ cols.T)
-            + np.einsum("ij,ij->i", cols, cols)[None, :]
-        )
+        diffs = draws[:, None, :] - points[np.concatenate([[i], nb])][None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diffs, diffs)
         counts[r] = int(np.sum(np.min(d2[:, 1:], axis=1) <= d2[:, 0]))
     return counts

@@ -689,7 +689,7 @@ def test_sweep_stops_at_a_failed_row(tmp_path, monkeypatch):
         if (params.t_obs, params.eps) == (10, 0.2):  # the first grid point
             raise ValueError("first row fails")
         time.sleep(0.1)
-        return []
+        return {}
 
     monkeypatch.setattr("epscap.cli._sim_cells", row)
     out = tmp_path / "failed.csv"

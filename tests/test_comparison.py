@@ -79,14 +79,14 @@ def test_comparison_table_structure():
     by_label = {r.label: r for r in rows}
     fidelity = by_label["source rate at fixed fidelity (bits/s)"]
     # both descriptions agree exactly on this quantity
-    assert fidelity.stochastic_value == pytest.approx(2.0, abs=1e-12)
-    assert fidelity.deterministic_lower == pytest.approx(2.0, abs=1e-12)
-    assert fidelity.deterministic_upper == pytest.approx(2.0, abs=1e-12)
+    assert fidelity.stochastic_bits_per_s == pytest.approx(2.0, abs=1e-12)
+    assert fidelity.deterministic_lower_bits_per_s == pytest.approx(2.0, abs=1e-12)
+    assert fidelity.deterministic_upper_bits_per_s == pytest.approx(2.0, abs=1e-12)
     zero_error = by_label["zero-error capacity (bits/s)"]
-    assert zero_error.stochastic_value == 0.0
-    assert zero_error.deterministic_lower > 0.0
+    assert zero_error.stochastic_bits_per_s == 0.0
+    assert zero_error.deterministic_lower_bits_per_s > 0.0
     for row in rows:
-        assert row.deterministic_lower <= row.deterministic_upper + 1e-12
+        assert row.deterministic_lower_bits_per_s <= row.deterministic_upper_bits_per_s + 1e-12
         assert row.note
 
 
@@ -95,11 +95,11 @@ def test_comparison_table_with_finite_window_row():
     assert len(rows) == 4
     lattice = rows[-1]
     assert "lattice" in lattice.label
-    assert math.isnan(lattice.stochastic_value)
+    assert math.isnan(lattice.stochastic_bits_per_s)
     from epscap.manifest import normalize
 
-    assert normalize(lattice.to_dict())["stochastic_value"] is None
-    assert lattice.deterministic_lower == pytest.approx(
+    assert normalize(lattice.to_dict())["stochastic_bits_per_s"] is None
+    assert lattice.deterministic_lower_bits_per_s == pytest.approx(
         jagerman_capacity_lower_rate(math.pi, 100.0, 64.0), rel=1e-12
     )
 
@@ -109,8 +109,8 @@ def test_comparison_capacity_row_brackets_shannon():
     for snr in (16.0, 256.0, 4096.0):
         rows = {r.label: r for r in comparison_table(math.pi, snr)}
         cap = rows["capacity (bits/s)"]
-        assert cap.deterministic_lower <= cap.stochastic_value
-        assert cap.stochastic_value <= cap.deterministic_upper + 1e-12
+        assert cap.deterministic_lower_bits_per_s <= cap.stochastic_bits_per_s
+        assert cap.stochastic_bits_per_s <= cap.deterministic_upper_bits_per_s + 1e-12
 
 
 def test_comparison_table_rejects_bad_snr():

@@ -21,7 +21,6 @@ from epscap.geometry import (
     oracle_pack_interval,
     per_unit_time_report,
     sample_uniform_caps,
-    squared_distances,
 )
 from epscap.params import SignalSpaceParams
 from reference import (
@@ -314,17 +313,6 @@ def test_greedy_pack_anisotropic_body():
     count = greedy_pack(body, 0.1, seed=3, attempts=3, candidates=8000)
     volume_bound = (1.0 * 0.25) / (2.0 * 0.1) ** 2
     assert count >= volume_bound
-
-
-def test_squared_distances_are_the_plain_expression_bit_for_bit():
-    rng = np.random.default_rng(5)
-    x, y = rng.standard_normal((7, 12)), rng.standard_normal((9, 12))
-    x_sq, y_sq = np.einsum("ij,ij->i", x, x), np.einsum("ij,ij->i", y, y)
-    want = (x_sq[:, None] - 2.0 * (x @ y.T)) + y_sq
-    got = squared_distances(x, x_sq, y, y_sq)
-    assert np.array_equal(got, want)
-    # the packing screen's order, (-2 p + |x|^2) + |y|^2, is the same bits
-    assert np.array_equal(got, (-2.0 * (x @ y.T) + x_sq[:, None]) + y_sq)
 
 
 # --- caps of the noise ball ---

@@ -25,9 +25,11 @@ from epscap.geometry import (
 from epscap.params import SignalSpaceParams
 from epscap.simulation import Codebook, error_exponent, estimate_error_fraction
 from reference import (
+    assert_same_lists,
     cap_fraction,
     direct_neighbor_lists,
     formula_neighbor_lists,
+    per_codeword_lists,
     plain_ball_sample,
     plain_codeword_key,
     plain_decode_error_counts,
@@ -51,9 +53,9 @@ def test_comparison_intervals_are_the_report_rates(omega, snr):
         (source, "entropy_eps"),
         (zero_error, "capacity_2eps"),
     ):
-        interval = (row.deterministic_lower, row.deterministic_upper)
+        interval = (row.deterministic_lower_bits_per_s, row.deterministic_upper_bits_per_s)
         assert interval == (reports[key].lower_rate, reports[key].upper_rate)
-    assert lattice.deterministic_upper == reports["capacity_eps_delta"].upper_rate
+    assert lattice.deterministic_upper_bits_per_s == reports["capacity_eps_delta"].upper_rate
 
 
 @settings(max_examples=200, deadline=None)
@@ -212,10 +214,9 @@ def tiles(rows, cols):
     return mock.patch.multiple(simulation, _TILE_ROWS=rows, _TILE_COLS=cols)
 
 
-def assert_same_lists(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want, strict=True):
-        assert g.dtype == w.dtype and np.array_equal(g, w)
+def neighbor_lists(points, eval_idx, eps):
+    """The neighbour search's flat pairs, one list per evaluated codeword."""
+    return per_codeword_lists(*simulation._neighbor_lists(points, eval_idx, eps))
 
 
 def eval_subsets(m):
@@ -230,7 +231,7 @@ def test_neighbor_lists_are_the_direct_difference_oracle(book, rows, cols, data)
     points, eps = book
     eval_idx = data.draw(eval_subsets(len(points)))
     with tiles(rows, cols):
-        got = simulation._neighbor_lists(points, eval_idx, eps)
+        got = neighbor_lists(points, eval_idx, eps)
     assert_same_lists(got, direct_neighbor_lists(points, eval_idx, eps))
 
 
@@ -247,7 +248,7 @@ def test_neighbor_lists_are_the_oracle_where_squares_leave_the_normal_range(scal
     points[1::3] = points[::3] + rng.uniform(-eps, eps, size=(20, 2))
     eval_idx = np.arange(0, 60, 2)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"), tiles(7, 9):
-        got = simulation._neighbor_lists(points, eval_idx, eps)
+        got = neighbor_lists(points, eval_idx, eps)
         want = direct_neighbor_lists(points, eval_idx, eps)
     assert any(len(w) for w in want)
     assert_same_lists(got, want)
@@ -274,7 +275,7 @@ def test_formula_lists_differ_only_by_empty_caps(book, chunk, data):
     # scales
     points, eps = book
     eval_idx = data.draw(eval_subsets(len(points)))
-    got = simulation._neighbor_lists(points, eval_idx, eps)
+    got = neighbor_lists(points, eval_idx, eps)
     other = formula_neighbor_lists(points, eval_idx, eps, chunk)
     assert_differ_only_by_empty_caps(points, eval_idx, eps, got, other)
 
@@ -458,7 +459,7 @@ def test_criterion7_sized_neighbor_lists_are_the_oracle():
     m = 2**18
     points = sample_uniform_ball(12, 1.0, rng, size=m)
     eval_idx = np.sort(rng.choice(m, size=64, replace=False))
-    got = simulation._neighbor_lists(points, eval_idx, 0.25)
+    got = neighbor_lists(points, eval_idx, 0.25)
     want = direct_neighbor_lists(points, eval_idx, 0.25)
     assert sum(len(w) for w in want) > 64  # the lists are not all empty
     assert_same_lists(got, want)

@@ -1,4 +1,4 @@
-import hashlib
+import io
 import math
 import os
 import subprocess
@@ -30,9 +30,11 @@ from epscap.simulation import (
     wilson_interval,
 )
 from reference import (
+    assert_same_lists,
     cap_fraction,
     decode_error_indicator,
     direct_neighbor_lists,
+    per_codeword_lists,
     plain_ball_sample,
     plain_codeword_key,
     plain_decode_error_counts,
@@ -290,13 +292,32 @@ def test_a_neighbour_at_tiny_eps_is_found():
     # 2*eps claims its cap, (1 - d/(2*eps))/2 = 6e-9 in 1-d
     eps = 1e-6
     points = np.array([[0.8121], [0.8121 - 2.0 * eps * (1.0 - 1.2e-8)]])
-    assert simulation._neighbor_lists(points, np.arange(2), eps)[0].tolist() == [1]
+    cols, starts = simulation._neighbor_lists(points, np.arange(2), eps)
+    assert [nb.tolist() for nb in per_codeword_lists(cols, starts)] == [[1], [0]]
     result = estimate_error_fraction(Codebook(points=points), eps, samples=100, seed=0)
     d = float(points[0, 0] - points[1, 0])
     share = (1.0 - d / (2.0 * eps)) / 2.0
     assert share == pytest.approx(6e-9, rel=1e-2)
     np.testing.assert_allclose(result.error_fraction_brackets, share, rtol=1e-6)
     assert np.all(result.error_fraction_cis[:, 1] > 0.0)
+
+
+@pytest.mark.parametrize("eps, x0", [(1e-9, 0.8121), (1e-6, 3.0)])
+def test_the_one_by_one_decode_holds_at_tiny_eps(eps, x0):
+    # competitors at 0.1, 0.2 and -0.1 eps from the codeword: caps summing
+    # to S = 1.4, so the draws are decoded one by one, and a lost share of
+    # (1 - 0.1/2)/2 on each side, 0.95. In absolute coordinates the squared
+    # distances lose about 1e-16 * |x|^2, more than eps^2 here; the offsets
+    # from the codeword lose nothing. Exact binomial test, two-sided at
+    # level 1e-3; the definition, by direct differences, gives the same counts
+    book = Codebook(points=x0 + eps * np.array([[0.0], [0.1], [0.2], [-0.1]]))
+    samples = 100_000
+    result = estimate_error_fraction(book, eps, samples=samples, seed=3)
+    low, high = result.error_fraction_brackets[0]
+    assert low < 1.0 == high  # S > 1, and no competitor coincides
+    counts = np.rint(result.error_fractions * samples).astype(int)
+    assert binomtest(int(counts[0]), samples, 0.95).pvalue > 1e-3, counts
+    assert np.array_equal(counts, plain_decode_error_counts(book, np.arange(4), eps, samples, 3))
 
 
 def test_neighbour_search_memory_is_a_tile_whatever_is_evaluated():
@@ -307,11 +328,11 @@ def test_neighbour_search_memory_is_a_tile_whatever_is_evaluated():
     eval_idx = np.arange(20_000)
     tracemalloc.start()
     try:
-        neighbors = simulation._neighbor_lists(points, eval_idx, 0.15)
+        cols, starts = simulation._neighbor_lists(points, eval_idx, 0.15)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(len(nb) for nb in neighbors) > 10 * 20_000
+    assert len(starts) == 20_001 and starts[-1] == len(cols) > 10 * 20_000
     assert peak < 24 * 2**20, peak
 
 
@@ -320,28 +341,24 @@ def test_neighbour_lists_are_the_same_with_blas_threads_free():
     # the lists in a process with BLAS on one thread and in one with its
     # threads left free are the oracle's
     code = (
-        "import hashlib, sys, numpy as np\n"
+        "import sys, numpy as np\n"
         "from epscap import simulation\n"
         "from epscap.geometry import sample_uniform_ball\n"
         "points = sample_uniform_ball(12, 1.0, np.random.default_rng(8), size=20_000)\n"
-        "lists = simulation._neighbor_lists(points, np.arange(0, 20_000, 25), 0.35)\n"
-        "sys.stdout.write(hashlib.sha256(np.concatenate(lists).tobytes()"
-        " + np.array([len(nb) for nb in lists]).tobytes()).hexdigest())\n"
+        "cols, starts = simulation._neighbor_lists(points, np.arange(0, 20_000, 25), 0.35)\n"
+        "np.save(sys.stdout.buffer, cols)\n"
+        "np.save(sys.stdout.buffer, starts)\n"
     )
     points = sample_uniform_ball(12, 1.0, np.random.default_rng(8), size=20_000)
     want = direct_neighbor_lists(points, np.arange(0, 20_000, 25), 0.35)
     assert sum(len(nb) for nb in want) > 800
-    digest = hashlib.sha256(
-        np.concatenate(want).tobytes() + np.array([len(nb) for nb in want]).tobytes()
-    ).hexdigest()
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
     for threads in ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, {}):
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env | threads, capture_output=True, text=True
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == digest, threads
+        proc = subprocess.run([sys.executable, "-c", code], env=env | threads, capture_output=True)
+        assert proc.returncode == 0, proc.stderr.decode()
+        out = io.BytesIO(proc.stdout)
+        assert_same_lists(per_codeword_lists(np.load(out), np.load(out)), want)
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -518,12 +535,14 @@ def test_decode_memory_does_not_grow_with_samples():
     points = generate_codebook(np.ones(12), 2**18, seed=[20260821, 0]).points
     keys = simulation._codeword_keys(1, points)
     eval_idx = simulation._smallest_keys(keys, points, 512)
-    neighbors = simulation._neighbor_lists(points, eval_idx, 0.25)
+    cols, starts = simulation._neighbor_lists(points, eval_idx, 0.25)
     peaks = []
     for samples in (10_000, 30_000):
         tracemalloc.start()
         try:
-            counts, brackets = simulation._decode(points, eval_idx, neighbors, keys, 0.25, samples)
+            counts, brackets = simulation._decode(
+                points, eval_idx, cols, starts, keys, 0.25, samples
+            )
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
