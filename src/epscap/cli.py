@@ -480,12 +480,14 @@ def _outcome_cells(outcome: ExperimentOutcome | None) -> dict:
     }
 
 
-def _sim_cells(params: SignalSpaceParams, fixed: dict, spectra: dict) -> dict:
-    """One sweep row's simulation cells; none without simulate."""
+def _sim_cells(params: SignalSpaceParams, fixed: dict, spectra: dict, memo: dict) -> dict:
+    """One sweep row's simulation cells; none without simulate. Rows that
+    resolve to the same codebook experiment share its estimate in memo."""
     if not fixed.get("simulate"):
         return {}
     spectrum = spectra.get((params.omega, params.t_obs))
-    return _outcome_cells(run_random_code_experiment(_experiment_config(params, fixed), spectrum))
+    config = _experiment_config(params, fixed)
+    return _outcome_cells(run_random_code_experiment(config, spectrum, memo))
 
 
 def _cmd_sweep(args) -> int:
@@ -540,7 +542,7 @@ def _cmd_sweep(args) -> int:
         # rows come back in grid order; an error or interrupt closes the map
         # iterator, which cancels the rows not yet started, and the pool
         # waits for the rows in flight, which are not written
-        cells_of = functools.partial(_sim_cells, fixed=fixed, spectra=spectra)
+        cells_of = functools.partial(_sim_cells, fixed=fixed, spectra=spectra, memo={})
         for bounds, sim in zip(bound_rows[skip:], pool.map(cells_of, points[skip:])):
             print(csv_line([*bounds.values(), *sim.values()]), end="", file=fh, flush=True)
     return 0

@@ -118,8 +118,15 @@ def screen_margin(sq: np.ndarray) -> float:
     operation), so a pair the screen puts beyond the cutoff by more than
     this is beyond it by either reckoning, whatever BLAS summation order
     was used.
+
+    Infinite where 4 * max |x|^2 overflows: every partial sum of the screen
+    is at most that, so below it none overflows, and above it an overflow
+    to -inf or +inf can stand for a finite squared distance.
     """
-    return 4e-9 * float(sq.max(initial=0.0)) + np.finfo(float).tiny
+    top = float(sq.max(initial=0.0))
+    if not 4.0 * top <= np.finfo(float).max:
+        return math.inf
+    return 4e-9 * top + np.finfo(float).tiny
 
 
 # --- samplers ---
@@ -496,15 +503,23 @@ def greedy_pack(
     where saturation is reachable with modest candidate budgets.
 
     Each attempt replays the one-candidate-at-a-time rule exactly: every
-    decision is made by np.sum((accepted - c) ** 2, axis=1) >= (2*eps)^2
-    against every point accepted before c. A screen only saves work: one
-    matrix product of screen_operands gives |c|^2 - 2 c.a + |a|^2 for a
-    block of candidates against the points accepted before the block, and
-    a candidate is rejected there only when its minimum lies below
-    (2*eps)^2 minus screen_margin, where the exact test would reject it
-    too, so BLAS summation order decides nothing. The survivors are
-    settled in order by the exact test, against the points accepted
-    earlier in the same block as well.
+    decision is the one np.sum((accepted - c) ** 2, axis=1) >= (2*eps)^2
+    makes against every point accepted before c. A screen only saves
+    work: one matrix product of screen_operands gives |c|^2 - 2 c.a + |a|^2
+    for a block of candidates against the points accepted before the
+    block, and screen_margin bounds its distance from the exact sums, so
+    BLAS summation order decides nothing. A candidate's minimum there has
+    three outcomes:
+
+    - below (2*eps)^2 - margin: rejected, as the exact test would;
+    - at least (2*eps)^2 + margin: clear of those points, with no exact
+      test;
+    - in between, or NaN (norms that overflow): the exact test against
+      the points accepted before the block.
+
+    The survivors are then settled in order against each other by the
+    same exact sums. Blocks widen as acceptances thin out, as far as a
+    block's screen product and operand stay within 2^16 doubles.
     """
     if ellipsoid.dim > 6:
         raise ConfigurationError(
@@ -525,42 +540,74 @@ def greedy_pack(
     return best
 
 
-# Candidates screened per matrix product in _pack_candidates.
-_PACK_BLOCK = 64
+# Doubles a block of _pack_candidates may hold in its screen product and
+# right operand ((accepted points + dim + 2) times block candidates, 512 KB)
+# and in the pairwise differences of the survivors settled together
+# (survivors^2 * dim).
+_PACK_PRODUCT = 2**16
 
 
 def _pack_candidates(pts: np.ndarray, min_sep_sq: float) -> int:
     """The count sequential packing accepts from pts, in order: screened a
-    block at a time, settled one by one (see greedy_pack)."""
+    block at a time, tested exactly only where the screen cannot decide
+    (see greedy_pack)."""
     n, dim = pts.shape
     sq = np.einsum("ij,ij->i", pts, pts)
-    screen_floor = min_sep_sq - screen_margin(sq)
+    margin = screen_margin(sq)
+    # an infinite margin (a screen that may overflow) decides nothing
+    reject_below = min_sep_sq - margin
+    clear_from = min_sep_sq + margin if margin < math.inf else math.nan
+    most = math.isqrt(_PACK_PRODUCT // dim)
     # the accepted points as the screen's left operands, whose first dim
     # columns are the points themselves, in a buffer doubled when full (a
-    # row per candidate raised a sweep-then-pack process's peak by 1-2 MB);
-    # a block's candidates as its right ones
-    accepted = np.empty((_PACK_BLOCK, dim + 2))
-    right = np.empty((_PACK_BLOCK, dim + 2))
-    count = 0
-    for start in range(0, n, _PACK_BLOCK):
-        block = pts[start : start + _PACK_BLOCK]
+    # row per candidate raised a sweep-then-pack process's peak by 1-2 MB)
+    accepted = np.empty((64, dim + 2))
+    count = start = 0
+    width = 64
+    while start < n:
+        block = pts[start : start + width]
         if count:
-            y = right[: len(block)]
-            screen_operands(block, sq[start : start + _PACK_BLOCK], y, right=True)
-            g = accepted[:count] @ y.T
-            # a NaN minimum (norms that overflow) goes on to the exact test
-            survivors = np.flatnonzero(~(g.min(axis=0) < screen_floor))
+            right = np.empty((len(block), dim + 2))
+            screen_operands(block, sq[start : start + width], right, right=True)
+            low = (right @ accepted[:count].T).min(axis=1)
         else:
-            survivors = range(len(block))
-        for i in survivors:
-            cand = block[i]
-            if count:
-                d2 = np.sum((accepted[:count, :dim] - cand) ** 2, axis=1)
-                if float(d2.min()) < min_sep_sq:
-                    continue
-            if count == len(accepted):
-                accepted = np.concatenate([accepted, np.empty_like(accepted)])
-            one = slice(start + i, start + i + 1)
-            screen_operands(pts[one], sq[one], accepted[count : count + 1])
-            count += 1
+            low = np.full(len(block), np.inf)
+        # a NaN minimum (norms that overflow) is neither rejected nor clear
+        survivors = np.flatnonzero(~(low < reject_below))
+        if len(survivors) > most:  # the rest of the block goes to the next
+            block = block[: survivors[most]]
+            survivors = survivors[:most]
+        keep = np.ones(len(survivors), dtype=bool)
+        for j in np.flatnonzero(~(low[survivors] >= clear_from)):
+            d2 = np.sum((accepted[:count, :dim] - block[survivors[j]]) ** 2, axis=1)
+            keep[j] = not float(d2.min(initial=math.inf)) < min_sep_sq
+        new = survivors[keep]
+        if len(new) > 1:
+            # every survivor is clear of the points accepted before the
+            # block; settle them in order against each other
+            close = _pair_square_sums(block[new]) < min_sep_sq
+            np.fill_diagonal(close, False)
+            take = ~close.any(axis=1)
+            for i in np.flatnonzero(~take):
+                take[i] = not np.any(close[i, :i] & take[:i])
+            new = new[take]
+        while count + len(new) > len(accepted):
+            accepted = np.concatenate([accepted, np.empty_like(accepted)])
+        screen_operands(block[new], sq[start + new], accepted[count : count + len(new)])
+        count += len(new)
+        # the next block: about 8 candidates per point this one accepted,
+        # from 64 to twice this block, and its product and right operand
+        # within _PACK_PRODUCT
+        width = min(2 * len(block), max(64, 8 * len(block) // max(len(new), 1)))
+        width = max(1, min(width, _PACK_PRODUCT // (count + dim + 2)))
+        start += len(block)
     return count
+
+
+def _pair_square_sums(points: np.ndarray) -> np.ndarray:
+    """[i, j] = np.sum((points[j] - points[i]) ** 2), bit for bit the exact
+    test's sum over one row: the same differences, squared and summed in
+    the same order."""
+    diff = points - points[:, None]
+    np.square(diff, out=diff)
+    return diff.sum(axis=2)

@@ -2,8 +2,9 @@
 
 Every integer the package takes from a caller (a count, a size, an index,
 a seed) passes through require_int (a seed through require_seed), and
-every real one through require_finite (the eps of a codebook run through
-require_codebook_eps): each rule is stated once, here.
+every real one through require_finite (the eps and energy of a codebook
+run also through require_codebook_eps and require_codebook_energy): each
+rule is stated once, here.
 """
 
 from __future__ import annotations
@@ -77,6 +78,21 @@ def require_codebook_eps(eps) -> None:
         raise ValueError(
             f"eps must be at most {MAX_CODEBOOK_EPS!r} for a codebook run, so that "
             f"(2*eps)^2 is finite, got {eps}"
+        )
+
+
+# The largest energy a codebook run takes: its close-pair screen sums terms
+# of up to 4 |x|^2 with |x|^2 <= energy (screen_margin), which must stay
+# finite with room for the rounding of |x|^2.
+MAX_CODEBOOK_ENERGY = sys.float_info.max / 8
+
+
+def require_codebook_energy(energy) -> None:
+    """Refuse an energy whose codewords' close-pair screen could overflow."""
+    if energy > MAX_CODEBOOK_ENERGY:
+        raise ValueError(
+            f"energy must be at most {MAX_CODEBOOK_ENERGY!r} for a codebook run, so "
+            f"that its close-pair screen stays finite, got {energy}"
         )
 
 

@@ -26,6 +26,8 @@ formula and the wide-window rate behind the error exponent all live in
 from __future__ import annotations
 
 import math
+import threading
+from concurrent.futures import Future
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,6 +52,7 @@ from .geometry import (
 from .params import (
     MIN_SAMPLES,
     SignalSpaceParams,
+    require_codebook_energy,
     require_codebook_eps,
     require_finite,
     require_int,
@@ -261,6 +264,11 @@ class SimulationResult:
     seed: int
     target_delta: float | None = None
     verdict: bool | None = None
+
+    def judged(self, target_delta: float | None) -> SimulationResult:
+        """This estimate with target_delta and its verdict (None without one)."""
+        verdict = None if target_delta is None else bool(self.mean_error_ci[1] <= target_delta)
+        return replace(self, target_delta=target_delta, verdict=verdict)
 
     def to_dict(self) -> dict:
         """The fields; eval_indices goes out as n_evaluated and subsampled."""
@@ -516,7 +524,6 @@ def estimate_error_fraction(
         mean_ci = pooled
     mean_bracket = (math.fsum(brackets[:, 0]) / k, math.fsum(brackets[:, 1]) / k)
 
-    verdict = None if target_delta is None else bool(mean_ci[1] <= target_delta)
     return SimulationResult(
         error_fractions=fractions,
         error_fraction_cis=cis,
@@ -529,9 +536,7 @@ def estimate_error_fraction(
         eval_indices=eval_idx if subsampled else None,
         eps=float(eps),
         seed=seed,
-        target_delta=target_delta,
-        verdict=verdict,
-    )
+    ).judged(target_delta)
 
 
 # --- the randomized codebook experiment ---
@@ -573,6 +578,7 @@ class ExperimentConfig:
         setting("samples", MIN_SAMPLES)
         object.__setattr__(self, "seed", require_seed(self.seed))
         require_codebook_eps(self.params.eps)
+        require_codebook_energy(self.params.energy)
         setting("max_codewords")
         setting("retries")
         if self.rate is not None:
@@ -615,13 +621,19 @@ class ExperimentOutcome:
 
 
 def run_random_code_experiment(
-    config: ExperimentConfig, spectrum=None
+    config: ExperimentConfig, spectrum=None, memo: dict | None = None
 ) -> ExperimentOutcome:
     """Size a random codebook, estimate its error fraction, retry on failure.
 
     The satisfying-size codebook is the constructive side of the capacity
     lower bound: on average it meets the delta budget, so within a few
     retries a drawn codebook should pass the verdict.
+
+    An estimate depends on the body's radii, the codebook size, the seed,
+    the attempt, eps, samples and max_eval_codewords; delta only judges it.
+    Experiments that pass one memo dict (a sweep's rows) share each such
+    estimate: the first to need it computes it, and the others wait for
+    its result, or its error, instead of computing it again.
     """
     params = config.params
     n_dim = config.dim_override
@@ -664,15 +676,13 @@ def run_random_code_experiment(
     if n_codewords > 0:  # else the size floored to zero: nothing to simulate
         for attempt in range(config.retries):
             attempts = attempt + 1
-            codebook = generate_codebook(body.radii, n_codewords, [config.seed, attempt])
-            result = estimate_error_fraction(
-                codebook,
-                params.eps,
-                config.samples,
-                config.seed,
-                target_delta=target,
+            key = (body.radii.tobytes(), n_codewords, config.seed, attempt,
+                   params.eps, config.samples, config.max_eval_codewords)
+            result = _shared(memo, key, lambda: estimate_error_fraction(
+                generate_codebook(body.radii, n_codewords, [config.seed, attempt]),
+                params.eps, config.samples, config.seed,
                 max_eval_codewords=config.max_eval_codewords,
-            )
+            )).judged(target)
             if result.verdict is None or result.verdict:
                 break
     return ExperimentOutcome(
@@ -685,6 +695,29 @@ def run_random_code_experiment(
         rate_too_low=n_codewords == 0,
         radii_source=radii_source,
     )
+
+
+_MEMO_LOCK = threading.Lock()
+
+
+def _shared(memo: dict | None, key, compute):
+    """compute(), once per key of memo (None: no sharing). A caller that
+    finds the key taken waits on the computing caller's Future, which
+    carries its exception too, so no waiter is left waiting."""
+    if memo is None:
+        return compute()
+    with _MEMO_LOCK:
+        future = memo.get(key)
+        mine = future is None
+        if mine:
+            future = memo[key] = Future()
+    if mine:
+        try:
+            future.set_result(compute())
+        except BaseException as exc:
+            future.set_exception(exc)
+            raise
+    return future.result()
 
 
 def _floor_pow2_exponent(log2_size: float) -> int:

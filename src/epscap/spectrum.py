@@ -79,6 +79,11 @@ CLIP_FLOOR = 1e-15
 # must stay below this; a larger one means the basis cut the mode off.
 _TAIL_TOLERANCE = 1e-14
 
+# Eigenvectors are refused when their Legendre Vandermonde and value array
+# would take more bytes than this together; the solve holds about twice
+# that at its peak.
+_VECTOR_BYTES = 2 * 10**9
+
 # Below arg = 1e-6, sin(arg)/arg loses accuracy to cancellation; the Taylor
 # series is exact to double precision there.
 _SINC_SERIES_CUTOFF = 1e-6
@@ -327,7 +332,9 @@ def build_spectrum(
             eigenvectors; defaults to max(256, 8 * ceil(N0)) and must be
             >= 4 * ceil(N0).
         vectors: also sample the eigenfunctions at the nodes. The
-            eigenvalues are the same either way.
+            eigenvalues are the same either way. Refused, before anything
+            is solved, when the Legendre Vandermonde and value array this
+            needs would pass _VECTOR_BYTES.
 
     Modes are solved until the eigenvalue falls below CLIP_FLOOR (the
     later ones store the floor), starting from 16 past the asymptotic
@@ -337,6 +344,15 @@ def build_spectrum(
     quad_order = _checked_order(omega, t_obs, quad_order)
     n0 = nominal_dimension(omega, t_obs)
     c = omega * t_obs / 2.0
+    if vectors:
+        n_coeffs = _legendre_count(c, quad_order)
+        need = 8 * quad_order * (n_coeffs + quad_order)
+        if need > _VECTOR_BYTES:
+            raise ConfigurationError(
+                f"eigenvectors at order {quad_order} need a {quad_order} x {n_coeffs} "
+                f"Legendre Vandermonde and a {quad_order} x {quad_order} value array, "
+                f"{need / 1e9:.1f} GB together, above the {_VECTOR_BYTES / 1e9:g} GB limit"
+            )
     above_floor = dof_asymptotic(max(n0, 2.0), 1.0, math.sqrt(CLIP_FLOOR))
     n_modes = min(quad_order, math.ceil(above_floor) + 16)
     while True:

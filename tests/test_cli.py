@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from epscap import cli, simulation
+from epscap import cli, simulation, spectrum
 from epscap.cli import main
 from epscap.errors import NumericalError
 from epscap.manifest import round_float
@@ -192,6 +193,32 @@ def test_spectrum_bytes_independent_of_save_vectors(tmp_path, monkeypatch):
     with np.load(tmp_path / "vectors" / "vectors.npz") as arrays:
         assert [round_float(v) for v in arrays["lambdas"].tolist()] == printed
         assert arrays["eigvecs"].shape == (len(printed), len(printed))
+
+
+def test_save_vectors_refuses_arrays_above_the_budget(tmp_path, monkeypatch, capsys):
+    # T = 4000 asks for a 32,000 x 38,316 Vandermonde (9.8 GB) and a 32,000^2
+    # value array (8.2 GB): refused from the sizes alone, before any solve
+    def never(*args):
+        raise AssertionError("allocated")
+
+    monkeypatch.setattr(spectrum, "_prolate_values", never)
+    monkeypatch.setattr(spectrum, "_prolate_coefficients", never)
+    vectors = tmp_path / "vectors.npz"
+    argv = ["spectrum", "--omega", PI_ARG, "--t-obs", "4000", "--save-vectors", str(vectors)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "32000 x 38316 Legendre Vandermonde" in err
+    assert "32000 x 32000 value array, 18.0 GB together, above the 2 GB limit" in err
+    assert not vectors.exists()
+
+
+def test_save_vectors_admits_the_orders_in_use(monkeypatch):
+    # the benchmark saves vectors at T = 50, order 400
+    sizes = []
+    real = spectrum._prolate_values
+    monkeypatch.setattr(spectrum, "_prolate_values", lambda c, n, x: sizes.append(n) or real(c, n, x))
+    assert spectrum.build_spectrum(math.pi, 50.0, vectors=True).eigvecs.shape == (400, 400)
+    assert sizes == [400]
 
 
 @pytest.mark.parametrize(
@@ -684,7 +711,7 @@ def test_sweep_stops_at_a_failed_row(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, f"omega = {PI_ARG}\nenergy = 1\n{axes}")
     computed = []
 
-    def row(params, fixed, spectra):
+    def row(params, fixed, spectra, memo):
         computed.append(params)
         if (params.t_obs, params.eps) == (10, 0.2):  # the first grid point
             raise ValueError("first row fails")
@@ -778,6 +805,113 @@ def test_sweep_rows_decode_their_codewords_on_one_thread(
     assert all(decoded <= {row} for row, decoded in rows)
     assert any(decoded for _, decoded in rows)
     assert len(started_threads) <= int(jobs)
+
+
+# a delta grid whose sizes are capped at 256 for three (t_obs, eps) points,
+# so that each of their delta = 0.1 rows has a twin
+DELTA_GRID = {
+    "omega": [PI_ARG], "t_obs": ["6", "8"], "energy": ["1"], "eps": ["0.35", "0.25"],
+    "delta": ["0.1", "0.2"],
+}
+DELTA_GRID_FIXED = (
+    "seed = 3\nuse_spectrum = true\nsimulate = true\nsamples = 200\n"
+    "max_codewords = 256\nmax_eval_codewords = 64\n"
+)
+
+
+def _sweep_text(axes: dict, fixed: str) -> str:
+    return "".join(f"{key} = {v}\n" for key, values in axes.items() for v in values) + fixed
+
+
+def _sweep_rows(tmp_path, name, text, jobs="1"):
+    """The data lines of one sweep, and its header as a list."""
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(text)
+    out = tmp_path / f"{name}.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 0
+    lines = out.read_text().splitlines(keepends=True)
+    return lines[2:], lines[1].rstrip("\n").split(",")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_draws_each_distinct_experiment_once(tmp_path, monkeypatch, jobs):
+    drawn = []
+    real = simulation.generate_codebook
+
+    def generate(radii, n_codewords, seed):
+        drawn.append((radii.tobytes(), n_codewords, tuple(seed)))
+        return real(radii, n_codewords, seed)
+
+    monkeypatch.setattr(simulation, "generate_codebook", generate)
+    rows, header = _sweep_rows(tmp_path, "grid", _sweep_text(DELTA_GRID, DELTA_GRID_FIXED), jobs)
+    cells = [dict(zip(header, row.rstrip("\n").split(","))) for row in rows]
+    assert len(cells) == 8
+    # rows of one (t_obs, eps) and size are one experiment: its attempts are
+    # the most either row made
+    attempts: dict = {}
+    for c in cells:
+        key = (c["t_obs"], c["eps"], c["sim_n_codewords"])
+        attempts[key] = max(attempts.get(key, 0), int(c["sim_attempts"]))
+    assert len(attempts) < len(cells)  # some rows have a twin
+    assert len(drawn) == len(set(drawn)) == sum(attempts.values())
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_rows_are_their_one_row_sweeps(tmp_path, jobs):
+    grid, _ = _sweep_rows(tmp_path, "grid", _sweep_text(DELTA_GRID, DELTA_GRID_FIXED), jobs)
+    alone = []
+    for i, values in enumerate(itertools.product(*DELTA_GRID.values())):
+        point = {key: [value] for key, value in zip(DELTA_GRID, values)}
+        alone += _sweep_rows(tmp_path, f"row{i}", _sweep_text(point, DELTA_GRID_FIXED))[0]
+    assert grid == alone
+
+
+def test_sweep_twins_whose_verdicts_differ_are_their_one_row_sweeps(tmp_path):
+    # at a fixed size every delta is a twin; the smaller delta is half the
+    # interval's upper end at attempt 0, so that row fails and retries
+    def text(deltas):
+        axes = DELTA_GRID | {"t_obs": ["8"], "eps": ["0.35"], "delta": deltas}
+        return _sweep_text(axes, DELTA_GRID_FIXED + "n_codewords = 256\n")
+
+    row, header = _sweep_rows(tmp_path, "first", text(["0.5"]))
+    first = dict(zip(header, row[0].rstrip("\n").split(",")))
+    assert first["sim_attempts"] == "1"
+    deltas = [repr(float(first["sim_ci_high"]) / 2), "0.5"]
+    grid, _ = _sweep_rows(tmp_path, "twins", text(deltas), "2")
+    alone = [_sweep_rows(tmp_path, f"alone{i}", text([d]))[0][0] for i, d in enumerate(deltas)]
+    assert grid == alone
+    verdicts = [dict(zip(header, line.rstrip("\n").split(","))) for line in grid]
+    assert int(verdicts[0]["sim_attempts"]) > 1 and verdicts[1]["sim_attempts"] == "1"
+
+
+def test_sweep_stops_when_a_shared_estimate_raises(tmp_path, monkeypatch):
+    # two twin rows on two threads: the first computes and raises, its twin
+    # waits on it; main returns the error's exit code with no row written and
+    # no pool thread left
+    calls = []
+
+    def estimate(*args, **kwargs):
+        calls.append(1)
+        time.sleep(0.2)
+        raise FloatingPointError("estimate failed")
+
+    monkeypatch.setattr(simulation, "estimate_error_fraction", estimate)
+    axes = DELTA_GRID | {"t_obs": ["6"], "eps": ["0.35"]}
+    cfg = tmp_path / "raises.cfg"
+    cfg.write_text(_sweep_text(axes, DELTA_GRID_FIXED + "n_codewords = 64\n"))
+    out = tmp_path / "raises.csv"
+    before = set(threading.enumerate())
+    codes = []
+    runner = threading.Thread(target=lambda: codes.append(
+        main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "2"])
+    ))
+    runner.start()
+    runner.join(60)
+    assert not runner.is_alive()
+    assert codes == [3]
+    assert len(calls) == 1
+    assert len(out.read_text().splitlines()) == 2  # manifest and header only
+    assert set(threading.enumerate()) == before
 
 
 def test_sweep_refuses_a_delta_zero_point_it_cannot_size(tmp_path, capsys):

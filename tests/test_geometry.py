@@ -1,14 +1,18 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binomtest, ks_2samp
 
 from epscap import ConfigurationError, finite_reports
 from epscap.geometry import (
     BoundReport,
     _pack_candidates,
+    _pair_square_sums,
     Ellipsoid,
     capacity_2eps_bounds,
     cap_fractions,
@@ -21,6 +25,8 @@ from epscap.geometry import (
     oracle_pack_interval,
     per_unit_time_report,
     sample_uniform_caps,
+    sample_uniform_ellipsoid,
+    screen_margin,
 )
 from epscap.params import SignalSpaceParams
 from reference import (
@@ -298,14 +304,120 @@ def test_pack_screen_settles_exact_ties_and_duplicates(eps, dim, offset):
 
 @pytest.mark.parametrize(
     "radius, eps, dim",
-    [(1e-160, 1e-162, 1), (1e-160, 1e-170, 1), (1e-160, 1e-162, 3), (1e200, 1.0, 2)],
+    [
+        (1e-160, 1e-162, 1),
+        (1e-160, 1e-170, 1),
+        (1e-160, 1e-162, 3),
+        (1e200, 1.0, 2),
+        (1.2e154, 1e152, 1),
+        (1.2e154, 1e152, 2),
+    ],
 )
 def test_pack_screen_is_exact_where_squares_leave_the_normal_range(radius, eps, dim):
     # subnormal squares carry an absolute roundoff that a margin relative
-    # to the body does not cover; overflowing ones make the screen NaN
+    # to the body does not cover; overflowing ones make the screen NaN, and
+    # squares just below overflow can make -2 x.y overflow to -inf
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         got = greedy_pack(Ellipsoid.ball(dim, radius), eps, seed=1, attempts=1, candidates=300)
         assert got == plain_greedy_pack([radius] * dim, eps, 1, 1, 300)
+
+
+# (offset, scale, eps scale) of packing inputs: points offset + scale * x for
+# x of unit size, eps a multiple of the eps scale. Squares at 1e-160 are
+# subnormal; at 1.2e154 the screen's -2 x.y overflows; at 1e155 and 1e200
+# the squares overflow, so the screen's minimum is NaN (the offset keeps
+# differences, and the 1e150 eps scale (2*eps)^2, finite)
+PACK_FRAMES = [
+    (0.0, 1.0, 1.0),
+    (-1.3, 1.0, 1.0),
+    (1e3, 1.0, 1.0),
+    (0.0, 1e-160, 1e-160),
+    (1.2e154, 1e152, 1e152),
+    (1e155, 1e152, 1e152),
+    (0.0, 1e200, 1e150),
+]
+
+
+@st.composite
+def pack_inputs(draw):
+    """(points, min_sep_sq): uniform in the unit ball, or a grid of 2*eps
+    spacing with every point twice and the order shuffled or not."""
+    dim = draw(st.integers(min_value=1, max_value=6))
+    rel_eps = draw(st.sampled_from([1e-3, 0.05, 0.2, 0.35, 0.7]))
+    offset, scale, eps_scale = draw(st.sampled_from(PACK_FRAMES))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=3000))
+        x = plain_ball_sample(dim, 1.0, rng, n)
+    else:
+        side = draw(st.integers(min_value=1, max_value=int(1500 ** (1.0 / dim))))
+        axis = 2.0 * rel_eps * np.arange(side)
+        x = np.repeat(np.array(list(itertools.product(axis, repeat=dim))), 2, axis=0)
+        if draw(st.booleans()):
+            x = rng.permutation(x)
+    with np.errstate(over="ignore"):
+        pts = offset + scale * x
+        min_sep_sq = (2.0 * rel_eps * eps_scale) ** 2
+    return pts, min_sep_sq
+
+
+@settings(max_examples=60, deadline=None)
+@given(pack_inputs())
+def test_pack_candidates_is_the_sequential_rule(inputs):
+    pts, min_sep_sq = inputs
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        assert _pack_candidates(pts, min_sep_sq) == sequential_pack_count(pts, min_sep_sq)
+
+
+def test_screen_margin_is_infinite_where_the_screen_may_overflow():
+    top = np.finfo(float).max / 4.0
+    assert screen_margin(np.array([0.5, top])) == pytest.approx(4e-9 * top)
+    assert screen_margin(np.array([0.5, np.nextafter(top, np.inf)])) == math.inf
+    assert screen_margin(np.array([np.inf])) == math.inf
+
+
+def test_pack_sends_a_nan_screen_to_the_exact_test():
+    # norms that overflow make every screen minimum NaN; a NaN read as clear
+    # would accept the second point, 0.1 * eps from the first
+    pts = 1e155 + np.array([[0.0, 0.0], [1e151, 0.0], [3e153, 0.0]])
+    min_sep_sq = (2.0 * 1e152) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _pack_candidates(pts, min_sep_sq) == sequential_pack_count(pts, min_sep_sq) == 2
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 1e3, 1e152])
+def test_pair_square_sums_are_the_exact_tests_bits(dim, scale):
+    # the survivors of a block are settled from one pairwise array; each of
+    # its rows must hold the bits of the one-row exact test
+    rng = np.random.default_rng([dim, 7])
+    points = scale * rng.standard_normal((60, dim)) + rng.choice([0.0, 1e3 * scale], size=(60, 1))
+    points[5] = points[4]  # a duplicate: an exact zero
+    with np.errstate(over="ignore", under="ignore"):
+        pairs = _pair_square_sums(points)
+        for i, cand in enumerate(points):
+            row = np.sum((points - cand) ** 2, axis=1)
+            assert pairs[i].tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize(
+    "dim, eps, accepted, peak_mb",
+    # peaks measured before blocks were sized by their screen product: 0.753
+    # and 4.304 MB (a 3,890 x 64 product); a block as wide as 4,096 at 520
+    # accepted would hold 17 MB
+    [(5, 0.2, 514, 0.8), (2, 0.01, 3890, 4.4)],
+)
+def test_pack_memory_is_bounded_by_the_screen_product(dim, eps, accepted, peak_mb):
+    pts = sample_uniform_ellipsoid(np.ones(dim), np.random.default_rng([1, 0]), size=20000)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        count = _pack_candidates(pts, (2.0 * eps) ** 2)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert count == accepted
+    assert peak <= peak_mb * 1e6
 
 
 def test_greedy_pack_anisotropic_body():

@@ -22,6 +22,7 @@ from epscap.geometry import (
     working_dimension,
 )
 from epscap.params import (
+    MAX_CODEBOOK_ENERGY,
     MAX_CODEBOOK_EPS,
     MAX_SEED,
     MIN_SAMPLES,
@@ -151,6 +152,17 @@ def test_an_eps_whose_doubled_square_overflows_is_refused(call):
     )
     with pytest.raises(ValueError, match=message):
         call(math.nextafter(MAX_CODEBOOK_EPS, math.inf))
+
+
+def test_an_energy_whose_screen_could_overflow_is_refused():
+    # the close-pair screen sums terms of up to 4 |x|^2, |x|^2 <= energy
+    ExperimentConfig(params=dataclasses.replace(PARAMS, energy=MAX_CODEBOOK_ENERGY), n_codewords=2)
+    message = (
+        r"^energy must be at most 2\.2471164185778946e\+307 for a codebook run, "
+        r"so that its close-pair screen stays finite, got 1e\+308$"
+    )
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(params=dataclasses.replace(PARAMS, energy=1e308), n_codewords=2)
 
 
 def test_require_int_names_an_upper_bound():

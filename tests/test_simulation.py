@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -747,3 +748,104 @@ def test_exponent_sweep_small_run():
     payload = sweep.to_dict()
     assert len(payload["points"]) == 2
     assert payload["rate"] == 1.0
+
+
+def _outcome_record(outcome):
+    """An outcome's fields with every array as a list, for equality."""
+    record = outcome.to_dict()
+    record["result"] = {
+        key: value.tolist() if isinstance(value, np.ndarray) else value
+        for key, value in record["result"].items()
+    }
+    return record
+
+
+def test_twins_whose_verdicts_differ_match_their_unshared_runs(spec_t10, monkeypatch):
+    # with the size fixed, delta only judges the estimate: one memo shares
+    # attempt 0, the row it fails retries on new keys, and each row is what
+    # it is without the memo
+    def config(delta):
+        params = SignalSpaceParams(omega=math.pi, t_obs=10.0, energy=1.0, eps=0.35, delta=delta)
+        return ExperimentConfig(params=params, n_codewords=256, samples=200, seed=3,
+                                max_eval_codewords=64)
+
+    first = run_random_code_experiment(config(0.5), spec_t10)
+    assert first.attempts == 1
+    high = first.result.mean_error_ci[1]
+    deltas = (high / 2, 0.5)  # attempt 0 fails the first and passes the second
+    unshared = [_outcome_record(run_random_code_experiment(config(d), spec_t10)) for d in deltas]
+    assert unshared[0]["attempts"] > 1 and unshared[1]["attempts"] == 1
+
+    drawn = []
+    real = simulation.generate_codebook
+    monkeypatch.setattr(
+        simulation, "generate_codebook", lambda *args: drawn.append(args[2]) or real(*args)
+    )
+    memo = {}
+    shared = [_outcome_record(run_random_code_experiment(config(d), spec_t10, memo))
+              for d in deltas]
+    assert shared == unshared
+    # attempt 0 is drawn once for both rows
+    assert drawn == [[3, attempt] for attempt in range(unshared[0]["attempts"])]
+    assert len(memo) == unshared[0]["attempts"]
+
+
+def test_a_shared_estimate_that_raises_reaches_every_waiter(monkeypatch):
+    # the row computing a key fails after its twin has begun to wait on it:
+    # both see the error, and the estimate ran once
+    calls = []
+    started = threading.Event()
+
+    def estimate(*args, **kwargs):
+        calls.append(threading.get_ident())
+        started.set()
+        time.sleep(0.2)
+        raise FloatingPointError("estimate failed")
+
+    monkeypatch.setattr(simulation, "estimate_error_fraction", estimate)
+
+    def run(delta):
+        params = SignalSpaceParams(omega=math.pi, t_obs=6.0, energy=1.0, eps=0.35, delta=delta)
+        config = ExperimentConfig(params=params, n_codewords=16, samples=200, seed=1)
+        if delta == 0.2:
+            assert started.wait(5)
+        return run_random_code_experiment(config, None, memo)
+
+    memo = {}
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(run, delta) for delta in (0.1, 0.2)]
+        for future in futures:
+            with pytest.raises(FloatingPointError, match="estimate failed"):
+                future.result(timeout=30)
+    assert len(calls) == 1
+
+
+def test_shared_estimates_are_computed_once_under_thread_switching():
+    # more threads than cores ask for the same few keys while the interpreter
+    # switches threads as often as it can: each key is computed once, and
+    # every caller gets that one result
+    computed = []
+    results = {}
+
+    def compute(key):
+        computed.append(key)
+        time.sleep(0.001)
+        return object()
+
+    def ask(worker):
+        for i in range(200):
+            key = (worker + i) % 13
+            got = simulation._shared(memo, key, lambda: compute(key))
+            assert results.setdefault(key, got) is got
+
+    memo = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(ask, worker) for worker in range(8)]
+            for future in futures:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(computed) == list(range(13))
