@@ -266,7 +266,12 @@ class SimulationResult:
     verdict: bool | None = None
 
     def judged(self, target_delta: float | None) -> SimulationResult:
-        """This estimate with target_delta and its verdict (None without one)."""
+        """This estimate with target_delta and its verdict (None without one).
+
+        Raises ValueError unless target_delta is None or lies in (0, 1).
+        """
+        if target_delta is not None and not 0.0 < target_delta < 1.0:
+            raise ValueError(f"target_delta must lie in (0, 1), got {target_delta}")
         verdict = None if target_delta is None else bool(self.mean_error_ci[1] <= target_delta)
         return replace(self, target_delta=target_delta, verdict=verdict)
 
@@ -443,7 +448,6 @@ def estimate_error_fraction(
     eps: float,
     samples: int,
     seed: int,
-    target_delta: float | None = None,
     max_eval_codewords: int | None = None,
 ) -> SimulationResult:
     """Monte Carlo estimate of the mean decoding-error fraction.
@@ -473,8 +477,6 @@ def estimate_error_fraction(
     require_codebook_eps(eps)
     samples = require_int("samples", samples, MIN_SAMPLES)
     seed = require_seed(seed)
-    if target_delta is not None and not (0.0 < target_delta < 1.0):
-        raise ValueError(f"target_delta must lie in (0, 1), got {target_delta}")
     if max_eval_codewords is not None:
         max_eval_codewords = require_int("max_eval_codewords", max_eval_codewords)
 
@@ -536,7 +538,7 @@ def estimate_error_fraction(
         eval_indices=eval_idx if subsampled else None,
         eps=float(eps),
         seed=seed,
-    ).judged(target_delta)
+    )
 
 
 # --- the randomized codebook experiment ---

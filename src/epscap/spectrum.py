@@ -43,11 +43,9 @@ and weights w_i, the symmetrized matrix
 
     K_ij = sqrt(w_i w_j) * (Omega/pi) * sinc(Omega (t_i - t_j))
 
-has the eigenvalues of the quadrature-discretized operator. K is
-centrosymmetric, so it is solved as the direct sum of its half-size even
-(A + B J) and odd (A - B J) blocks, A = K[:m, :m], B = K[:m, -m:],
-m = order // 2; an odd order adds the middle node to the even block with
-a sqrt(2) coupling. Its eigenvalue sum equals its trace, N0, identically.
+has the eigenvalues of the quadrature-discretized operator, found by one
+dense eigenvalues-only solve; the oracle has no eigenvectors. The tests
+check build_spectrum's eigenvectors against K itself.
 
 Index conventions follow the classical literature: eigenvalues are
 1-based in formulas (lambda_1 is the largest) and stored 0-based in
@@ -63,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre
-from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .errors import ConfigurationError, InsufficientSpectrumError, NumericalError
 from .params import nominal_dimension, require_finite, require_int
@@ -79,14 +77,10 @@ CLIP_FLOOR = 1e-15
 # must stay below this; a larger one means the basis cut the mode off.
 _TAIL_TOLERANCE = 1e-14
 
-# Eigenvectors are refused when their Legendre Vandermonde and value array
-# would take more bytes than this together; the solve holds about twice
-# that at its peak.
-_VECTOR_BYTES = 2 * 10**9
-
-# Below arg = 1e-6, sin(arg)/arg loses accuracy to cancellation; the Taylor
-# series is exact to double precision there.
-_SINC_SERIES_CUTOFF = 1e-6
+# The dense-array budget, checked before allocating: one parity's prolate
+# eigenvector matrix, or the eigenvectors' Legendre Vandermonde and value
+# array together, may not pass it (either solve holds about twice as much).
+_DENSE_BYTES = 2 * 10**9
 
 
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -141,18 +135,6 @@ def _checked_order(omega: float, t_obs: float, quad_order: int | None) -> int:
             "the eigenvalue transition band would be unresolved"
         )
     return quad_order
-
-
-@dataclass(frozen=True)
-class KernelMatrix:
-    """Symmetrized Nystrom discretization of the sinc kernel."""
-
-    matrix: np.ndarray  # (order, order), symmetric
-    nodes: np.ndarray  # quadrature nodes on [-T/2, T/2]
-    weights: np.ndarray  # Gauss-Legendre weights, sum = T
-    omega: float
-    t_obs: float
-    quad_order: int
 
 
 @dataclass(frozen=True)
@@ -216,9 +198,18 @@ def _prolate_coefficients(
     ...; column j of odd holds psi_{2j+1} on Pbar_1, Pbar_3, .... Each
     column has unit norm, so each function has unit norm on [-1, 1].
 
-    Raises NumericalError when a mode's trailing coefficients exceed
-    _TAIL_TOLERANCE: n_coeffs truncated it.
+    Raises ConfigurationError, before solving, when one parity's
+    eigenvector matrix would pass _DENSE_BYTES, and NumericalError when a
+    mode's trailing coefficients exceed _TAIL_TOLERANCE: n_coeffs
+    truncated it.
     """
+    need = 8 * ((n_coeffs + 1) // 2) ** 2
+    if need > _DENSE_BYTES:
+        raise ConfigurationError(
+            f"the prolate solve at N0 = {2.0 * c / math.pi:.6g} needs {n_coeffs} Legendre "
+            f"coefficients, {need / 1e9:.1f} GB of eigenvectors per parity, above the "
+            f"{_DENSE_BYTES / 1e9:g} GB limit"
+        )
     k = np.arange(n_coeffs, dtype=float)
     diagonal = k * (k + 1) + c * c * (2 * k * (k + 1) - 1) / ((2 * k + 3) * (2 * k - 1))
     k = k[:-2]
@@ -227,14 +218,15 @@ def _prolate_coefficients(
     for parity in (0, 1):
         try:
             # MRRR makes no BLAS-3 call, so the bits do not follow BLAS
-            # threads; solving every mode is faster than selecting some
-            _, vecs = eigh_tridiagonal(
+            # threads; solving every mode is faster than selecting some. A
+            # Fortran-order copy of the kept columns frees the whole matrix
+            # before the next solve and keeps the later sums' bits
+            blocks.append(eigh_tridiagonal(
                 diagonal[parity::2], coupling[parity::2], lapack_driver="stemr"
-            )
+            )[1][:, : (n_modes + 1 - parity) // 2].copy(order="F"))
         except np.linalg.LinAlgError as exc:  # pragma: no cover - MRRR on
             # a finite symmetric tridiagonal essentially cannot fail
             raise NumericalError(f"prolate eigensolve failed: {exc}") from exc
-        blocks.append(vecs[:, : (n_modes + 1 - parity) // 2])
     tail = max(float(np.max(np.abs(vecs[-2:]))) for vecs in blocks)
     if not tail <= _TAIL_TOLERANCE:
         raise NumericalError(
@@ -298,7 +290,8 @@ def _prolate_values(c: float, n_modes: int, x: np.ndarray) -> np.ndarray:
     """psi_0, ..., psi_{n_modes-1} (unit norm on [-1, 1]) at the points x."""
     even, odd = _prolate_coefficients(c, _legendre_count(c, n_modes), n_modes)
     degrees = np.arange(2 * len(even))
-    vander = legendre.legvander(x, degrees[-1]) * np.sqrt(degrees + 0.5)
+    vander = legendre.legvander(x, degrees[-1])
+    vander *= np.sqrt(degrees + 0.5)
     values = np.empty((len(x), n_modes))
     values[:, 0::2] = vander[:, 0::2] @ even
     values[:, 1::2] = vander[:, 1::2] @ odd
@@ -310,13 +303,8 @@ def _clip(raw_lambdas: np.ndarray) -> np.ndarray:
     below = int(np.sum(raw_lambdas < CLIP_FLOOR))
     above = int(np.sum(raw_lambdas > 1.0 - CLIP_FLOOR))
     if below or above:
-        logger.debug(
-            "clipped %d eigenvalues below %g and %d above %g",
-            below,
-            CLIP_FLOOR,
-            above,
-            1.0 - CLIP_FLOOR,
-        )
+        logger.debug("clipped %d eigenvalues below %g and %d above %g",
+                     below, CLIP_FLOOR, above, 1.0 - CLIP_FLOOR)
     return np.clip(raw_lambdas, CLIP_FLOOR, 1.0 - CLIP_FLOOR)
 
 
@@ -334,7 +322,7 @@ def build_spectrum(
         vectors: also sample the eigenfunctions at the nodes. The
             eigenvalues are the same either way. Refused, before anything
             is solved, when the Legendre Vandermonde and value array this
-            needs would pass _VECTOR_BYTES.
+            needs would pass _DENSE_BYTES.
 
     Modes are solved until the eigenvalue falls below CLIP_FLOOR (the
     later ones store the floor), starting from 16 past the asymptotic
@@ -347,11 +335,11 @@ def build_spectrum(
     if vectors:
         n_coeffs = _legendre_count(c, quad_order)
         need = 8 * quad_order * (n_coeffs + quad_order)
-        if need > _VECTOR_BYTES:
+        if need > _DENSE_BYTES:
             raise ConfigurationError(
                 f"eigenvectors at order {quad_order} need a {quad_order} x {n_coeffs} "
                 f"Legendre Vandermonde and a {quad_order} x {quad_order} value array, "
-                f"{need / 1e9:.1f} GB together, above the {_VECTOR_BYTES / 1e9:g} GB limit"
+                f"{need / 1e9:.1f} GB together, above the {_DENSE_BYTES / 1e9:g} GB limit"
             )
     above_floor = dof_asymptotic(max(n0, 2.0), 1.0, math.sqrt(CLIP_FLOOR))
     n_modes = min(quad_order, math.ceil(above_floor) + 16)
@@ -392,146 +380,38 @@ def build_spectrum(
     )
 
 
-def build_kernel_matrix(
-    omega: float, t_obs: float, quad_order: int | None = None
-) -> KernelMatrix:
-    """Discretize the sinc kernel on a Gauss-Legendre rule (the test oracle).
+def build_kernel_matrix(omega: float, t_obs: float, quad_order: int | None = None) -> np.ndarray:
+    """The symmetrized Nystrom matrix of the sinc kernel (the test oracle).
 
-    Args:
-        omega: one-sided angular bandwidth in rad/s, > 0.
-        t_obs: observation window length, > 0.
-        quad_order: number of quadrature nodes; defaults to
-            max(256, 8 * ceil(N0)). Must be >= 4 * ceil(N0) so the
-            transition band is resolved.
-
-    Returns:
-        KernelMatrix with the symmetric matrix, nodes, and weights.
+    K_ij = sqrt(w_i w_j) (Omega/pi) sinc((Omega/pi)(t_i - t_j)) on the
+    quad_order Gauss-Legendre nodes t_i and weights w_i of [-T/2, T/2];
+    quad_order defaults and is refused as in build_spectrum.
     """
     quad_order = _checked_order(omega, t_obs, quad_order)
     x, w = gauss_legendre(quad_order)
-    nodes = x * (t_obs / 2.0)
-    weights = w * (t_obs / 2.0)
+    nodes, weights = x * (t_obs / 2.0), w * (t_obs / 2.0)
+    scale = omega / math.pi
+    sinc = np.sinc(scale * np.subtract.outer(nodes, nodes))
+    return np.sqrt(np.multiply.outer(weights, weights)) * scale * sinc
 
-    # (Omega/pi) sinc(Omega (t_i - t_j)) sqrt(w_i w_j), built in place; the
-    # Taylor branch sin(x)/x = 1 - x^2/6 + x^4/120 is taken only where
-    # |x| < cutoff, which keeps it exact to double precision.
-    arg = np.subtract.outer(nodes, nodes)
-    arg *= omega
-    small = np.abs(arg) < _SINC_SERIES_CUTOFF
-    x2 = arg[small] ** 2
-    arg[small] = 1.0
-    matrix = np.sin(arg)
-    matrix /= arg
-    matrix[small] = 1.0 - x2 / 6.0 + x2 * x2 / 120.0
-    matrix *= omega / math.pi
-    root_w = np.multiply.outer(weights, weights, out=arg)
-    matrix *= np.sqrt(root_w, out=root_w)
-    del arg, root_w
-    matrix += matrix.T
-    matrix *= 0.5
-    if not np.all(np.isfinite(matrix)):
-        raise NumericalError("kernel matrix contains non-finite entries")
-    return KernelMatrix(
-        matrix=matrix,
-        nodes=nodes,
-        weights=weights,
+
+def compute_spectrum(omega: float, t_obs: float, quad_order: int | None = None) -> EigenSpectrum:
+    """The Nystrom matrix's eigenvalues from one dense solve (the test oracle).
+
+    Sorted descending and clipped like build_spectrum's; trace_error is
+    |eigenvalue sum - N0|, the matrix trace's distance from N0.
+    """
+    raw_lambdas = np.linalg.eigvalsh(build_kernel_matrix(omega, t_obs, quad_order))[::-1]
+    return EigenSpectrum(
+        lambdas=_clip(raw_lambdas),
+        eigvecs=None,
+        nodes=np.empty(0),
+        weights=np.empty(0),
         omega=omega,
         t_obs=t_obs,
-        quad_order=quad_order,
-    )
-
-
-def _parity_blocks(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Even and odd half-size blocks of a symmetric centrosymmetric matrix.
-
-    With m = n // 2, A = K[:m, :m] and (B J)[i, j] = K[i, n-1-j], the even
-    block is A + B J and the odd block A - B J. For odd n the middle node
-    joins the even block, coupled to the others through sqrt(2) K[:m, m].
-    """
-    n = len(matrix)
-    m = n // 2
-    a = matrix[:m, :m]
-    bj = matrix[:m, : n - m - 1 : -1]
-    even = np.empty((n - m, n - m))
-    np.add(a, bj, out=even[:m, :m])
-    if n % 2:
-        even[:m, m] = even[m, :m] = math.sqrt(2.0) * matrix[:m, m]
-        even[m, m] = matrix[m, m]
-    return even, a - bj
-
-
-def _parity_eigvecs(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """Orthonormal eigenvectors of the full matrix, by descending eigenvalue.
-
-    Block eigenvectors x map back as [x; J x] / sqrt(2) (even) and
-    [x; -J x] / sqrt(2) (odd); the middle entry of an odd order's even
-    vector is carried over as is.
-    """
-    # divide and conquer keeps the vectors of the clustered roundoff tail
-    # orthogonal to ~1e-15, where the default MRRR driver drifts to ~1e-13
-    vals_even, vecs_even = eigh(even, driver="evd")
-    vals_odd, vecs_odd = eigh(odd, driver="evd")
-    m, n_even = len(odd), len(even)
-    n = n_even + m
-    half = math.sqrt(0.5)
-    vecs = np.zeros((n, n))
-    vecs[:m, :n_even] = half * vecs_even[:m]
-    vecs[n - m :, :n_even] = half * vecs_even[:m][::-1]
-    if n % 2:
-        vecs[m, :n_even] = vecs_even[m]
-    vecs[:m, n_even:] = half * vecs_odd
-    vecs[n - m :, n_even:] = -half * vecs_odd[::-1]
-    order = np.argsort(np.concatenate([vals_even, vals_odd]), kind="stable")[::-1]
-    return vecs[:, order]
-
-
-def compute_spectrum(kernel: KernelMatrix, vectors: bool = False) -> EigenSpectrum:
-    """Solve the Nystrom matrix's eigenproblem (the test oracle).
-
-    The matrix is split into its even and odd parity blocks (see the
-    module docstring), each solved for eigenvalues only. Eigenvalues are
-    sorted descending and clipped into [CLIP_FLOOR, 1 - CLIP_FLOOR]. With
-    ``vectors=True`` the blocks are solved a second time for eigenvectors,
-    whose columns are rescaled from the symmetrized coordinates back to
-    function values at the nodes, normalized to unit energy on the whole
-    line; the eigenvalues always come from the eigenvalues-only solve. The
-    trace_error is |eigenvalue sum - N0|, which equals the matrix trace's
-    distance from N0 whatever the solve did.
-    """
-    even, odd = _parity_blocks(kernel.matrix)
-    try:
-        raw_lambdas = np.concatenate(
-            [eigh(even, eigvals_only=True), eigh(odd, eigvals_only=True)]
-        )
-        raw_vecs = _parity_eigvecs(even, odd) if vectors else None
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on
-        # symmetric input essentially cannot fail, but surface it as ours
-        raise NumericalError(f"eigensolve failed: {exc}") from exc
-    if not np.all(np.isfinite(raw_lambdas)):
-        raise NumericalError("eigensolve returned non-finite eigenvalues")
-    raw_lambdas = np.sort(raw_lambdas)[::-1]
-
-    n0 = nominal_dimension(kernel.omega, kernel.t_obs)
-    trace_error = abs(float(raw_lambdas.sum()) - n0)
-    lambdas = _clip(raw_lambdas)
-
-    eigvecs = None
-    if raw_vecs is not None:
-        # Back out function values: the symmetric solve works in sqrt(w)-scaled
-        # coordinates, and sqrt(lambda) converts interval-normalized functions
-        # to line-normalized ones (energy lambda_n falls inside the window).
-        eigvecs = (raw_vecs / np.sqrt(kernel.weights)[:, None]) * np.sqrt(lambdas)[None, :]
-
-    return EigenSpectrum(
-        lambdas=lambdas,
-        eigvecs=eigvecs,
-        nodes=kernel.nodes,
-        weights=kernel.weights,
-        omega=kernel.omega,
-        t_obs=kernel.t_obs,
-        quad_order=kernel.quad_order,
+        quad_order=len(raw_lambdas),
         clip_floor=CLIP_FLOOR,
-        trace_error=trace_error,
+        trace_error=abs(float(raw_lambdas.sum()) - nominal_dimension(omega, t_obs)),
     )
 
 

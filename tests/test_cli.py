@@ -222,6 +222,24 @@ def test_save_vectors_admits_the_orders_in_use(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "command, extra", [("spectrum", []), ("dof", ["--energy", "1", "--mu", "0.1"])]
+)
+def test_a_prolate_solve_above_the_budget_exits_2(tmp_path, monkeypatch, capsys, command, extra):
+    # T = 40,000 would solve a 51,459^2 eigenvector matrix (21.2 GB) per parity
+    def never(*args, **kwargs):
+        raise AssertionError("allocated")
+
+    monkeypatch.setattr(spectrum, "eigh_tridiagonal", never)
+    out = tmp_path / "out.json"
+    argv = [command, "--omega", PI_ARG, "--t-obs", "40000", *extra, "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "102918 Legendre coefficients, 21.2 GB of eigenvectors per parity" in err
+    assert "above the 2 GB limit" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "index, value, message",
     [(-1, -1e-3, "must be finite and lie in"), (5, 0.5, "increase from lambda_6 to lambda_7")],
 )

@@ -585,15 +585,21 @@ def test_estimate_rejects_few_samples():
 
 def test_estimate_verdict_against_target():
     pts = np.array([[0.0, 0.0], [10.0, 0.0]])
-    res = estimate_error_fraction(
-        Codebook(points=pts), 1.0, samples=200, seed=0, target_delta=0.1
-    )
-    assert res.verdict is True
+    res = estimate_error_fraction(Codebook(points=pts), 1.0, samples=200, seed=0)
+    assert res.verdict is None and res.target_delta is None
+    assert res.judged(0.1).verdict is True
+    assert res.judged(0.1).target_delta == 0.1
     pts = np.array([[0.0], [0.0]])
-    res = estimate_error_fraction(
-        Codebook(points=pts), 1.0, samples=200, seed=0, target_delta=0.5
-    )
-    assert res.verdict is False
+    res = estimate_error_fraction(Codebook(points=pts), 1.0, samples=200, seed=0)
+    assert res.judged(0.5).verdict is False
+    assert res.judged(None).verdict is None
+
+
+@pytest.mark.parametrize("target", [0.0, 1.0, math.nan])
+def test_verdict_refuses_a_target_outside_the_unit_interval(target):
+    res = estimate_error_fraction(Codebook(points=np.zeros((2, 1))), 1.0, samples=200, seed=0)
+    with pytest.raises(ValueError, match="target_delta must lie in \\(0, 1\\)"):
+        res.judged(target)
 
 
 def test_mean_ci_shrinks_with_samples():

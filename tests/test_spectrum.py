@@ -5,7 +5,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from epscap import (
     ConfigurationError,
@@ -119,7 +118,7 @@ def test_order_sets_the_count_not_the_values(spec_t20, spec_t20_512):
 )
 def test_prolate_spectrum_matches_the_nystrom_oracle(t_obs, order):
     prolate = build_spectrum(math.pi, t_obs, order).lambdas
-    nystrom = compute_spectrum(build_kernel_matrix(math.pi, t_obs, order)).lambdas
+    nystrom = compute_spectrum(math.pi, t_obs, order).lambdas
     assert len(prolate) == len(nystrom) == order
     lead = 2 * round(t_obs)
     np.testing.assert_allclose(prolate[:lead], nystrom[:lead], rtol=0, atol=1e-12)
@@ -166,9 +165,10 @@ def test_too_few_legendre_coefficients_raise(monkeypatch):
 def test_kernel_matrix_symmetric():
     for order in (64, 65):
         km = build_kernel_matrix(math.pi, 6.0, quad_order=order)
-        assert np.array_equal(km.matrix, km.matrix.T)
-        # centrosymmetry is what the parity split rests on
-        assert np.array_equal(km.matrix, km.matrix[::-1, ::-1])
+        assert km.shape == (order, order)
+        assert np.array_equal(km, km.T)
+        # the nodes and weights are mirror images about the window's centre
+        assert np.array_equal(km, km[::-1, ::-1])
 
 
 def test_eigvec_weighted_gram(spec_t20_vectors):
@@ -184,23 +184,47 @@ def test_eigvecs_only_on_request(spec_t20, spec_t20_vectors):
     np.testing.assert_array_equal(spec_t20.lambdas, spec_t20_vectors.lambdas)
 
 
-@pytest.mark.parametrize("t_obs, order", [(6.0, 64), (6.0, 65), (20.0, 256), (20.0, 512)])
-def test_parity_split_matches_dense_eigensolve(t_obs, order):
-    # oracle: the dense, unsplit matrix solved without the parity split
-    km = build_kernel_matrix(math.pi, t_obs, order)
-    dense = np.clip(scipy.linalg.eigvalsh(km.matrix)[::-1], CLIP_FLOOR, 1.0 - CLIP_FLOOR)
-    np.testing.assert_allclose(compute_spectrum(km).lambdas, dense, rtol=0, atol=1e-13)
-
-
-@pytest.mark.parametrize("order", [64, 65, 256])
-def test_eigvecs_solve_the_kernel_matrix(order):
-    km = build_kernel_matrix(math.pi, 6.0, order)
-    spec = compute_spectrum(km, vectors=True)
-    # undo the function-value scaling to get the orthonormal vectors
-    u = spec.eigvecs * np.sqrt(km.weights)[:, None] / np.sqrt(spec.lambdas)[None, :]
-    residual = km.matrix @ u - u * spec.lambdas[None, :]
+@pytest.mark.parametrize("t_obs, order", [(6.0, 64), (6.0, 65), (20.0, 256), (50.0, 400)])
+def test_prolate_eigvecs_solve_the_kernel_matrix(t_obs, order):
+    # oracle: the Nystrom matrix on the same nodes, which build_spectrum
+    # never builds; sqrt(w) psi_n(t_i) is its eigenvector with lambda_n
+    spec = build_spectrum(math.pi, t_obs, order, vectors=True)
+    u = spec.eigvecs * np.sqrt(spec.weights)[:, None]
+    residual = build_kernel_matrix(math.pi, t_obs, order) @ u - u * spec.lambdas
     assert np.max(np.abs(residual)) <= 1e-12
-    assert np.max(np.abs(u.T @ u - np.eye(order))) <= 1e-12
+
+
+def test_prolate_solve_memory_keeps_only_the_used_columns():
+    # only the kept eigenvector columns outlive their parity's solve: at
+    # N0 = 1000 the peak was 44.7 MB while each whole matrix stayed alive
+    tracemalloc.start()
+    try:
+        build_spectrum(math.pi, 1000.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+
+
+def test_prolate_solve_above_the_budget_is_refused_before_it_runs(monkeypatch):
+    # N0 = 40,000 needs 102,918 coefficients: a 21.2 GB eigenvector matrix
+    calls = []
+
+    def solve(*args, **kwargs):
+        calls.append(len(args[0]))
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(spectrum, "eigh_tridiagonal", solve)
+    with pytest.raises(ConfigurationError, match=re.escape(
+        "the prolate solve at N0 = 40000 needs 102918 Legendre coefficients, "
+        "21.2 GB of eigenvectors per parity, above the 2 GB limit"
+    )):
+        build_spectrum(math.pi, 40000.0)
+    assert calls == []
+    # N0 = 4000 (0.21 GB) is admitted and reaches the solve
+    with pytest.raises(AssertionError, match="solved"):
+        build_spectrum(math.pi, 4000.0)
+    assert calls == [5181]
 
 
 @pytest.mark.parametrize("order", [64, 65, 256, 400, 512, 800, 1600])
