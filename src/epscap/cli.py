@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import functools
 import itertools
 import json
 import math
@@ -330,15 +329,10 @@ def _cmd_simulate(args) -> int:
         return _emit(args, payload, [{"notice": "rate too low"}], table)
 
     result = outcome.result
-    idx = (
-        result.eval_indices
-        if result.eval_indices is not None
-        else np.arange(result.n_codewords)
-    )
     rows = [
         {"codeword_index": int(i), "error_fraction": fraction, "ci_low": low, "ci_high": high}
         for i, fraction, (low, high) in zip(
-            idx, result.error_fractions, result.error_fraction_cis
+            result.eval_indices, result.error_fractions, result.error_fraction_cis
         )
     ]
     table = _quantity_table({
@@ -456,14 +450,6 @@ def _parse_sweep_config(path: str) -> tuple[dict, dict]:
     return axes, fixed
 
 
-def _experiment_config(params: SignalSpaceParams, fixed: dict) -> ExperimentConfig:
-    return ExperimentConfig(
-        params=params,
-        dim_override=fixed.get("n_dim"),
-        **{key: fixed[key] for key in _EXPERIMENT_KEYS if key in fixed},
-    )
-
-
 def _outcome_cells(outcome: ExperimentOutcome | None) -> dict:
     """An experiment's sweep cells by column; all None for no outcome, whose
     names head the file before any experiment runs."""
@@ -480,16 +466,6 @@ def _outcome_cells(outcome: ExperimentOutcome | None) -> dict:
     }
 
 
-def _sim_cells(params: SignalSpaceParams, fixed: dict, spectra: dict, memo: dict) -> dict:
-    """One sweep row's simulation cells; none without simulate. Rows that
-    resolve to the same codebook experiment share its estimate in memo."""
-    if not fixed.get("simulate"):
-        return {}
-    spectrum = spectra.get((params.omega, params.t_obs))
-    config = _experiment_config(params, fixed)
-    return _outcome_cells(run_random_code_experiment(config, spectrum, memo))
-
-
 def _cmd_sweep(args) -> int:
     require_int("--jobs", args.jobs)
     axes, fixed = _parse_sweep_config(args.config)
@@ -502,11 +478,13 @@ def _cmd_sweep(args) -> int:
         SignalSpaceParams(**dict(zip(_GRID_KEYS, values)))
         for values in itertools.product(*(axes[key] for key in _GRID_KEYS))
     ]
-    if "n_dim" in fixed:
-        require_int("n_dim", fixed["n_dim"])
-    if fixed.get("simulate"):
-        for p in points:
-            _experiment_config(p, fixed)
+    n_dim = fixed.get("n_dim")
+    if n_dim is not None:
+        require_int("n_dim", n_dim)
+    settings = {key: fixed[key] for key in _EXPERIMENT_KEYS if key in fixed}
+    configs = [
+        ExperimentConfig(params=p, dim_override=n_dim, **settings) for p in points
+    ] if fixed.get("simulate") else []
     manifest = run_manifest(
         "sweep",
         {"config": args.config, "axes": axes, "fixed": fixed, "out": args.out},
@@ -519,13 +497,17 @@ def _cmd_sweep(args) -> int:
             spectra[(om, t)] = build_spectrum(om, t, fixed.get("order"))
     # bound cells are formula-only: every point's are computed here, and the
     # first point's names head the file; the pool runs only the experiments
-    n_dim = fixed.get("n_dim")
     bound_rows = [
         _bound_row(p, per_unit_time_report(p, spectra.get((p.omega, p.t_obs)), n_dim))
         for p in points
     ]
     first_line = manifest_line(manifest)
-    header = csv_line([*bound_rows[0], *(_outcome_cells(None) if fixed.get("simulate") else {})])
+    header = csv_line([*bound_rows[0], *(_outcome_cells(None) if configs else {})])
+    memo: dict = {}  # rows that resolve to one codebook experiment share its estimate
+
+    def sim_cells(config: ExperimentConfig) -> dict:
+        spectrum = spectra.get((config.params.omega, config.params.t_obs))
+        return _outcome_cells(run_random_code_experiment(config, spectrum, memo))
 
     skip = 0
     out = contextlib.nullcontext(sys.stdout)
@@ -542,8 +524,8 @@ def _cmd_sweep(args) -> int:
         # rows come back in grid order; an error or interrupt closes the map
         # iterator, which cancels the rows not yet started, and the pool
         # waits for the rows in flight, which are not written
-        cells_of = functools.partial(_sim_cells, fixed=fixed, spectra=spectra, memo={})
-        for bounds, sim in zip(bound_rows[skip:], pool.map(cells_of, points[skip:])):
+        sims = pool.map(sim_cells, configs[skip:]) if configs else itertools.repeat({})
+        for bounds, sim in zip(bound_rows[skip:], sims):
             print(csv_line([*bounds.values(), *sim.values()]), end="", file=fh, flush=True)
     return 0
 
@@ -605,12 +587,14 @@ def _positive_float(text: str) -> float:
 
 
 def _t_list(text: str) -> list[float]:
+    """Comma-separated windows, at least one (the first is the parameters'
+    t_obs); empirical_exponent_sweep says how many a sweep needs."""
     try:
         values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad t list {text!r}") from exc
-    if len(values) < 2:
-        raise argparse.ArgumentTypeError("need at least two comma-separated windows")
+    if not values:
+        raise argparse.ArgumentTypeError(f"bad t list {text!r}")
     return values
 
 

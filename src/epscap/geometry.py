@@ -83,13 +83,23 @@ def cap_fractions(dim: int, radius: float, distances) -> np.ndarray:
     return 0.5 * betainc((dim + 1) / 2.0, 0.5, np.maximum(1.0 - x * x, 0.0))
 
 
-def row_square_sums(x: np.ndarray, scale=None, block: int = 8192) -> np.ndarray:
+ROW_BLOCK = 8192
+
+
+def row_blocks(n_rows: int):
+    """Slices of ROW_BLOCK consecutive rows that cover n_rows rows in order: a
+    row-wise pass over a codebook-sized array works a block at a time, so
+    that its temporaries stay in cache and none is the size of the array."""
+    return (slice(start, start + ROW_BLOCK) for start in range(0, n_rows, ROW_BLOCK))
+
+
+def row_square_sums(x: np.ndarray, scale=None) -> np.ndarray:
     """np.sum((x / scale) ** 2, axis=1), of x itself for scale None, bit for bit;
-    block rows at a time, so that no temporary the size of x is held."""
+    a row block at a time."""
     out = np.empty(len(x))
-    for start in range(0, len(x), block):
-        rows = x[start : start + block] if scale is None else x[start : start + block] / scale
-        np.add.reduce(rows * rows, axis=1, out=out[start : start + block])
+    for block in row_blocks(len(x)):
+        rows = x[block] if scale is None else x[block] / scale
+        np.add.reduce(rows * rows, axis=1, out=out[block])
     return out
 
 

@@ -41,6 +41,7 @@ from .geometry import (
     entropy_rate,
     log2_satisfying_size,
     per_unit_time_report,
+    row_blocks,
     row_square_sums,
     sample_uniform_ball,
     sample_uniform_caps,
@@ -167,21 +168,21 @@ def _finalise(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _codeword_keys(seed: int, points: np.ndarray, block: int = 8192) -> np.ndarray:
+def _codeword_keys(seed: int, points: np.ndarray) -> np.ndarray:
     """A 64-bit content key per codeword, which picks the evaluated subset,
     orders each codeword's competitors and keys its random stream.
 
     From the seed, each little-endian 8-byte word of the codeword's
     coordinates is folded in by one splitmix64 step: key ^= word, then the
-    finaliser of key + 0x9E3779B97F4A7C15. Blocks of `block` rows keep the
-    work in cache: on a 2^18 x 12 codebook (2-core x86-64) this takes
-    0.016 s, 0.030 s unblocked.
+    finaliser of key + 0x9E3779B97F4A7C15. Row blocks (geometry.row_blocks)
+    keep the work in cache: on a 2^18 x 12 codebook (2-core x86-64) this
+    takes 0.016 s, 0.030 s unblocked.
     """
     keys = np.full(len(points), seed, dtype=np.uint64)
     words = points.view("<u8")
-    for r0 in range(0, len(points), block):
-        key = keys[r0 : r0 + block]
-        for word in words[r0 : r0 + block].T:
+    for block in row_blocks(len(points)):
+        key = keys[block]
+        for word in words[block].T:
             key ^= word
             key += _GOLDEN
             _finalise(key)
@@ -259,7 +260,7 @@ class SimulationResult:
     mean_error_bracket: tuple[float, float]
     samples_per_codeword: int
     n_codewords: int
-    eval_indices: np.ndarray | None
+    eval_indices: np.ndarray
     eps: float
     seed: int
     target_delta: float | None = None
@@ -280,7 +281,7 @@ class SimulationResult:
         record = {k: v for k, v in vars(self).items() if k != "eval_indices"}
         return record | {
             "n_evaluated": len(self.error_fractions),
-            "subsampled": self.eval_indices is not None,
+            "subsampled": len(self.eval_indices) < self.n_codewords,
         }
 
 
@@ -483,8 +484,7 @@ def estimate_error_fraction(
     points = codebook.points
     m = len(points)
     keys = _codeword_keys(seed, points)
-    subsampled = max_eval_codewords is not None and m > max_eval_codewords
-    if subsampled:
+    if max_eval_codewords is not None and m > max_eval_codewords:
         eval_idx = _smallest_keys(keys, points, max_eval_codewords)
     else:
         eval_idx = np.arange(m)
@@ -513,7 +513,7 @@ def estimate_error_fraction(
     # order of the codebook
     mean = math.fsum(fractions) / k
     pooled = wilson_interval(error_counts.sum(), k * samples)
-    if subsampled:
+    if k < m:
         # cluster interval: spread across codewords dominates; keep the
         # pooled interval as a floor so an all-zero subset is not read as
         # exactly zero
@@ -535,7 +535,7 @@ def estimate_error_fraction(
         mean_error_bracket=mean_bracket,
         samples_per_codeword=samples,
         n_codewords=m,
-        eval_indices=eval_idx if subsampled else None,
+        eval_indices=eval_idx,
         eps=float(eps),
         seed=seed,
     )

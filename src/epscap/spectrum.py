@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -143,29 +143,30 @@ class EigenSpectrum:
 
     lambdas:     the first quad_order eigenvalues, non-increasing, clipped
                  to [clip_floor, 1 - clip_floor]
+    trace_error: |sum of computed eigenvalues - N0|; the exact ones sum to
+                 N0, so a wrong solve shows here
     eigvecs:     None unless vectors were requested (build_spectrum(...,
                  vectors=True)); then column n holds psi_{n+1} evaluated at
                  the nodes, scaled so that the L2 norm over the whole line
                  is 1, equivalently sum_i w_i psi_n(t_i)^2 == lambda_n
                  (concentration on the observation window)
     nodes:       the quad_order Gauss-Legendre nodes on [-T/2, T/2] and
-    weights:     their weights (sum T); build_spectrum leaves both empty
-                 unless eigvecs is set
-    quad_order:  how many eigenvalues are reported; it does not set their
-                 accuracy
-    trace_error: |sum of computed eigenvalues - N0|; the exact ones sum to
-                 N0, so a wrong solve shows here
+    weights:     their weights (sum T); both empty unless eigvecs is set
     """
 
     lambdas: np.ndarray
-    eigvecs: np.ndarray | None
-    nodes: np.ndarray
-    weights: np.ndarray
     omega: float
     t_obs: float
-    quad_order: int
     clip_floor: float
     trace_error: float
+    eigvecs: np.ndarray | None = None
+    nodes: np.ndarray = field(default_factory=lambda: np.empty(0))
+    weights: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+    @property
+    def quad_order(self) -> int:
+        """How many eigenvalues are reported; it does not set their accuracy."""
+        return len(self.lambdas)
 
     @property
     def nominal_dimension(self) -> float:
@@ -359,25 +360,16 @@ def build_spectrum(
     lambdas = _clip(
         np.concatenate([np.minimum.accumulate(raw_lambdas), np.zeros(quad_order - n_modes)])
     )
-    nodes = weights = np.empty(0)
-    eigvecs = None
+    spectrum = EigenSpectrum(
+        lambdas=lambdas, omega=omega, t_obs=t_obs, clip_floor=CLIP_FLOOR, trace_error=trace_error
+    )
     if vectors:
         x, w = gauss_legendre(quad_order)
         half = t_obs / 2.0
-        nodes, weights = x * half, w * half
         # unit norm on [-1, 1] -> on the window -> energy lambda_n inside it
         eigvecs = _prolate_values(c, quad_order, x) * np.sqrt(lambdas / half)
-    return EigenSpectrum(
-        lambdas=lambdas,
-        eigvecs=eigvecs,
-        nodes=nodes,
-        weights=weights,
-        omega=omega,
-        t_obs=t_obs,
-        quad_order=quad_order,
-        clip_floor=CLIP_FLOOR,
-        trace_error=trace_error,
-    )
+        spectrum = replace(spectrum, eigvecs=eigvecs, nodes=x * half, weights=w * half)
+    return spectrum
 
 
 def build_kernel_matrix(omega: float, t_obs: float, quad_order: int | None = None) -> np.ndarray:
@@ -404,12 +396,8 @@ def compute_spectrum(omega: float, t_obs: float, quad_order: int | None = None) 
     raw_lambdas = np.linalg.eigvalsh(build_kernel_matrix(omega, t_obs, quad_order))[::-1]
     return EigenSpectrum(
         lambdas=_clip(raw_lambdas),
-        eigvecs=None,
-        nodes=np.empty(0),
-        weights=np.empty(0),
         omega=omega,
         t_obs=t_obs,
-        quad_order=len(raw_lambdas),
         clip_floor=CLIP_FLOOR,
         trace_error=abs(float(raw_lambdas.sum()) - nominal_dimension(omega, t_obs)),
     )
@@ -530,7 +518,7 @@ def spectrum_from_record(record: dict) -> EigenSpectrum:
     # a NaN would pass every later comparison against the requested window
     require_finite("spectrum record omega", omega)
     require_finite("spectrum record t_obs", t_obs)
-    quad_order = require_int("spectrum record quad_order", quad_order)
+    require_int("spectrum record quad_order", quad_order)
     if lambdas.ndim != 1 or lambdas.size == 0:
         raise ValueError("spectrum record needs a non-empty list of eigenvalues")
     bad = np.flatnonzero(~((lambdas > 0.0) & (lambdas <= 1.0)))
@@ -549,12 +537,8 @@ def spectrum_from_record(record: dict) -> EigenSpectrum:
     clip_floor = float(record.get("clip_floor", CLIP_FLOOR))
     return EigenSpectrum(
         lambdas=lambdas,
-        eigvecs=None,
-        nodes=np.empty(0),
-        weights=np.empty(0),
         omega=omega,
         t_obs=t_obs,
-        quad_order=quad_order,
         clip_floor=clip_floor,
         trace_error=float(record.get("trace_error", math.nan)),
     )

@@ -703,6 +703,8 @@ def test_zero_working_dimension_is_refused(tmp_path, capsys):
         ("simulate = true\nsamples = 50\n", "samples must be an integer >= 100, got 50"),
         ("n_dim = 0\n", "n_dim must be a positive integer, got 0"),
         ("use_spectrum = true\nn_dim = 300\n", "n_dim 300 exceeds the 256 computed eigenvalues"),
+        ("t_obs = ten\n", "config line 9: t_obs needs a number, got 'ten'"),
+        ("simulate = maybe\n", "config line 9: bad value for simulate: 'maybe'"),
     ],
 )
 def test_sweep_refuses_bad_input_before_writing(tmp_path, capsys, extra, message):
@@ -711,6 +713,42 @@ def test_sweep_refuses_bad_input_before_writing(tmp_path, capsys, extra, message
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "configuration error: cannot read config: "),  # no file
+        (BASE_CFG.replace("energy = 1\n", ""), "config must set energy"),
+    ],
+)
+def test_sweep_refuses_a_config_it_cannot_read_or_that_lacks_a_key(
+    tmp_path, capsys, text, message
+):
+    cfg = tmp_path / "sweep.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "bad.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "partial, message",
+    [
+        ("omega,t_obs\n0.1,10\n", "is not a sweep artifact; refusing to resume"),
+        ("# manifest: [1, 2]\nomega,t_obs\n", "found a JSON list, not an object"),
+    ],
+)
+def test_sweep_resume_refuses_a_file_that_is_no_sweep_manifest(tmp_path, capsys, partial, message):
+    cfg = write_config(tmp_path, BASE_CFG)
+    out = tmp_path / "partial.csv"
+    out.write_text(partial)
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and str(out) in err
+    assert out.read_text() == partial
 
 
 @pytest.mark.parametrize("jobs", ["0", "-4"])
@@ -726,17 +764,18 @@ def test_sweep_jobs_must_be_positive(tmp_path, capsys, jobs):
 def test_sweep_stops_at_a_failed_row(tmp_path, monkeypatch):
     axes = "".join(f"t_obs = {t}\n" for t in (10, 12, 14, 16))
     axes += "".join(f"eps = {e}\n" for e in (0.2, 0.1, 0.05, 0.025))
-    cfg = write_config(tmp_path, f"omega = {PI_ARG}\nenergy = 1\n{axes}")
+    cfg = write_config(
+        tmp_path, f"omega = {PI_ARG}\nenergy = 1\n{axes}simulate = true\nn_codewords = 64\n"
+    )
     computed = []
 
-    def row(params, fixed, spectra, memo):
-        computed.append(params)
-        if (params.t_obs, params.eps) == (10, 0.2):  # the first grid point
+    def experiment(config, spectrum, memo):
+        computed.append(config.params)
+        if (config.params.t_obs, config.params.eps) == (10, 0.2):  # the first grid point
             raise ValueError("first row fails")
         time.sleep(0.1)
-        return {}
 
-    monkeypatch.setattr("epscap.cli._sim_cells", row)
+    monkeypatch.setattr("epscap.cli.run_random_code_experiment", experiment)
     out = tmp_path / "failed.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", "2"]) == 2
     # rows not yet started when the first one failed are never computed
@@ -823,6 +862,32 @@ def test_sweep_rows_decode_their_codewords_on_one_thread(
     assert all(decoded <= {row} for row, decoded in rows)
     assert any(decoded for _, decoded in rows)
     assert len(started_threads) <= int(jobs)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_simulate_sweep_cut_inside_a_twin_pair_resumes_to_its_bytes(tmp_path, jobs):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(_sweep_text(DELTA_GRID, DELTA_GRID_FIXED))
+    full = tmp_path / "full.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(full)]) == 0
+    lines = full.read_text().splitlines(keepends=True)
+    header = lines[1].rstrip("\n").split(",")
+    rows = [dict(zip(header, line.rstrip("\n").split(","))) for line in lines[2:]]
+
+    def experiment(row):
+        return row["t_obs"], row["eps"], row["sim_n_codewords"]
+
+    # the first delta = 0.1 row whose delta = 0.2 twin, next in grid order,
+    # shares its estimate: the resumed run computes the twin's alone
+    first = next(
+        i for i, (a, b) in enumerate(zip(rows, rows[1:]))
+        if (float(a["delta"]), float(b["delta"])) == (0.1, 0.2) and experiment(a) == experiment(b)
+    )
+    partial = tmp_path / "partial.csv"
+    partial.write_text("".join(lines[: 2 + first + 1]))
+    resume = ["--out", str(partial), "--resume", "--jobs", jobs]
+    assert main(["sweep", "--config", str(cfg), *resume]) == 0
+    assert partial.read_bytes() == full.read_bytes()
 
 
 # a delta grid whose sizes are capped at 256 for three (t_obs, eps) points,
@@ -1024,3 +1089,30 @@ def test_console_entry_point_end_to_end(tmp_path):
     )
     assert bad.returncode == 2
     assert "error" in bad.stderr
+
+
+@pytest.mark.parametrize("eps", ["0", "-0.5", "nan", "inf"])
+def test_a_radius_that_is_not_a_positive_number_is_refused(tmp_path, capsys, eps):
+    out = tmp_path / "bounds.json"
+    argv = ["bounds", "--omega", PI_ARG, "--t-obs", "20", "--energy", "1", "--eps", eps]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"argument --eps: expected a positive number, got {eps}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "t_list, message",
+    [
+        ("8,ten", "argument --t-list: bad t list '8,ten'"),
+        (",", "argument --t-list: bad t list ','"),
+        # the library's rule: a sweep needs at least two windows
+        ("8", "error: t_values must be at least two strictly increasing windows"),
+    ],
+)
+def test_exponent_sweep_refuses_a_window_list_it_cannot_sweep(tmp_path, capsys, t_list, message):
+    out = tmp_path / "sweep.json"
+    argv = ["exponent-sweep", "--omega", PI_ARG, "--energy", "1", "--eps", "0.25",
+            "--rate", "0.5", "--t-list", t_list, "--out", str(out)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from epscap.comparison import (
+    ComparisonRow,
     comparison_table,
     jagerman_capacity_lower,
     jagerman_capacity_lower_rate,
@@ -118,3 +120,18 @@ def test_comparison_table_rejects_bad_snr():
         comparison_table(math.pi, 0.0)
     with pytest.raises(ValueError):
         comparison_table(-math.pi, 16.0)
+
+
+@pytest.mark.parametrize("nominal_dim", [0.5, 0.0, math.nan, math.inf])
+def test_lattice_bounds_refuse_a_nominal_dimension_below_one(nominal_dim):
+    message = re.escape(f"nominal_dim must be >= 1, got {nominal_dim}")
+    with pytest.raises(ValueError, match=message):
+        jagerman_capacity_lower(nominal_dim, 16.0)
+    with pytest.raises(ValueError, match=message):
+        jagerman_capacity_lower_rate(math.pi, nominal_dim, 16.0)
+
+
+def test_comparison_row_refuses_a_lower_end_above_its_upper_end():
+    with pytest.raises(ValueError, match="x: deterministic lower 2.0 exceeds upper 1.0"):
+        ComparisonRow("x", 1.0, 2.0, 1.0)
+    assert ComparisonRow("x", 1.0, 1.0 + 1e-13, 1.0).deterministic_upper_bits_per_s == 1.0

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -130,6 +131,17 @@ def test_covering_overhead_domain():
     assert covering_overhead(20) == pytest.approx(15.836594178578332, rel=1e-12)
     with pytest.raises(ValueError):
         covering_overhead(0)
+
+
+@pytest.mark.parametrize("zeta", [0.0, -0.5, 1.5, math.nan])
+def test_bounds_refuse_a_zeta_outside_the_unit_interval(zeta):
+    message = re.escape(f"zeta_value must lie in (0, 1], got {zeta}")
+    with pytest.raises(ValueError, match=message):
+        capacity_2eps_bounds(8, zeta, 1.0, 0.1)
+    with pytest.raises(ValueError, match=message):
+        capacity_eps_delta_bounds(8, zeta, 1.0, 0.1, 0.1)
+    with pytest.raises(ValueError, match=message):
+        entropy_eps_bounds(8, zeta, 1.0, 0.1)
 
 
 def test_bound_report_rejects_inverted_bounds():

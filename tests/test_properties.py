@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from epscap import build_spectrum, finite_reports, simulation
+from epscap import build_spectrum, finite_reports, geometry, simulation
 from epscap.comparison import comparison_table
 from epscap.geometry import (
     Ellipsoid,
@@ -127,8 +127,7 @@ def test_permuting_a_codebook_permutes_its_error_fractions(dim, m, seed, eps, ma
     )
     # shuffled codeword j is base codeword perm[j]; a subsample picks the
     # same codewords in either order
-    base_index = np.arange(m) if base.eval_indices is None else base.eval_indices
-    index = np.arange(m) if shuffled.eval_indices is None else shuffled.eval_indices
+    base_index, index = base.eval_indices, shuffled.eval_indices
     rows = np.searchsorted(base_index, perm[index])
     assert np.array_equal(base_index[rows], perm[index])
     assert np.array_equal(shuffled.error_fractions, base.error_fractions[rows])
@@ -140,6 +139,11 @@ def test_permuting_a_codebook_permutes_its_error_fractions(dim, m, seed, eps, ma
 # --- the blocked hot paths against their one-at-a-time definitions ---
 
 SEED = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def row_block(rows):
+    """geometry's row block, patched to rows."""
+    return mock.patch.object(geometry, "ROW_BLOCK", rows)
 
 
 @settings(max_examples=200, deadline=None)
@@ -156,7 +160,7 @@ def test_ball_sampler_draws_the_out_of_place_bits(dim, radius, size, seed):
 
 
 def test_ball_sampler_bits_hold_across_row_blocks():
-    # 20,000 rows span three of row_square_sums' default 8,192-row blocks
+    # 20,000 rows span three of geometry's 8,192-row blocks
     got = sample_uniform_ball(12, 0.7, np.random.default_rng(5), size=20_000)
     assert np.array_equal(got, plain_ball_sample(12, 0.7, np.random.default_rng(5), 20_000))
 
@@ -174,7 +178,9 @@ def test_row_square_sums_are_the_one_shot_sums_in_any_block(dim, rows, block, sc
     x = rng.standard_normal((rows, dim)) * 10.0 ** rng.integers(-3, 4, size=dim)
     scale = rng.uniform(0.1, 3.0, size=dim) if scaled else None
     want = np.sum((x if scale is None else x / scale) ** 2, axis=1)
-    assert np.array_equal(row_square_sums(x, scale, block=block), want)
+    with row_block(block):
+        assert len(list(geometry.row_blocks(rows))) == -(-rows // block)
+        assert np.array_equal(row_square_sums(x, scale), want)
 
 
 @settings(max_examples=150, deadline=None)
@@ -315,7 +321,8 @@ def test_evaluated_subset_is_the_smallest_keys_then_bytes(seed, m, dim, scale, d
 def test_codeword_keys_are_the_plain_fold_in_any_block(seed, m, dim, block):
     points = np.random.default_rng(seed % 2**32).uniform(-1.0, 1.0, size=(m, dim))
     want = [plain_codeword_key(seed, row) for row in points]
-    assert simulation._codeword_keys(seed, points, block).tolist() == want
+    with row_block(block):
+        assert simulation._codeword_keys(seed, points).tolist() == want
     assert simulation._codeword_keys(seed, points).tolist() == want
     streams = simulation._finalise(simulation._codeword_keys(seed, points))
     assert streams.tolist() == [plain_stream_key(seed, row) for row in points]
@@ -379,7 +386,7 @@ def test_error_counts_are_the_per_codeword_decode(book, seed, max_eval, rows, co
         result = estimate_error_fraction(
             codebook, eps, samples=samples, seed=seed, max_eval_codewords=max_eval
         )
-    eval_idx = np.arange(len(points)) if result.eval_indices is None else result.eval_indices
+    eval_idx = result.eval_indices
     counts = plain_decode_error_counts(codebook, eval_idx, eps, samples, seed)
     coincident, largest, totals = competitor_caps(points, eval_idx, eps)
     exact = coincident | (totals > 1.0 + 1e-9)
@@ -444,7 +451,7 @@ def test_error_fractions_are_the_same_on_any_number_of_threads(book, seed, max_e
             else:
                 assert got == want
     # where the decode is one by one, it is the definition's, bit for bit
-    eval_idx = np.arange(len(points)) if serial.eval_indices is None else serial.eval_indices
+    eval_idx = serial.eval_indices
     counts = plain_decode_error_counts(codebook, eval_idx, eps, samples, seed)
     coincident, _, totals = competitor_caps(points, eval_idx, eps)
     exact = coincident | (totals > 1.0 + 1e-9)

@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -566,15 +567,46 @@ def test_a_subset_estimates_each_codeword_as_the_full_run_does(dim, m, repeated,
         points[: m // 3] = points[rng.integers(m // 3, m, size=m // 3)]
     book = Codebook(points=points)
     full = estimate_error_fraction(book, eps, samples=300, seed=11)
-    assert full.eval_indices is None
+    assert np.array_equal(full.eval_indices, np.arange(m))
+    assert not full.to_dict()["subsampled"]
     for k in (1, m // 4, m - 1):
         sub = estimate_error_fraction(book, eps, samples=300, seed=11, max_eval_codewords=k)
+        assert sub.to_dict()["subsampled"]
         idx = sub.eval_indices
         assert len(idx) == k and np.all(np.diff(idx) > 0)
         assert np.array_equal(sub.error_fractions, full.error_fractions[idx])
         assert np.array_equal(sub.error_fraction_cis, full.error_fraction_cis[idx])
         assert np.array_equal(sub.error_fraction_brackets, full.error_fraction_brackets[idx])
     assert np.any(full.error_fractions > 0)
+
+
+@pytest.mark.parametrize(
+    "points, radii, message",
+    [
+        (np.zeros((0, 3)), None, "points must form a nonempty (M, N) array"),
+        (np.zeros((2, 2, 2)), None, "points must form a nonempty (M, N) array"),
+        ([[0.0, math.nan]], None, "codebook points must be finite"),
+        ([[math.inf, 0.0]], None, "codebook points must be finite"),
+        (np.zeros((2, 3)), np.ones(2), "radii shape (2,) does not match point dimension 3"),
+    ],
+)
+def test_codebook_refuses_points_it_cannot_hold(points, radii, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Codebook(points=points, radii=radii)
+
+
+def test_a_size_past_2_to_the_62_saturates_there():
+    assert simulation._floor_pow2_exponent(61.0) == 2**61
+    for log2_size in (62.0, 70.0, 1200.0):
+        assert simulation._floor_pow2_exponent(log2_size) == 2**62
+    # 12 s at 100 bits/s is 2^1200 codewords, past a double: the size
+    # saturates, and max_codewords then sizes the codebook
+    params = SignalSpaceParams(omega=math.pi, t_obs=12.0, energy=1.0, eps=0.25, delta=0.1)
+    outcome = run_random_code_experiment(
+        ExperimentConfig(params=params, rate=100.0, samples=MIN_SAMPLES, max_codewords=64)
+    )
+    assert outcome.log2_target_size == 1200.0
+    assert outcome.capped and outcome.n_codewords == 64
 
 
 def test_estimate_rejects_few_samples():
@@ -740,6 +772,9 @@ def test_exponent_sweep_domain():
         empirical_exponent_sweep(params, rate=1.0, t_values=[12, 8], seed=0)
     with pytest.raises(ValueError):
         empirical_exponent_sweep(params, rate=1.0, t_values=[8], seed=0)
+    for windows in ([-8, 12], [0, 12]):
+        with pytest.raises(ValueError, match="t_values must be positive"):
+            empirical_exponent_sweep(params, rate=1.0, t_values=windows, seed=0)
 
 
 def test_exponent_sweep_small_run():

@@ -370,6 +370,33 @@ def test_record_rejects_invalid_eigenvalues(spec_t10, index, value, message):
         spectrum_from_record(record)
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda r: r.pop("lambdas"), "malformed spectrum record: 'lambdas'"),
+        (lambda r: r.pop("omega"), "malformed spectrum record: 'omega'"),
+        (lambda r: r.pop("t_obs"), "malformed spectrum record: 't_obs'"),
+        (lambda r: r.pop("quad_order"), "malformed spectrum record: 'quad_order'"),
+        (lambda r: r.update(lambdas=[]), "needs a non-empty list of eigenvalues"),
+        (lambda r: r.update(lambdas=[[0.5]]), "needs a non-empty list of eigenvalues"),
+    ],
+)
+def test_record_refuses_a_missing_key_or_no_eigenvalue_list(spec_t10, change, message):
+    record = spectrum_record(spec_t10)
+    change(record)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        spectrum_from_record(record)
+
+
+def test_degrees_of_freedom_refuses_a_spectrum_all_above_the_threshold():
+    short = spectrum_from_record(
+        {"omega": math.pi, "t_obs": 1.0, "quad_order": 2, "lambdas": [0.9, 0.5]}
+    )
+    message = "all 2 computed eigenvalues exceed the threshold 1.000e-02; raise quad_order"
+    with pytest.raises(InsufficientSpectrumError, match=re.escape(message)):
+        degrees_of_freedom(short, 1.0, 0.1)
+
+
 def test_record_accepts_rounded_plateau(spec_t10):
     # 12-digit artifacts print 1 - 1e-15 as exactly 1
     record = spectrum_record(spec_t10)
