@@ -62,9 +62,8 @@ from .spectrum import (
 )
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code) if exc.code else 0
     try:
@@ -716,6 +715,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_sweep, emit="csv")
 
     return parser
+
+
+# built once per process: every main call parses with it
+_PARSER = _build_parser()
 
 
 if __name__ == "__main__":

@@ -93,13 +93,11 @@ def row_blocks(n_rows: int):
     return (slice(start, start + ROW_BLOCK) for start in range(0, n_rows, ROW_BLOCK))
 
 
-def row_square_sums(x: np.ndarray, scale=None) -> np.ndarray:
-    """np.sum((x / scale) ** 2, axis=1), of x itself for scale None, bit for bit;
-    a row block at a time."""
+def row_square_sums(x: np.ndarray) -> np.ndarray:
+    """np.sum(x ** 2, axis=1), bit for bit; a row block at a time."""
     out = np.empty(len(x))
     for block in row_blocks(len(x)):
-        rows = x[block] if scale is None else x[block] / scale
-        np.add.reduce(rows * rows, axis=1, out=out[block])
+        np.add.reduce(x[block] * x[block], axis=1, out=out[block])
     return out
 
 
@@ -107,7 +105,8 @@ def screen_operands(points: np.ndarray, sq: np.ndarray, out: np.ndarray, right: 
     """points padded into out, (len(points), dim + 2), so that a left row
     [x, |x|^2, 1] times a right row [-2y, 1, |y|^2] is |x|^2 - 2 x.y + |y|^2:
     one matrix product screens every pair of a block. sq holds the points'
-    squared norms. Returns out."""
+    squared norms. out's dtype is the screen's precision: each entry is
+    rounded to it once. Returns out."""
     dim = points.shape[1]
     if right:
         np.multiply(points, -2.0, out=out[:, :dim])
@@ -118,25 +117,34 @@ def screen_operands(points: np.ndarray, sq: np.ndarray, out: np.ndarray, right: 
     return out
 
 
-def screen_margin(sq: np.ndarray) -> float:
-    """How far a screen by |x|^2 - 2 x.y + |y|^2 must stay from a cutoff on
-    squared distances, among points whose squared norms are sq.
+def screen_margin(sq: np.ndarray, dtype=np.float64, dim: int = 0) -> float:
+    """How far a screen by |x|^2 - 2 x.y + |y|^2, with operands and sums in
+    dtype, must stay from a cutoff on squared distances, among points of
+    dim coordinates whose squared norms are sq.
 
-    1e-9 * (2 * max |x|)^2 plus the smallest normal number: orders above
-    the roundoff of that expression, summed in any order, or of a direct
-    difference (about 1e-15 * (|x| + |y|)^2, or one subnormal step per
-    operation), so a pair the screen puts beyond the cutoff by more than
-    this is beyond it by either reckoning, whatever BLAS summation order
-    was used.
+    4 max |x|^2 * max(1e-9, gamma) plus dtype's smallest normal number,
+    where gamma = (dim + 4) u / (1 - (dim + 4) u) and u is dtype's unit
+    roundoff. (2 max |x|)^2 bounds the sum of the screen's terms' sizes, so
+    gamma times it bounds the rounding of the operands into dtype and of
+    their dim + 2 products summed in any order (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, section 3.1), and the smallest
+    normal number bounds one subnormal step per operation. So a pair the
+    screen puts beyond the cutoff by more than this is beyond it exactly,
+    whatever BLAS summation order was used. In float64, gamma stays below
+    1e-9 up to dim of about 9e6, and 1e-9 * (2 max |x|)^2 is orders above
+    the roundoff of the screen or of a direct difference (about 1e-15 *
+    (|x| + |y|)^2); float32 has no such room (gamma is 9.5e-7 at dim 12).
 
-    Infinite where 4 * max |x|^2 overflows: every partial sum of the screen
-    is at most that, so below it none overflows, and above it an overflow
-    to -inf or +inf can stand for a finite squared distance.
+    Infinite where 4 * max |x|^2 overflows dtype: every partial sum of the
+    screen is at most that, so below it none overflows, and above it an
+    overflow to -inf or +inf can stand for a finite squared distance.
     """
+    info = np.finfo(dtype)
     top = float(sq.max(initial=0.0))
-    if not 4.0 * top <= np.finfo(float).max:
+    rounding = (dim + 4) * float(info.eps) / 2.0
+    if not 4.0 * top <= float(info.max) or rounding >= 1.0:
         return math.inf
-    return 4e-9 * top + np.finfo(float).tiny
+    return 4.0 * max(1e-9, rounding / (1.0 - rounding)) * top + float(info.tiny)
 
 
 # --- samplers ---

@@ -42,7 +42,6 @@ from .geometry import (
     log2_satisfying_size,
     per_unit_time_report,
     row_blocks,
-    row_square_sums,
     sample_uniform_ball,
     sample_uniform_caps,
     sample_uniform_ellipsoid,
@@ -68,10 +67,11 @@ Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _TILE_ROWS = 512
 _TILE_COLS = 256
 # The decode works through this many (codeword, competitor) pairs at a
-# time, and through the (candidate, competitor) pairs of its candidates in
-# blocks of this many.
+# time, and through its candidates in blocks whose arrays hold at most this
+# many doubles (512 KB): dim + 3 uniforms per candidate, and the product of
+# a codeword's candidates with its competitors' offsets.
 _PAIR_CHUNK = 2**14
-_PAIR_BLOCK = 2**13
+_PAIR_BLOCK = 2**16
 
 
 # --- codebooks ---
@@ -103,7 +103,13 @@ class Codebook:
                     f"dimension {points.shape[1]}"
                 )
             object.__setattr__(self, "radii", radii)
-            if np.any(row_square_sums(points, radii) > 1.0 + 1e-12):
+            # sum((x / radii)^2) a row block at a time; the quotient goes
+            # first, so no square leaves the normal range before it is scaled
+            inside = np.empty(len(points))
+            for block in row_blocks(len(points)):
+                scaled = points[block] / radii
+                np.einsum("ij,ij->i", scaled, scaled, out=inside[block])
+            if np.any(inside > 1.0 + 1e-12):
                 raise ValueError("codebook points must lie inside their ellipsoid")
 
     @property
@@ -298,43 +304,61 @@ def _neighbor_lists(
     leaves out claims an empty cap: its distance is then at least 2*eps,
     since sqrt(fl(y^2)) = y for a double y whose square stays normal.
 
-    A screen, then a settle, as geometry's packing does. The screen is one
+    A screen, then a settle, as geometry's packing does. The screen works
+    in float32 on the points times 2^k, the power of two that takes every
+    row norm to at most 1, so that no square leaves float32's range: one
     matrix product of screen_operands per tile of _TILE_ROWS evaluated
     codewords by _TILE_COLS codewords, [x, |x|^2, 1] . [-2y, 1, |y|^2] =
-    |x|^2 - 2 x.y + |y|^2, written into one reused buffer of 1 MB, which
-    stays in cache whatever the number of evaluated codewords. It drops a
-    pair only above (2*eps)^2 + screen_margin, where the rule drops it too,
-    so the BLAS summation order, which changes with the thread count and
-    the tile shape, decides nothing (a NaN from overflowing norms goes on).
-    The settle applies the rule to the survivors.
+    |x|^2 - 2 x.y + |y|^2, written into one reused buffer of 512 KB, which
+    stays in cache whatever the number of evaluated codewords. The scaled
+    squared norms are summed in float64 a row block at a time. The screen
+    drops a pair only above 4^k ((2*eps)^2 + the smallest normal double,
+    which bounds the settle's subnormal steps) plus screen_margin in
+    float32, rounded up to a float32, where the rule drops it too; so the
+    BLAS summation order, which changes with the thread count and the tile
+    shape, decides nothing. The settle applies the rule to the survivors.
 
     On a 2^18 x 12 codebook with 512 evaluated codewords (2-core x86-64,
-    OpenBLAS on one thread) this takes 0.2-0.25 s. Tiles 2,048 or 64
-    columns wide took 0.28 and 0.30 s; blocks of all evaluated rows by
-    2,048 columns of |x|^2 - 2 x.y + |y|^2 against a slack relative to
-    (2*eps)^2, which missed true neighbours at eps << |x|, 0.5 s; scipy's
-    cKDTree 1.5 s. A window on the norm, exact as it is (|x| - |y| <=
-    |x - y|), keeps nearly every codeword in these dimensions, since in a
-    12-d unit ball P(|x| < 1/2) = 2^-12.
+    OpenBLAS on one thread) this takes about 0.1 s, the tile products 0.05
+    s of it, against 0.15-0.2 s for the same screen in float64, unscaled.
+    Tiles 512 or 1,024 columns wide took 0.14 and 0.15 s; blocks of all
+    evaluated rows by 2,048 columns of |x|^2 - 2 x.y + |y|^2 against a
+    slack relative to (2*eps)^2, which missed true neighbours at eps <<
+    |x|, 0.5 s (in float64); scipy's cKDTree 1.5 s. A
+    window on the norm, exact as it is (|x| - |y| <= |x - y|), keeps
+    nearly every codeword in these dimensions, since in a 12-d unit ball
+    P(|x| < 1/2) = 2^-12.
     """
     m, dim = points.shape
-    sq = np.einsum("ij,ij->i", points, points)
+    # |coordinate| < 2^e, and sqrt(dim) <= 2^ceil(log2(dim + 1) / 2)
+    e = math.frexp(max(float(points.max()), -float(points.min())))[1]
+    k = -e - (dim.bit_length() + 1) // 2
+    sq = np.empty(m)
+    for block in row_blocks(m):
+        rows = np.ldexp(points[block], k)
+        np.einsum("ij,ij->i", rows, rows, out=sq[block])
     within = (2.0 * eps) ** 2
-    bound = within + screen_margin(sq)
-    lhs = np.empty((min(len(eval_idx), _TILE_ROWS), dim + 2))
-    rhs = np.empty((min(m, _TILE_COLS), dim + 2))
-    tile = np.empty((len(lhs), len(rhs)))
+    with np.errstate(over="ignore"):
+        bound = np.ldexp(within + np.finfo(float).tiny, 2 * k) + screen_margin(sq, np.float32, dim)
+        cutoff = np.float32(bound)
+    if cutoff < bound:
+        cutoff = np.nextafter(cutoff, np.float32(np.inf))
+    lhs = np.empty((min(len(eval_idx), _TILE_ROWS), dim + 2), dtype=np.float32)
+    rhs = np.empty((min(m, _TILE_COLS), dim + 2), dtype=np.float32)
+    scaled = np.empty((len(rhs), dim))
+    tile = np.empty((len(lhs), len(rhs)), dtype=np.float32)
     all_rows, all_cols = [], []
     for r0 in range(0, len(eval_idx), _TILE_ROWS):
         own = eval_idx[r0 : r0 + _TILE_ROWS]
-        x = screen_operands(points[own], sq[own], lhs[: len(own)])
+        x = screen_operands(np.ldexp(points[own], k), sq[own], lhs[: len(own)])
         hit_rows, hit_cols = [], []
         for c0 in range(0, m, _TILE_COLS):
             c1 = min(c0 + _TILE_COLS, m)
-            y = screen_operands(points[c0:c1], sq[c0:c1], rhs[: c1 - c0], right=True)
+            y = np.ldexp(points[c0:c1], k, out=scaled[: c1 - c0])
+            y = screen_operands(y, sq[c0:c1], rhs[: c1 - c0], right=True)
             g = np.matmul(x, y.T, out=tile[: len(x), : len(y)])
             # one flat scan: the 2-d np.nonzero costs ten times as much here
-            rows, cols = np.divmod(np.flatnonzero(~(g > bound)), len(y))
+            rows, cols = np.divmod(np.flatnonzero(g <= cutoff), len(y))
             hit_rows.append(rows)
             hit_cols.append(cols + c0)
         rows, cols = np.concatenate(hit_rows), np.concatenate(hit_cols)
@@ -372,10 +396,14 @@ def _decode(
     1 + c * (dim + 3) on: its cap, its point in that cap (the dim + 1
     uniforms of sample_uniform_caps) and its keep, with probability one
     over the number of caps the point lies in. The candidates of every
-    codeword are drawn together, in blocks of about _PAIR_BLOCK (candidate,
-    competitor) pairs, so that the memory does not grow with samples. A
-    codeword whose S exceeds 1 draws its samples from a Generator seeded
-    with its stream key instead, and decodes them one by one.
+    codeword are drawn together, in blocks of at most _PAIR_BLOCK doubles,
+    so that the memory does not grow with samples. Within a block a
+    codeword's candidates are consecutive and its competitors are a run of
+    the offsets, so one searchsorted on its running cap sums picks their
+    caps, and one matrix product with its competitors' offsets gives every
+    2 x.v_j. A codeword whose S exceeds 1 draws its samples from a
+    Generator seeded with its stream key instead, and decodes them one by
+    one against the same product.
     """
     k, dim = len(eval_idx), points.shape[1]
     lengths = np.diff(starts)
@@ -414,7 +442,7 @@ def _decode(
     drawn = _binomial_counts(_uniforms(stream[live], np.uint64(0)), samples, totals[live])
     drawn_end, n_drawn = np.cumsum(drawn), int(drawn.sum())
     width = np.uint64(dim + 3)
-    block = max(1, _PAIR_BLOCK // int(lengths.max(initial=1)))
+    block = max(1, _PAIR_BLOCK // max(int(lengths.max(initial=1)), dim + 3))
     for q0 in range(0, n_drawn, block):
         # candidates q0 on: each the c-th of its codeword r
         q = np.arange(q0, min(q0 + block, n_drawn))
@@ -423,23 +451,25 @@ def _decode(
         c = (q - drawn_end[owner] + drawn[owner]).astype(np.uint64)
         counters = (1 + c * width)[:, None] + np.arange(width, dtype=np.uint64)
         u = _uniforms(stream[r, None], counters)
-        # (candidate, competitor) pairs: pair_c the candidate, at the
-        # competitor's place in its codeword's list, pairs its flat index
-        seg, base = lengths[r], starts[r]
-        first = np.cumsum(seg) - seg
-        pair_c = np.repeat(np.arange(len(q)), seg)
-        at = np.arange(len(pair_c)) - first[pair_c]
-        pairs = base[pair_c] + at
+        # a codeword's candidates are a run of the block, its competitors
+        # the run offsets[starts[r]:starts[r + 1]]
+        bounds = np.flatnonzero(np.diff(owner, prepend=-1, append=len(live)))
+        runs = [(a, b, slice(starts[r[a]], starts[r[a] + 1])) for a, b in zip(bounds, bounds[1:])]
         # the cap: competitor j with probability cap_j/S
-        pick = np.add.reduceat(cdf[pairs] / totals[r][pair_c] <= u[pair_c, 0], first)
-        picked = base + pick
+        pick = np.empty(len(q), dtype=np.intp)
+        for a, b, own in runs:
+            pick[a:b] = np.searchsorted(cdf[own] / totals[r[a]], u[a:b, 0], side="right")
+        picked = starts[r] + pick
         x = sample_uniform_caps(eps, offsets[picked] / dist[picked, None], caps[picked], u[:, 1:-1])
         # competitor j is at least as close to x as the codeword is when
         # 2 x.v_j >= |v_j|^2; the cap x came from counts whatever roundoff
         # says at its edge
-        closer = 2.0 * np.einsum("ij,ij->i", x[pair_c], offsets[pairs]) >= sq[pairs]
-        closer[at == pick[pair_c]] = True
-        keep = u[:, -1] < 1.0 / np.add.reduceat(closer, first)
+        n_closer = np.empty(len(q))
+        for a, b, own in runs:
+            closer = 2.0 * (x[a:b] @ offsets[own].T) >= sq[own]
+            closer[np.arange(b - a), pick[a:b]] = True
+            n_closer[a:b] = np.count_nonzero(closer, axis=1)
+        keep = u[:, -1] < 1.0 / n_closer
         counts += np.bincount(r[keep], minlength=k)
     return counts, brackets
 

@@ -503,10 +503,10 @@ def spectrum_from_record(record: dict) -> EigenSpectrum:
     the scalar functionals (zeta, n_width, degrees_of_freedom)
     but has no eigvecs and empty nodes/weights arrays.
 
-    Raises ValueError unless omega and t_obs are positive and finite and
-    the eigenvalues form a non-empty, non-increasing list of finite values
-    in (0, 1]; 1 itself is accepted because 12-digit printing rounds the
-    plateau's 1 - 1e-15 up to it.
+    Raises ValueError unless omega and t_obs are positive and finite, the
+    eigenvalues form a non-empty, non-increasing list of finite values in
+    (0, 1], and quad_order counts them; 1 itself is accepted because
+    12-digit printing rounds the plateau's 1 - 1e-15 up to it.
     """
     try:
         lambdas = np.asarray(record["lambdas"], dtype=float)
@@ -521,6 +521,11 @@ def spectrum_from_record(record: dict) -> EigenSpectrum:
     require_int("spectrum record quad_order", quad_order)
     if lambdas.ndim != 1 or lambdas.size == 0:
         raise ValueError("spectrum record needs a non-empty list of eigenvalues")
+    if quad_order != lambdas.size:
+        raise ValueError(
+            f"spectrum record has quad_order {quad_order} beside {lambdas.size} "
+            "eigenvalues; they must agree"
+        )
     bad = np.flatnonzero(~((lambdas > 0.0) & (lambdas <= 1.0)))
     if bad.size:
         raise ValueError(

@@ -145,6 +145,37 @@ def test_simulate_refuses_spectrum_of_another_window(tmp_path, capsys):
     assert "different omega/t_obs" in capsys.readouterr().err
 
 
+def test_bounds_refuses_a_spectrum_whose_quad_order_is_not_its_eigenvalue_count(
+    tmp_path, capsys
+):
+    spec = run_json(tmp_path, "spec20", ["spectrum", "--omega", PI_ARG, "--t-obs", "20"])
+    assert len(spec["lambdas"]) == 256
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(spec | {"quad_order": 5}))
+    out = tmp_path / "bounds.json"
+    code = main(
+        [
+            "bounds", "--omega", PI_ARG, "--t-obs", "20", "--energy", "1", "--eps", "0.25",
+            "--delta", "0.1", "--use-spectrum", str(edited), "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert "quad_order 5 beside 256 eigenvalues" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_parses_with_the_parser_built_at_import(monkeypatch, tmp_path):
+    def refuse():
+        raise AssertionError("main rebuilt its parser")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    payload = run_json(
+        tmp_path, "dof", ["dof", "--omega", PI_ARG, "--t-obs", "20", "--energy", "1", "--mu", "0.1"]
+    )
+    assert payload["manifest"]["command"] == "dof"
+    assert main(["compare", "--omega", PI_ARG, "--snr", "16", "--out", str(tmp_path / "c.txt")]) == 0
+
+
 @pytest.mark.parametrize("command, extra", [("bounds", []), ("simulate", ["--samples", "200"])])
 def test_use_spectrum_names_a_file_that_is_not_json(tmp_path, capsys, command, extra):
     notes = tmp_path / "notes.txt"

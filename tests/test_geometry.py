@@ -388,6 +388,21 @@ def test_screen_margin_is_infinite_where_the_screen_may_overflow():
     assert screen_margin(np.array([np.inf])) == math.inf
 
 
+def test_screen_margin_at_float32_roundoff():
+    # the neighbour search's float32 screen: gamma = (dim + 4) u / (1 - (dim + 4) u)
+    # at u = 2^-24, above 1e-9 at any dim, plus float32's smallest normal
+    f32 = np.finfo(np.float32)
+    gamma = 16 * 2.0**-24 / (1 - 16 * 2.0**-24)
+    top = float(f32.max) / 4.0
+    assert screen_margin(np.array([0.5, top]), np.float32, 12) == pytest.approx(4 * gamma * top)
+    assert screen_margin(np.array([0.5, 1.0]), np.float32, 12) == pytest.approx(4 * gamma)
+    assert screen_margin(np.array([0.0]), np.float32, 12) == float(f32.tiny)
+    assert screen_margin(np.array([np.nextafter(top, np.inf)]), np.float32, 12) == math.inf
+    assert screen_margin(np.array([np.inf]), np.float32, 12) == math.inf
+    # float64's slack stays 1e-9 for dim up to about 9e6
+    assert screen_margin(np.array([1.0]), np.float64, 12) == 4e-9 + np.finfo(float).tiny
+
+
 def test_pack_sends_a_nan_screen_to_the_exact_test():
     # norms that overflow make every screen minimum NaN; a NaN read as clear
     # would accept the second point, 0.1 * eps from the first

@@ -88,7 +88,7 @@ INTEGER_INPUTS = [
     ("n_dim", lambda v: n_width(SPECTRUM, 1.0, v), 0),
     ("size", lambda v: sample_uniform_ball(2, 1.0, rng(), v), 3),
     ("quad_order", lambda v: build_kernel_matrix(math.pi, 1.0, quad_order=v), 8),
-    ("quad_order", lambda v: spectrum_from_record(RECORD | {"quad_order": v}), 8),
+    ("quad_order", lambda v: spectrum_from_record(RECORD | {"quad_order": v}), 1),
     ("trials", lambda v: wilson_interval(0, v), 10),
 ]
 IDS = [f"{name}-{i}" for i, (name, _, _) in enumerate(INTEGER_INPUTS)]

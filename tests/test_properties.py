@@ -170,17 +170,15 @@ def test_ball_sampler_bits_hold_across_row_blocks():
     dim=st.integers(min_value=1, max_value=12),
     rows=st.integers(min_value=0, max_value=40),
     block=st.integers(min_value=1, max_value=9),
-    scaled=st.booleans(),
     seed=SEED,
 )
-def test_row_square_sums_are_the_one_shot_sums_in_any_block(dim, rows, block, scaled, seed):
+def test_row_square_sums_are_the_one_shot_sums_in_any_block(dim, rows, block, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((rows, dim)) * 10.0 ** rng.integers(-3, 4, size=dim)
-    scale = rng.uniform(0.1, 3.0, size=dim) if scaled else None
-    want = np.sum((x if scale is None else x / scale) ** 2, axis=1)
+    want = np.sum(x**2, axis=1)
     with row_block(block):
         assert len(list(geometry.row_blocks(rows))) == -(-rows // block)
-        assert np.array_equal(row_square_sums(x, scale), want)
+        assert np.array_equal(row_square_sums(x), want)
 
 
 @settings(max_examples=150, deadline=None)
@@ -257,6 +255,32 @@ def test_neighbor_lists_are_the_oracle_where_squares_leave_the_normal_range(scal
         got = neighbor_lists(points, eval_idx, eps)
         want = direct_neighbor_lists(points, eval_idx, eps)
     assert any(len(w) for w in want)
+    assert_same_lists(got, want)
+
+
+@pytest.mark.parametrize("scale, eps", [(1.0, 2.0**-10), (1e-160, 1e-153), (1e200, 1e150)])
+def test_pairs_one_float32_step_inside_the_cutoff_are_kept(scale, eps):
+    # 64 pairs at norm 128 eps, each at a squared distance one float32 step
+    # of its |x|^2 + |y|^2 inside (2*eps)^2, among codewords spread over
+    # +-scale. At scale 1 the float32 screen puts some of them past the
+    # cutoff (by one such step), and only its margin keeps them. At 1e-160
+    # the pairs set the prescale, and at 1e200 the spread does: without it
+    # the spread's float32 squares would overflow
+    rng = np.random.default_rng(4)
+    unit = rng.standard_normal((2, 64, 3))
+    unit /= np.linalg.norm(unit, axis=2, keepdims=True)
+    near = 128.0 * eps * unit[0]
+    sums = 2.0 * np.einsum("ij,ij->i", near, near)
+    # one float32 step at sums, in sums' own units: 2^-23 of its power of two
+    steps = np.ldexp(1.0, np.frexp(sums)[1] - 24)
+    partners = near + np.sqrt((2.0 * eps) ** 2 - steps)[:, None] * unit[1]
+    spread = rng.uniform(-scale, scale, size=(60, 3))
+    points = np.concatenate([spread, near, partners])
+    eval_idx = np.arange(60, 124)
+    with np.errstate(under="ignore"):
+        got = neighbor_lists(points, eval_idx, eps)
+        want = direct_neighbor_lists(points, eval_idx, eps)
+    assert all(i + 64 in w for i, w in zip(eval_idx, want))
     assert_same_lists(got, want)
 
 

@@ -85,6 +85,17 @@ def test_codebook_rejects_escapes():
         Codebook(points=np.array([[1.5, 0.0]]), radii=np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("radius", [1e-155, 1e150])
+def test_codebook_check_holds_where_squares_leave_the_normal_range(radius):
+    # at radius 1e-155 the squared coordinates are subnormal and 1/radius^2
+    # overflows, so the check must scale before it squares
+    radii = np.full(3, radius)
+    book = generate_codebook(radii, 2000, seed=4)
+    assert np.all(np.abs(book.points) <= radius)
+    with pytest.raises(ValueError, match="inside their ellipsoid"):
+        Codebook(points=book.points * 1.001 + radius, radii=radii)
+
+
 def test_decode_error_indicator_tie_is_error():
     book = Codebook(points=np.array([[0.0], [1.0]]))
     assert decode_error_indicator(book, 0, np.array([0.2])) is False
@@ -336,6 +347,22 @@ def test_neighbour_search_memory_is_a_tile_whatever_is_evaluated():
         tracemalloc.stop()
     assert len(starts) == 20_001 and starts[-1] == len(cols) > 10 * 20_000
     assert peak < 24 * 2**20, peak
+
+
+def test_neighbour_search_memory_does_not_grow_with_the_codebook():
+    # 512 evaluated codewords against 2^18: the screen's operands, tile and
+    # scaled squared norms (2 MB) stay under a fixed budget; a temporary the
+    # size of the 25 MB codebook (np.abs(points), say) would not
+    points = sample_uniform_ball(12, 1.0, np.random.default_rng(6), size=2**18)
+    eval_idx = np.arange(0, 2**18, 512)
+    tracemalloc.start()
+    try:
+        cols, starts = simulation._neighbor_lists(points, eval_idx, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert starts[-1] == len(cols) > 512
+    assert peak < 8 * 2**20, peak
 
 
 def test_neighbour_lists_are_the_same_with_blas_threads_free():
