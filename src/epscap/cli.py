@@ -677,7 +677,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-messages", type=int, default=2**18)
     p.add_argument("--retries", type=int, default=3)
     p.add_argument("--max-eval", type=int, default=512,
-                   help="codewords evaluated per run (the subset of smallest 64-bit content key)")
+                   help="codewords evaluated per run: the subset of smallest 64-bit content "
+                        "key, or, where their 2*eps-balls take at most the body, the first "
+                        "codewords of a code drawn only around them")
     p.add_argument("--use-spectrum", default=None)
     _add_emit(p)
     p.set_defaults(handler=_cmd_simulate)

@@ -20,6 +20,12 @@ from .errors import ConfigurationError
 # Fewest Monte Carlo draws per evaluated codeword that a run accepts.
 MIN_SAMPLES = 100
 
+# The dense-array budget in bytes, checked before allocating: a prolate
+# solve's eigenvector arrays (one parity's matrix, or the Legendre Vandermonde
+# and value array together; either solve holds about twice as much) and a
+# codebook run's drawn points may not pass it.
+DENSE_BYTES = 2 * 10**9
+
 
 def nominal_dimension(omega: float, t_obs: float) -> float:
     """Time-bandwidth product Omega*T/pi, the nominal dimensionality N0."""

@@ -16,6 +16,11 @@ each uniform is a pure function of (key, counter), so permuting the
 codebook permutes the per-codeword results without changing any of them,
 and all codewords are decoded in one numpy batch.
 
+A random code whose evaluated codewords are a subset is not drawn whole
+when their 2*eps-balls take at most the body between them: only those
+codewords and the others they can see are drawn (_neighbourhood), with the
+law the whole code gives them, and its evaluated codewords are its first.
+
 The cap shares, the uniform ball, cap and ellipsoid samplers, the
 neighbour screen's padded operands and margin, the bound reports (which
 give each run its working dimension N and zeta), the satisfying-size
@@ -50,6 +55,7 @@ from .geometry import (
     zeta_or_one,
 )
 from .params import (
+    DENSE_BYTES,
     MIN_SAMPLES,
     SignalSpaceParams,
     require_codebook_energy,
@@ -63,9 +69,11 @@ from .spectrum import build_spectrum, degrees_of_freedom, require_window
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 # The neighbour screen's tile: this many evaluated codewords by this many
-# codewords.
+# codewords. Its survivors are settled once they pass this many doubles of
+# offsets, in runs of at most that many.
 _TILE_ROWS = 512
 _TILE_COLS = 256
+_SETTLE_DOUBLES = 2**19
 # The decode works through this many (codeword, competitor) pairs at a
 # time, and through its candidates in blocks whose arrays hold at most this
 # many doubles (512 KB): dim + 3 uniforms per candidate, and the product of
@@ -103,13 +111,7 @@ class Codebook:
                     f"dimension {points.shape[1]}"
                 )
             object.__setattr__(self, "radii", radii)
-            # sum((x / radii)^2) a row block at a time; the quotient goes
-            # first, so no square leaves the normal range before it is scaled
-            inside = np.empty(len(points))
-            for block in row_blocks(len(points)):
-                scaled = points[block] / radii
-                np.einsum("ij,ij->i", scaled, scaled, out=inside[block])
-            if np.any(inside > 1.0 + 1e-12):
+            if np.any(_escapes(points, radii)):
                 raise ValueError("codebook points must lie inside their ellipsoid")
 
     @property
@@ -119,6 +121,28 @@ class Codebook:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
+
+
+def _escapes(points: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Whether each point lies outside the ellipsoid radii beyond roundoff:
+    sum((x / radii)^2) > 1 + 1e-12, a row block at a time. The quotient
+    goes first, so no square leaves the normal range before it is scaled."""
+    norms = np.empty(len(points))
+    for block in row_blocks(len(points)):
+        scaled = points[block] / radii
+        np.einsum("ij,ij->i", scaled, scaled, out=norms[block])
+    return norms > 1.0 + 1e-12
+
+
+def _require_dense(n_points: int, dim: int) -> None:
+    """Refuse, before drawing them, n_points codewords of dim doubles each
+    whose array would pass DENSE_BYTES."""
+    need = 8 * n_points * dim
+    if need > DENSE_BYTES:
+        raise ConfigurationError(
+            f"drawing {n_points} codewords in {dim} dimensions needs {need / 1e9:.1f} GB, "
+            f"above the {DENSE_BYTES / 1e9:g} GB limit"
+        )
 
 
 def generate_codebook(radii, n_codewords: int, seed) -> Codebook:
@@ -316,7 +340,15 @@ def _neighbor_lists(
     which bounds the settle's subnormal steps) plus screen_margin in
     float32, rounded up to a float32, where the rule drops it too; so the
     BLAS summation order, which changes with the thread count and the tile
-    shape, decides nothing. The settle applies the rule to the survivors.
+    shape, decides nothing. The settle applies the rule to the survivors,
+    in column order, whenever a row tile's held survivors pass
+    _SETTLE_DOUBLES of offsets or its columns end, a run of that many
+    doubles at a time: where every pair survives the screen (coordinates
+    near 1e-155, whose squared distances the smallest normal double
+    dwarfs) its memory stays bounded, and at criterion 7 (about 34,000
+    survivors of its 512 evaluated codewords by their 33,000 drawn
+    neighbours, or 14,000 by a whole code of 2^18) each row tile settles
+    once.
 
     On a 2^18 x 12 codebook with 512 evaluated codewords (2-core x86-64,
     OpenBLAS on one thread) this takes about 0.1 s, the tile products 0.05
@@ -347,11 +379,12 @@ def _neighbor_lists(
     rhs = np.empty((min(m, _TILE_COLS), dim + 2), dtype=np.float32)
     scaled = np.empty((len(rhs), dim))
     tile = np.empty((len(lhs), len(rhs)), dtype=np.float32)
+    run = max(1, _SETTLE_DOUBLES // dim)
     all_rows, all_cols = [], []
     for r0 in range(0, len(eval_idx), _TILE_ROWS):
         own = eval_idx[r0 : r0 + _TILE_ROWS]
         x = screen_operands(np.ldexp(points[own], k), sq[own], lhs[: len(own)])
-        hit_rows, hit_cols = [], []
+        hit_rows, hit_cols, held = [], [], 0
         for c0 in range(0, m, _TILE_COLS):
             c1 = min(c0 + _TILE_COLS, m)
             y = np.ldexp(points[c0:c1], k, out=scaled[: c1 - c0])
@@ -359,17 +392,24 @@ def _neighbor_lists(
             g = np.matmul(x, y.T, out=tile[: len(x), : len(y)])
             # one flat scan: the 2-d np.nonzero costs ten times as much here
             rows, cols = np.divmod(np.flatnonzero(g <= cutoff), len(y))
-            hit_rows.append(rows)
+            hit_rows.append(rows + r0)
             hit_cols.append(cols + c0)
-        rows, cols = np.concatenate(hit_rows), np.concatenate(hit_cols)
-        offsets = points[cols] - points[own[rows]]
-        keep = (np.einsum("ij,ij->i", offsets, offsets) <= within) & (cols != own[rows])
-        all_rows.append(rows[keep] + r0)
-        all_cols.append(cols[keep])
+            held += len(rows)
+            if held < run and c1 < m:
+                continue
+            rows, cols = np.concatenate(hit_rows), np.concatenate(hit_cols)
+            hit_rows, hit_cols, held = [], [], 0
+            for a in range(0, len(rows), run):
+                r, c = rows[a : a + run], cols[a : a + run]
+                i = eval_idx[r]
+                offsets = points[c] - points[i]
+                keep = (np.einsum("ij,ij->i", offsets, offsets) <= within) & (c != i)
+                all_rows.append(r[keep])
+                all_cols.append(c[keep])
     rows, cols = np.concatenate(all_rows), np.concatenate(all_cols)
     # each tile's hits come row by row in ascending column order, and the
-    # tiles of a row in ascending column order, so a stable sort by row
-    # leaves every list ascending
+    # tiles of a row, settled or not, in ascending column order, so a
+    # stable sort by row leaves every list ascending
     cols = cols[np.argsort(rows, kind="stable")]
     starts = np.zeros(len(eval_idx) + 1, dtype=np.intp)
     np.cumsum(np.bincount(rows, minlength=len(eval_idx)), out=starts[1:])
@@ -518,8 +558,24 @@ def estimate_error_fraction(
         eval_idx = _smallest_keys(keys, points, max_eval_codewords)
     else:
         eval_idx = np.arange(m)
-
     cols, starts = _neighbor_lists(points, eval_idx, eps)
+    return _estimate(points, keys, eval_idx, cols, starts, m, eps, samples, seed)
+
+
+def _estimate(
+    points: np.ndarray,
+    keys: np.ndarray,
+    eval_idx: np.ndarray,
+    cols: np.ndarray,
+    starts: np.ndarray,
+    m: int,
+    eps: float,
+    samples: int,
+    seed: int,
+) -> SimulationResult:
+    """The estimate of a code of m codewords from its points' content keys
+    and the evaluated codewords eval_idx's competitors (_neighbor_lists'
+    format): the decode runs, the intervals, the brackets and the means."""
     k = len(eval_idx)
     error_counts = np.zeros(k, dtype=np.int64)
     brackets = np.zeros((k, 2))
@@ -663,6 +719,10 @@ def run_random_code_experiment(
 
     An estimate depends on the body's radii, the codebook size, the seed,
     the attempt, eps, samples and max_eval_codewords; delta only judges it.
+    A subsampled run whose evaluated codewords' 2*eps-balls take a share
+    of at most 1 of the body draws only them and their neighbourhood
+    (_random_code_estimate), so its size is not bounded by the memory a
+    whole code would take.
     Experiments that pass one memo dict (a sweep's rows) share each such
     estimate: the first to need it computes it, and the others wait for
     its result, or its error, instead of computing it again.
@@ -710,10 +770,9 @@ def run_random_code_experiment(
             attempts = attempt + 1
             key = (body.radii.tobytes(), n_codewords, config.seed, attempt,
                    params.eps, config.samples, config.max_eval_codewords)
-            result = _shared(memo, key, lambda: estimate_error_fraction(
-                generate_codebook(body.radii, n_codewords, [config.seed, attempt]),
-                params.eps, config.samples, config.seed,
-                max_eval_codewords=config.max_eval_codewords,
+            result = _shared(memo, key, lambda: _random_code_estimate(
+                body.radii, n_codewords, params.eps, config.samples, config.seed, attempt,
+                config.max_eval_codewords,
             )).judged(target)
             if result.verdict is None or result.verdict:
                 break
@@ -727,6 +786,92 @@ def run_random_code_experiment(
         rate_too_low=n_codewords == 0,
         radii_source=radii_source,
     )
+
+
+def _random_code_estimate(
+    radii: np.ndarray,
+    m: int,
+    eps: float,
+    samples: int,
+    seed: int,
+    attempt: int,
+    max_eval_codewords: int | None,
+) -> SimulationResult:
+    """The estimate of a random code of m codewords uniform in the ellipsoid
+    radii, drawn for (seed, attempt).
+
+    A run that evaluates k = max_eval_codewords < m codewords, whose
+    2*eps-balls take a share k (2 eps)^N / prod(radii) <= 1 of the body,
+    draws only the codewords they can see (_neighbourhood); any other run
+    draws the whole code for estimate_error_fraction. Either draw is refused
+    with a ConfigurationError, before it is allocated, when its points would
+    pass DENSE_BYTES.
+    """
+    dim = len(radii)
+    if max_eval_codewords is not None and max_eval_codewords < m:
+        # in logs: (2 eps)^N and prod(radii) leave the double range at N
+        # in the hundreds
+        log_share = (math.log(max_eval_codewords) + dim * math.log(2.0 * eps)
+                     - math.fsum(np.log(radii)))
+        if log_share <= 0.0:
+            points, cols, starts = _neighbourhood(
+                radii, m, max_eval_codewords, eps, math.exp(log_share), [seed, attempt]
+            )
+            keys = _codeword_keys(seed, points)
+            eval_idx = np.arange(max_eval_codewords)
+            return _estimate(points, keys, eval_idx, cols, starts, m, eps, samples, seed)
+    _require_dense(m, dim)
+    return estimate_error_fraction(
+        generate_codebook(radii, m, [seed, attempt]), eps, samples, seed,
+        max_eval_codewords=max_eval_codewords,
+    )
+
+
+def _neighbourhood(
+    radii: np.ndarray, m: int, k: int, eps: float, share: float, seed
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k evaluated codewords of a random code of m codewords uniform in the
+    ellipsoid radii, and those of the other m - k that lie within 2*eps of
+    one of them, as (points, cols, starts): the evaluated ones lead points,
+    and cols[starts[r]:starts[r + 1]] are the r-th one's competitors
+    (_neighbor_lists' format). share is k (2 eps)^N / prod(radii), at most 1.
+
+    The evaluated codewords are generate_codebook's draw for seed. In a
+    whole code the subset of smallest content key is a uniform one, so its
+    points are uniform in the body too. Only the others in U, the union of
+    the evaluated codewords' 2*eps-balls, reach a list; each lies in U with
+    probability |U & body| / |body|, and is then uniform on U & body.
+
+    So, from the stream [*seed, 1], n ~ Binomial(m - k, share) candidates
+    are drawn, each uniform in the ball about an evaluated codeword picked
+    uniformly (the balls have equal volumes). A candidate in the body is
+    kept with probability 1/c, c the number of evaluated codewords within
+    2*eps of it: the thinning of Karp, Luby and Madras that the decode uses
+    too. Each other codeword is then kept at x with density
+    share * c / (k |B|) * 1/c = 1 / |body| on U & body, which is that law,
+    and no lens volume is needed.
+    """
+    rng = np.random.default_rng([*seed, 1])
+    n = int(rng.binomial(m - k, share))
+    dim = len(radii)
+    _require_dense(k + n, dim)
+    evaluated = generate_codebook(radii, k, seed).points
+    near = rng.integers(k, size=n)
+    ball = sample_uniform_ball(dim, 2.0 * eps, rng, size=n) if n else np.empty((0, dim))
+    u = rng.random(n)
+    points = np.concatenate([evaluated, ball])
+    del ball  # not held through the neighbour search
+    points[k:] += evaluated[near]
+    cols, starts = _neighbor_lists(points, np.arange(k), eps)
+    c = np.bincount(cols, minlength=k + n)[k:]
+    kept = np.concatenate([np.ones(k, dtype=bool), (c >= 1) & (u * c < 1.0)])
+    kept[k:] &= ~_escapes(points[k:], radii)
+    # renumber onto the kept points; the map is increasing, so every list
+    # stays ascending
+    live = kept[cols]
+    starts = np.concatenate([[0], np.cumsum(live)])[starts]
+    cols = (np.cumsum(kept) - 1)[cols[live]]
+    return Codebook(points=points[kept], radii=radii).points, cols, starts
 
 
 _MEMO_LOCK = threading.Lock()

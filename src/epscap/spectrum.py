@@ -64,7 +64,7 @@ from numpy.polynomial import legendre
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .errors import ConfigurationError, InsufficientSpectrumError, NumericalError
-from .params import nominal_dimension, require_finite, require_int
+from .params import DENSE_BYTES, nominal_dimension, require_finite, require_int
 
 logger = logging.getLogger(__name__)
 
@@ -76,11 +76,6 @@ CLIP_FLOOR = 1e-15
 # A solved mode's last Legendre coefficients (of a unit coefficient vector)
 # must stay below this; a larger one means the basis cut the mode off.
 _TAIL_TOLERANCE = 1e-14
-
-# The dense-array budget, checked before allocating: one parity's prolate
-# eigenvector matrix, or the eigenvectors' Legendre Vandermonde and value
-# array together, may not pass it (either solve holds about twice as much).
-_DENSE_BYTES = 2 * 10**9
 
 
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -172,9 +167,6 @@ class EigenSpectrum:
     def nominal_dimension(self) -> float:
         return nominal_dimension(self.omega, self.t_obs)
 
-    def __len__(self) -> int:
-        return len(self.lambdas)
-
 
 def _legendre_count(c: float, n_modes: int) -> int:
     """Legendre coefficients kept for the first n_modes prolate functions.
@@ -200,16 +192,16 @@ def _prolate_coefficients(
     column has unit norm, so each function has unit norm on [-1, 1].
 
     Raises ConfigurationError, before solving, when one parity's
-    eigenvector matrix would pass _DENSE_BYTES, and NumericalError when a
+    eigenvector matrix would pass DENSE_BYTES, and NumericalError when a
     mode's trailing coefficients exceed _TAIL_TOLERANCE: n_coeffs
     truncated it.
     """
     need = 8 * ((n_coeffs + 1) // 2) ** 2
-    if need > _DENSE_BYTES:
+    if need > DENSE_BYTES:
         raise ConfigurationError(
             f"the prolate solve at N0 = {2.0 * c / math.pi:.6g} needs {n_coeffs} Legendre "
             f"coefficients, {need / 1e9:.1f} GB of eigenvectors per parity, above the "
-            f"{_DENSE_BYTES / 1e9:g} GB limit"
+            f"{DENSE_BYTES / 1e9:g} GB limit"
         )
     k = np.arange(n_coeffs, dtype=float)
     diagonal = k * (k + 1) + c * c * (2 * k * (k + 1) - 1) / ((2 * k + 3) * (2 * k - 1))
@@ -323,7 +315,7 @@ def build_spectrum(
         vectors: also sample the eigenfunctions at the nodes. The
             eigenvalues are the same either way. Refused, before anything
             is solved, when the Legendre Vandermonde and value array this
-            needs would pass _DENSE_BYTES.
+            needs would pass DENSE_BYTES.
 
     Modes are solved until the eigenvalue falls below CLIP_FLOOR (the
     later ones store the floor), starting from 16 past the asymptotic
@@ -336,11 +328,11 @@ def build_spectrum(
     if vectors:
         n_coeffs = _legendre_count(c, quad_order)
         need = 8 * quad_order * (n_coeffs + quad_order)
-        if need > _DENSE_BYTES:
+        if need > DENSE_BYTES:
             raise ConfigurationError(
                 f"eigenvectors at order {quad_order} need a {quad_order} x {n_coeffs} "
                 f"Legendre Vandermonde and a {quad_order} x {quad_order} value array, "
-                f"{need / 1e9:.1f} GB together, above the {_DENSE_BYTES / 1e9:g} GB limit"
+                f"{need / 1e9:.1f} GB together, above the {DENSE_BYTES / 1e9:g} GB limit"
             )
     above_floor = dof_asymptotic(max(n0, 2.0), 1.0, math.sqrt(CLIP_FLOOR))
     n_modes = min(quad_order, math.ceil(above_floor) + 16)
@@ -427,10 +419,10 @@ def n_width(spectrum: EigenSpectrum, energy: float, n_dim: int) -> float:
     """
     require_finite("energy", energy)
     n_dim = require_int("n_dim", n_dim, minimum=0)
-    if n_dim >= len(spectrum.lambdas):
+    if n_dim >= spectrum.quad_order:
         raise InsufficientSpectrumError(
             f"n_dim {n_dim} needs eigenvalue {n_dim + 1} but only "
-            f"{len(spectrum.lambdas)} were computed; raise quad_order"
+            f"{spectrum.quad_order} were computed; raise quad_order"
         )
     return math.sqrt(energy * float(spectrum.lambdas[n_dim]))
 
@@ -456,7 +448,7 @@ def degrees_of_freedom(spectrum: EigenSpectrum, energy: float, mu: float) -> int
     hits = np.nonzero(spectrum.lambdas <= threshold)[0]
     if len(hits) == 0:
         raise InsufficientSpectrumError(
-            f"all {len(spectrum.lambdas)} computed eigenvalues exceed the "
+            f"all {spectrum.quad_order} computed eigenvalues exceed the "
             f"threshold {threshold:.3e}; raise quad_order"
         )
     return int(hits[0])
@@ -552,9 +544,9 @@ def spectrum_from_record(record: dict) -> EigenSpectrum:
 def require_index(spectrum: EigenSpectrum, n_dim: int) -> int:
     """n_dim as an int, refused unless 1 <= n_dim <= the computed eigenvalues."""
     n_dim = require_int("n_dim", n_dim)
-    if n_dim > len(spectrum.lambdas):
+    if n_dim > spectrum.quad_order:
         raise InsufficientSpectrumError(
-            f"n_dim {n_dim} exceeds the {len(spectrum.lambdas)} computed "
+            f"n_dim {n_dim} exceeds the {spectrum.quad_order} computed "
             "eigenvalues; raise quad_order"
         )
     return n_dim

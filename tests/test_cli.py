@@ -271,6 +271,35 @@ def test_a_prolate_solve_above_the_budget_exits_2(tmp_path, monkeypatch, capsys,
 
 
 @pytest.mark.parametrize(
+    "size, max_eval, message",
+    [
+        # the whole code: 3 x 10^7 codewords of 12 doubles are 2.9 GB
+        ("30000000", "30000000", "drawing 30000000 codewords in 12 dimensions needs 2.9 GB"),
+        # 512 evaluated of 10^12, whose 2*eps-balls take a share 512 / 4^12
+        # of the body: about 3.1 x 10^7 codewords lie near them, 2.9 GB
+        ("1000000000000", "512", "drawing 305[0-9]{5} codewords in 12 dimensions needs 2.9 GB"),
+    ],
+)
+def test_a_codebook_draw_above_the_budget_exits_2(
+    tmp_path, monkeypatch, capsys, size, max_eval, message
+):
+    def never(*args, **kwargs):
+        raise AssertionError("allocated")
+
+    monkeypatch.setattr(simulation, "generate_codebook", never)
+    out = tmp_path / "out.json"
+    argv = [
+        "simulate", "--omega", PI_ARG, "--t-obs", "12", "--energy", "1", "--eps", "0.125",
+        "--dim", "12", "--messages", size, "--max-messages", size, "--max-eval", max_eval,
+        "--out", str(out),
+    ]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert re.search(message + ", above the 2 GB limit", err), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "index, value, message",
     [(-1, -1e-3, "must be finite and lie in"), (5, 0.5, "increase from lambda_6 to lambda_7")],
 )
@@ -864,7 +893,7 @@ def test_sweep_rows_decode_their_codewords_on_one_thread(
     rows = []  # (the row's thread, the threads its stream was read on)
     stray = []  # streams read outside any row's estimate
     local = threading.local()
-    real_estimate = simulation.estimate_error_fraction
+    real_estimate = simulation._random_code_estimate
     real_uniforms = simulation._uniforms
 
     def estimate(*args, **kwargs):
@@ -883,7 +912,7 @@ def test_sweep_rows_decode_their_codewords_on_one_thread(
             decoded.add(threading.get_ident())
         return real_uniforms(*args)
 
-    monkeypatch.setattr(simulation, "estimate_error_fraction", estimate)
+    monkeypatch.setattr(simulation, "_random_code_estimate", estimate)
     monkeypatch.setattr(simulation, "_uniforms", uniforms)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     out = tmp_path / "rows.csv"

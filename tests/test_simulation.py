@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from scipy.stats import binom, binomtest, fisher_exact
+from scipy.stats import binom, binomtest, fisher_exact, ttest_ind
 
 from epscap import ConfigurationError, simulation
 from epscap.geometry import (
@@ -259,7 +259,8 @@ def test_neighbour_block_width_changes_no_result(monkeypatch, book_12d, width):
     # the screen's BLAS bits depend on the tile's shape in 12-d, but the
     # settle decides every pair by its direct difference, so every field is
     # the same as with the whole codebook in one tile; 24-row tiles split
-    # the 64 evaluated codewords into two full tiles and a short one
+    # the 64 evaluated codewords into two full tiles and a short one, and
+    # the survivors are settled in runs of `width` pairs
     def run():
         return estimate_error_fraction(book_12d, 0.3, samples=10_000, seed=4, max_eval_codewords=64)
 
@@ -267,6 +268,7 @@ def test_neighbour_block_width_changes_no_result(monkeypatch, book_12d, width):
     whole = run()
     monkeypatch.setattr(simulation, "_TILE_COLS", width)
     monkeypatch.setattr(simulation, "_TILE_ROWS", 24)
+    monkeypatch.setattr(simulation, "_SETTLE_DOUBLES", 12 * width)
     got = run()
     assert np.count_nonzero(whole.error_fractions) > 16
     for name, want in vars(whole).items():
@@ -363,6 +365,41 @@ def test_neighbour_search_memory_does_not_grow_with_the_codebook():
         tracemalloc.stop()
     assert starts[-1] == len(cols) > 512
     assert peak < 8 * 2**20, peak
+
+
+def test_neighbour_search_memory_is_bounded_where_every_pair_survives_the_screen():
+    # at coordinates near 1e-155 the screen's cutoff holds the smallest
+    # normal double, which dwarfs every squared distance: all 512 x 4,096
+    # pairs survive it (200 MB of offsets if settled at once), yet only
+    # about one in ten thousand is a neighbour
+    book = generate_codebook(np.full(12, 1e-155), 4096, 1)
+    eval_idx = np.arange(0, 4096, 8)
+    tracemalloc.start()
+    try:
+        cols, starts = simulation._neighbor_lists(book.points, eval_idx, 2.5e-156)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_same_lists(
+        per_codeword_lists(cols, starts), direct_neighbor_lists(book.points, eval_idx, 2.5e-156)
+    )
+    assert peak < 32 * 2**20, peak
+
+
+def test_criterion_7_estimate_memory_does_not_hold_the_codebook():
+    # 512 codewords of a 2^18-point code are evaluated; a run that draws the
+    # whole code holds its 25 MB of points
+    params = SignalSpaceParams(omega=math.pi, t_obs=12.0, energy=1.0, eps=0.25, delta=0.1)
+    config = ExperimentConfig(params=params, dim_override=12, samples=1000, seed=20260821,
+                              max_codewords=2**18, retries=1, max_eval_codewords=512)
+    tracemalloc.start()
+    try:
+        outcome = run_random_code_experiment(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.n_codewords == 2**18 and len(outcome.result.error_fractions) == 512
+    assert peak < 16 * 2**20, peak
 
 
 def test_neighbour_lists_are_the_same_with_blas_threads_free():
@@ -605,6 +642,79 @@ def test_a_subset_estimates_each_codeword_as_the_full_run_does(dim, m, repeated,
         assert np.array_equal(sub.error_fraction_cis, full.error_fraction_cis[idx])
         assert np.array_equal(sub.error_fraction_brackets, full.error_fraction_brackets[idx])
     assert np.any(full.error_fractions > 0)
+
+
+def test_the_neighbourhood_draw_has_the_law_of_the_whole_code():
+    # ball N = 4, M = 4,096, k = 64 evaluated, eps = 0.15: the evaluated
+    # codewords' 2*eps-balls take a share 64 * 0.3^4 = 0.52 of the body.
+    # Over 40 seeds a side, the competitors per evaluated codeword and the
+    # mean upper bracket of the neighbourhood draw and of the whole code
+    # must agree by Welch's t-test, two-sided at level 1e-3 each. (The
+    # whole code gives about 26.3 competitors; the draw without its 1/c
+    # thinning 37.5, and without its body test 33.1)
+    radii, m, k, eps = np.ones(4), 4096, 64, 0.15
+    whole, drawn = {"lists": [], "upper": []}, {"lists": [], "upper": []}
+    for seed in range(40):
+        book = generate_codebook(radii, m, [seed, 0])
+        result = estimate_error_fraction(book, eps, MIN_SAMPLES, seed, max_eval_codewords=k)
+        cols, starts = simulation._neighbor_lists(book.points, result.eval_indices, eps)
+        whole["lists"].append(len(cols) / k)
+        whole["upper"].append(result.mean_error_bracket[1])
+    share = k * (2 * eps) ** 4
+    for seed in range(1000, 1040):
+        points, cols, starts = simulation._neighbourhood(radii, m, k, eps, share, [seed, 0])
+        result = simulation._random_code_estimate(radii, m, eps, MIN_SAMPLES, seed, 0, k)
+        drawn["lists"].append(len(cols) / k)
+        drawn["upper"].append(result.mean_error_bracket[1])
+    for name in ("lists", "upper"):
+        p = ttest_ind(whole[name], drawn[name], equal_var=False).pvalue
+        assert p >= 1e-3, (name, np.mean(whole[name]), np.mean(drawn[name]), p)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_the_neighbourhood_draw_lists_each_evaluated_codewords_competitors(seed):
+    # the lists, renumbered onto the kept points, are the direct-difference
+    # oracle's on them; the evaluated codewords lead, and every other point
+    # lies in the body and within 2*eps of one of them
+    radii, eps = np.array([1.0, 0.8, 0.6, 0.9, 0.7]), 0.15
+    share = 48 * (2 * eps) ** 5 / np.prod(radii)  # 0.39
+    points, cols, starts = simulation._neighbourhood(radii, 8192, 48, eps, share, [seed, 0])
+    assert np.array_equal(points[:48], generate_codebook(radii, 48, [seed, 0]).points)
+    lists = direct_neighbor_lists(points, np.arange(48), eps)
+    assert_same_lists(per_codeword_lists(cols, starts), lists)
+    near = np.concatenate(lists)
+    assert np.array_equal(np.unique(near[near >= 48]), np.arange(48, len(points)))
+    assert Codebook(points=points, radii=radii).n_codewords == len(points) > 1000
+
+
+@pytest.mark.parametrize(
+    "dim, m, max_eval, drawn",
+    [
+        (3, 1024, 512, 1024),  # the 2*eps-balls would take 13.8 bodies
+        (4, 2048, None, 2048),  # every codeword is evaluated
+        (4, 2048, 2048, 2048),
+        (4, 2048, 64, 64),  # a share of 0.52: only the neighbourhood
+    ],
+)
+def test_only_a_subsampled_run_with_a_share_of_at_most_one_draws_the_neighbourhood(
+    monkeypatch, dim, m, max_eval, drawn
+):
+    calls = []
+    real = simulation.generate_codebook
+    monkeypatch.setattr(
+        simulation, "generate_codebook", lambda radii, n, seed: calls.append(n) or real(radii, n, seed)
+    )
+    result = simulation._random_code_estimate(np.ones(dim), m, 0.15, MIN_SAMPLES, 7, 0, max_eval)
+    assert calls == [drawn]
+    assert result.n_codewords == m
+    assert len(result.error_fractions) == min(m, max_eval or m)
+    if drawn < m:
+        assert np.array_equal(result.eval_indices, np.arange(drawn))
+    else:  # the whole code's estimate, field for field
+        book = real(np.ones(dim), m, [7, 0])
+        whole = estimate_error_fraction(book, 0.15, MIN_SAMPLES, 7, max_eval_codewords=max_eval)
+        for key, value in vars(whole).items():
+            assert np.array_equal(getattr(result, key), value), key
 
 
 @pytest.mark.parametrize(

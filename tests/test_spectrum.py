@@ -109,8 +109,8 @@ def test_quadrature_order_precondition():
 def test_order_sets_the_count_not_the_values(spec_t20, spec_t20_512):
     # the modes solved depend on N0 alone, so a larger order only appends
     # eigenvalues at the floor
-    assert np.array_equal(spec_t20_512.lambdas[: len(spec_t20)], spec_t20.lambdas)
-    assert np.all(spec_t20_512.lambdas[len(spec_t20) :] == CLIP_FLOOR)
+    assert np.array_equal(spec_t20_512.lambdas[: spec_t20.quad_order], spec_t20.lambdas)
+    assert np.all(spec_t20_512.lambdas[spec_t20.quad_order :] == CLIP_FLOOR)
 
 
 @pytest.mark.parametrize(
@@ -271,7 +271,7 @@ def test_n_width_decreasing(spec_t20):
 
 def test_n_width_needs_enough_eigenvalues(spec_t10):
     with pytest.raises(InsufficientSpectrumError):
-        n_width(spec_t10, 1.0, len(spec_t10) + 1)
+        n_width(spec_t10, 1.0, spec_t10.quad_order + 1)
 
 
 def test_degrees_of_freedom_frozen(spec_t20):
