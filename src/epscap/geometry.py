@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import betainc, betaincinv, gammaln, ndtri
 
 from .errors import ConfigurationError
-from .params import SignalSpaceParams, require_finite, require_int, require_seed
+from .params import SignalSpaceParams, require_dense, require_finite, require_int, require_seed
 from .spectrum import require_index, require_window, volume_correction
 
 _LN2 = math.log(2.0)
@@ -55,7 +55,9 @@ class Ellipsoid:
 
     @classmethod
     def ball(cls, dim: int, radius: float) -> "Ellipsoid":
-        return cls(np.full(require_int("dim", dim), float(radius)))
+        dim = require_int("dim", dim)
+        require_dense(8 * dim, f"the radii of a ball in {dim} dimensions need")
+        return cls(np.full(dim, float(radius)))
 
     @classmethod
     def from_spectrum(cls, spectrum, energy: float, n_dim: int) -> "Ellipsoid":
@@ -151,10 +153,12 @@ def screen_margin(sq: np.ndarray, dtype=np.float64, dim: int = 0) -> float:
 
 
 def sample_uniform_ball(dim: int, radius: float, rng: np.random.Generator, size: int):
-    """(size, dim) uniform points in the dim-ball: isotropic direction times U^(1/dim) radius."""
+    """(size, dim) uniform points in the dim-ball: isotropic direction times U^(1/dim) radius,
+    refused above DENSE_BYTES before any draw (every point array is drawn here)."""
     dim = require_int("dim", dim)
     require_finite("radius", radius, nonnegative=True)
     n = require_int("size", size)
+    require_dense(8 * n * dim, f"drawing {n} points in {dim} dimensions needs")
     direction = rng.standard_normal((n, dim))
     # np.linalg.norm(axis=1)'s values, bit for bit; the direction is then scaled in place
     norms = np.sqrt(row_square_sums(direction))[:, None]

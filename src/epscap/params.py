@@ -3,7 +3,8 @@
 Every integer the package takes from a caller (a count, a size, an index,
 a seed) passes through require_int (a seed through require_seed), and
 every real one through require_finite (the eps and energy of a codebook
-run also through require_codebook_eps and require_codebook_energy): each
+run also through require_codebook_eps and require_codebook_energy), and
+the size of each dense array an input sets through require_dense: each
 rule is stated once, here.
 """
 
@@ -20,11 +21,20 @@ from .errors import ConfigurationError
 # Fewest Monte Carlo draws per evaluated codeword that a run accepts.
 MIN_SAMPLES = 100
 
-# The dense-array budget in bytes, checked before allocating: a prolate
-# solve's eigenvector arrays (one parity's matrix, or the Legendre Vandermonde
-# and value array together; either solve holds about twice as much) and a
-# codebook run's drawn points may not pass it.
+# The dense-array budget in bytes, checked by require_dense before each array
+# whose size an input sets: a prolate solve's eigenvector arrays (one parity's
+# matrix, or the Legendre Vandermonde and value array together; either solve
+# holds about twice as much), the reported eigenvalues, a body's radii, a draw
+# of points and the one-by-one decode's product may not pass it.
 DENSE_BYTES = 2 * 10**9
+
+
+def require_dense(need: int, what: str, tail: str = "") -> None:
+    """Refuse an array of need bytes above DENSE_BYTES, before it is allocated."""
+    if need > DENSE_BYTES:
+        raise ConfigurationError(
+            f"{what} {need / 1e9:.1f} GB{tail}, above the {DENSE_BYTES / 1e9:g} GB limit"
+        )
 
 
 def nominal_dimension(omega: float, t_obs: float) -> float:

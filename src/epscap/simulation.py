@@ -55,11 +55,11 @@ from .geometry import (
     zeta_or_one,
 )
 from .params import (
-    DENSE_BYTES,
     MIN_SAMPLES,
     SignalSpaceParams,
     require_codebook_energy,
     require_codebook_eps,
+    require_dense,
     require_finite,
     require_int,
     require_seed,
@@ -132,17 +132,6 @@ def _escapes(points: np.ndarray, radii: np.ndarray) -> np.ndarray:
         scaled = points[block] / radii
         np.einsum("ij,ij->i", scaled, scaled, out=norms[block])
     return norms > 1.0 + 1e-12
-
-
-def _require_dense(n_points: int, dim: int) -> None:
-    """Refuse, before drawing them, n_points codewords of dim doubles each
-    whose array would pass DENSE_BYTES."""
-    need = 8 * n_points * dim
-    if need > DENSE_BYTES:
-        raise ConfigurationError(
-            f"drawing {n_points} codewords in {dim} dimensions needs {need / 1e9:.1f} GB, "
-            f"above the {DENSE_BYTES / 1e9:g} GB limit"
-        )
 
 
 def generate_codebook(radii, n_codewords: int, seed) -> Codebook:
@@ -443,7 +432,7 @@ def _decode(
     caps, and one matrix product with its competitors' offsets gives every
     2 x.v_j. A codeword whose S exceeds 1 draws its samples from a
     Generator seeded with its stream key instead, and decodes them one by
-    one against the same product.
+    one against the same product, checked against DENSE_BYTES first.
     """
     k, dim = len(eval_idx), points.shape[1]
     lengths = np.diff(starts)
@@ -469,7 +458,11 @@ def _decode(
     brackets[coincident] = 1.0
     stream = _finalise(keys[eval_idx])
 
-    for r in np.flatnonzero(~coincident & (totals > 1.0)):
+    over = np.flatnonzero(~coincident & (totals > 1.0))
+    longest = int(lengths[over].max(initial=0))
+    require_dense(8 * samples * longest,
+                  f"decoding {samples} draws against {longest} competitors needs")
+    for r in over:
         rng = np.random.default_rng(int(stream[r]))
         u = sample_uniform_ball(dim, eps, rng, size=samples)
         # the draw u is lost to the competitor at offset v_j when
@@ -768,12 +761,10 @@ def run_random_code_experiment(
     if n_codewords > 0:  # else the size floored to zero: nothing to simulate
         for attempt in range(config.retries):
             attempts = attempt + 1
-            key = (body.radii.tobytes(), n_codewords, config.seed, attempt,
-                   params.eps, config.samples, config.max_eval_codewords)
-            result = _shared(memo, key, lambda: _random_code_estimate(
-                body.radii, n_codewords, params.eps, config.samples, config.seed, attempt,
-                config.max_eval_codewords,
-            )).judged(target)
+            args = (body.radii, n_codewords, params.eps, config.samples, config.seed, attempt,
+                    config.max_eval_codewords)
+            key = (body.radii.tobytes(), *args[1:])
+            result = _shared(memo, key, lambda: _random_code_estimate(*args)).judged(target)
             if result.verdict is None or result.verdict:
                 break
     return ExperimentOutcome(
@@ -805,7 +796,7 @@ def _random_code_estimate(
     draws only the codewords they can see (_neighbourhood); any other run
     draws the whole code for estimate_error_fraction. Either draw is refused
     with a ConfigurationError, before it is allocated, when its points would
-    pass DENSE_BYTES.
+    pass DENSE_BYTES (sample_uniform_ball).
     """
     dim = len(radii)
     if max_eval_codewords is not None and max_eval_codewords < m:
@@ -820,7 +811,6 @@ def _random_code_estimate(
             keys = _codeword_keys(seed, points)
             eval_idx = np.arange(max_eval_codewords)
             return _estimate(points, keys, eval_idx, cols, starts, m, eps, samples, seed)
-    _require_dense(m, dim)
     return estimate_error_fraction(
         generate_codebook(radii, m, [seed, attempt]), eps, samples, seed,
         max_eval_codewords=max_eval_codewords,
@@ -854,7 +844,6 @@ def _neighbourhood(
     rng = np.random.default_rng([*seed, 1])
     n = int(rng.binomial(m - k, share))
     dim = len(radii)
-    _require_dense(k + n, dim)
     evaluated = generate_codebook(radii, k, seed).points
     near = rng.integers(k, size=n)
     ball = sample_uniform_ball(dim, 2.0 * eps, rng, size=n) if n else np.empty((0, dim))
@@ -871,7 +860,7 @@ def _neighbourhood(
     live = kept[cols]
     starts = np.concatenate([[0], np.cumsum(live)])[starts]
     cols = (np.cumsum(kept) - 1)[cols[live]]
-    return Codebook(points=points[kept], radii=radii).points, cols, starts
+    return points[kept], cols, starts
 
 
 _MEMO_LOCK = threading.Lock()

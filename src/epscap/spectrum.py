@@ -64,7 +64,7 @@ from numpy.polynomial import legendre
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .errors import ConfigurationError, InsufficientSpectrumError, NumericalError
-from .params import DENSE_BYTES, nominal_dimension, require_finite, require_int
+from .params import nominal_dimension, require_dense, require_finite, require_int
 
 logger = logging.getLogger(__name__)
 
@@ -117,7 +117,8 @@ def default_quad_order(omega: float, t_obs: float) -> int:
 
 
 def _checked_order(omega: float, t_obs: float, quad_order: int | None) -> int:
-    """The order (default_quad_order when None), refused below 4 * ceil(N0)."""
+    """The order (default_quad_order when None), refused below 4 * ceil(N0)
+    and where its eigenvalues would pass DENSE_BYTES."""
     require_finite("omega", omega)
     require_finite("t_obs", t_obs)
     if quad_order is None:
@@ -129,6 +130,7 @@ def _checked_order(omega: float, t_obs: float, quad_order: int | None) -> int:
             f"quad_order {quad_order} is below 4 * ceil(N0) = {min_order}; "
             "the eigenvalue transition band would be unresolved"
         )
+    require_dense(8 * quad_order, f"reporting {quad_order} eigenvalues needs")
     return quad_order
 
 
@@ -137,7 +139,7 @@ class EigenSpectrum:
     """Descending eigenvalues and, on request, node-sampled eigenfunctions.
 
     lambdas:     the first quad_order eigenvalues, non-increasing, clipped
-                 to [clip_floor, 1 - clip_floor]
+                 to [CLIP_FLOOR, 1 - CLIP_FLOOR]
     trace_error: |sum of computed eigenvalues - N0|; the exact ones sum to
                  N0, so a wrong solve shows here
     eigvecs:     None unless vectors were requested (build_spectrum(...,
@@ -152,11 +154,15 @@ class EigenSpectrum:
     lambdas: np.ndarray
     omega: float
     t_obs: float
-    clip_floor: float
     trace_error: float
     eigvecs: np.ndarray | None = None
     nodes: np.ndarray = field(default_factory=lambda: np.empty(0))
     weights: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+    @property
+    def clip_floor(self) -> float:
+        """CLIP_FLOOR, which every spectrum is clipped to."""
+        return CLIP_FLOOR
 
     @property
     def quad_order(self) -> int:
@@ -196,13 +202,9 @@ def _prolate_coefficients(
     mode's trailing coefficients exceed _TAIL_TOLERANCE: n_coeffs
     truncated it.
     """
-    need = 8 * ((n_coeffs + 1) // 2) ** 2
-    if need > DENSE_BYTES:
-        raise ConfigurationError(
-            f"the prolate solve at N0 = {2.0 * c / math.pi:.6g} needs {n_coeffs} Legendre "
-            f"coefficients, {need / 1e9:.1f} GB of eigenvectors per parity, above the "
-            f"{DENSE_BYTES / 1e9:g} GB limit"
-        )
+    require_dense(8 * ((n_coeffs + 1) // 2) ** 2, f"the prolate solve at N0 = "
+                  f"{2.0 * c / math.pi:.6g} needs {n_coeffs} Legendre coefficients,",
+                  " of eigenvectors per parity")
     k = np.arange(n_coeffs, dtype=float)
     diagonal = k * (k + 1) + c * c * (2 * k * (k + 1) - 1) / ((2 * k + 3) * (2 * k - 1))
     k = k[:-2]
@@ -327,13 +329,10 @@ def build_spectrum(
     c = omega * t_obs / 2.0
     if vectors:
         n_coeffs = _legendre_count(c, quad_order)
-        need = 8 * quad_order * (n_coeffs + quad_order)
-        if need > DENSE_BYTES:
-            raise ConfigurationError(
-                f"eigenvectors at order {quad_order} need a {quad_order} x {n_coeffs} "
-                f"Legendre Vandermonde and a {quad_order} x {quad_order} value array, "
-                f"{need / 1e9:.1f} GB together, above the {DENSE_BYTES / 1e9:g} GB limit"
-            )
+        require_dense(8 * quad_order * (n_coeffs + quad_order),
+                      f"eigenvectors at order {quad_order} need a {quad_order} x {n_coeffs} "
+                      f"Legendre Vandermonde and a {quad_order} x {quad_order} value array,",
+                      " together")
     above_floor = dof_asymptotic(max(n0, 2.0), 1.0, math.sqrt(CLIP_FLOOR))
     n_modes = min(quad_order, math.ceil(above_floor) + 16)
     while True:
@@ -352,9 +351,7 @@ def build_spectrum(
     lambdas = _clip(
         np.concatenate([np.minimum.accumulate(raw_lambdas), np.zeros(quad_order - n_modes)])
     )
-    spectrum = EigenSpectrum(
-        lambdas=lambdas, omega=omega, t_obs=t_obs, clip_floor=CLIP_FLOOR, trace_error=trace_error
-    )
+    spectrum = EigenSpectrum(lambdas=lambdas, omega=omega, t_obs=t_obs, trace_error=trace_error)
     if vectors:
         x, w = gauss_legendre(quad_order)
         half = t_obs / 2.0
@@ -390,7 +387,6 @@ def compute_spectrum(omega: float, t_obs: float, quad_order: int | None = None) 
         lambdas=_clip(raw_lambdas),
         omega=omega,
         t_obs=t_obs,
-        clip_floor=CLIP_FLOOR,
         trace_error=abs(float(raw_lambdas.sum()) - nominal_dimension(omega, t_obs)),
     )
 
@@ -497,14 +493,17 @@ def spectrum_from_record(record: dict) -> EigenSpectrum:
 
     Raises ValueError unless omega and t_obs are positive and finite, the
     eigenvalues form a non-empty, non-increasing list of finite values in
-    (0, 1], and quad_order counts them; 1 itself is accepted because
-    12-digit printing rounds the plateau's 1 - 1e-15 up to it.
+    (0, 1], quad_order counts them, and trace_error, when present, is a
+    number; 1 itself is accepted because 12-digit printing rounds the
+    plateau's 1 - 1e-15 up to it. The record's clip_floor is not read:
+    every spectrum is clipped to CLIP_FLOOR.
     """
     try:
         lambdas = np.asarray(record["lambdas"], dtype=float)
         omega = float(record["omega"])
         t_obs = float(record["t_obs"])
         quad_order = record["quad_order"]
+        trace_error = float(record.get("trace_error", math.nan))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed spectrum record: {exc}") from exc
     # a NaN would pass every later comparison against the requested window
@@ -531,14 +530,7 @@ def spectrum_from_record(record: dict) -> EigenSpectrum:
             f"to lambda_{rises[0] + 2}; "
             "they must be sorted non-increasing"
         )
-    clip_floor = float(record.get("clip_floor", CLIP_FLOOR))
-    return EigenSpectrum(
-        lambdas=lambdas,
-        omega=omega,
-        t_obs=t_obs,
-        clip_floor=clip_floor,
-        trace_error=float(record.get("trace_error", math.nan)),
-    )
+    return EigenSpectrum(lambdas=lambdas, omega=omega, t_obs=t_obs, trace_error=trace_error)
 
 
 def require_index(spectrum: EigenSpectrum, n_dim: int) -> int:

@@ -17,6 +17,7 @@ from epscap import cli, simulation, spectrum
 from epscap.cli import main
 from epscap.errors import NumericalError
 from epscap.manifest import round_float
+from epscap.params import DENSE_BYTES
 
 PI_ARG = "3.14159265"
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -270,23 +271,40 @@ def test_a_prolate_solve_above_the_budget_exits_2(tmp_path, monkeypatch, capsys,
     assert not out.exists()
 
 
+@pytest.fixture
+def no_dense_draw(monkeypatch):
+    """Generators whose standard_normal draw, the first of every point
+    sample, raises instead of allocating an array above the budget."""
+    real = np.random.default_rng
+
+    class Guarded:
+        def __init__(self, seed=None):
+            self._rng = real(seed)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+        def standard_normal(self, size):
+            if 8 * math.prod(size) > DENSE_BYTES:
+                raise AssertionError("allocated")
+            return self._rng.standard_normal(size)
+
+    monkeypatch.setattr(np.random, "default_rng", Guarded)
+
+
 @pytest.mark.parametrize(
     "size, max_eval, message",
     [
         # the whole code: 3 x 10^7 codewords of 12 doubles are 2.9 GB
-        ("30000000", "30000000", "drawing 30000000 codewords in 12 dimensions needs 2.9 GB"),
+        ("30000000", "30000000", "drawing 30000000 points in 12 dimensions needs 2.9 GB"),
         # 512 evaluated of 10^12, whose 2*eps-balls take a share 512 / 4^12
         # of the body: about 3.1 x 10^7 codewords lie near them, 2.9 GB
-        ("1000000000000", "512", "drawing 305[0-9]{5} codewords in 12 dimensions needs 2.9 GB"),
+        ("1000000000000", "512", "drawing 305[0-9]{5} points in 12 dimensions needs 2.9 GB"),
     ],
 )
 def test_a_codebook_draw_above_the_budget_exits_2(
-    tmp_path, monkeypatch, capsys, size, max_eval, message
+    tmp_path, no_dense_draw, capsys, size, max_eval, message
 ):
-    def never(*args, **kwargs):
-        raise AssertionError("allocated")
-
-    monkeypatch.setattr(simulation, "generate_codebook", never)
     out = tmp_path / "out.json"
     argv = [
         "simulate", "--omega", PI_ARG, "--t-obs", "12", "--energy", "1", "--eps", "0.125",
@@ -294,6 +312,61 @@ def test_a_codebook_draw_above_the_budget_exits_2(
         "--out", str(out),
     ]
     assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert re.search(message + ", above the 2 GB limit", err), err
+    assert not out.exists()
+
+
+# Each array is tens of GB or more, so that one allocated before the check
+# fails at once with a MemoryError; the S > 1 decode's draws (240 GB) would
+# be refused by the sampler, with another message, were the product unchecked.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["oracle", "--mode", "pack", "--dim", "5", "--radius", "1", "--eps", "0.1",
+             "--candidates", "10000000000"],
+            "drawing 10000000000 points in 5 dimensions needs 400.0 GB",
+        ),
+        (
+            ["oracle", "--mode", "pack", "--dim", "10000000000", "--radius", "1", "--eps", "0.1"],
+            "the radii of a ball in 10000000000 dimensions need 80.0 GB",
+        ),
+        (
+            ["simulate", "--omega", PI_ARG, "--t-obs", "4", "--energy", "1", "--eps", "0.15",
+             "--dim", "10000000000", "--messages", "1024"],
+            "the radii of a ball in 10000000000 dimensions need 80.0 GB",
+        ),
+        (
+            ["spectrum", "--omega", PI_ARG, "--t-obs", "4", "--order", "10000000000"],
+            "reporting 10000000000 eigenvalues needs 80.0 GB",
+        ),
+        (
+            ["dof", "--omega", PI_ARG, "--t-obs", "4", "--energy", "1", "--mu", "0.1",
+             "--order", "10000000000"],
+            "reporting 10000000000 eigenvalues needs 80.0 GB",
+        ),
+        (
+            # 1024 codewords in 3-d, 512 evaluated, some with caps past 1
+            ["simulate", "--omega", PI_ARG, "--t-obs", "4", "--energy", "1", "--eps", "0.15",
+             "--dim", "3", "--messages", "1024", "--max-eval", "512", "--samples", "10000000000"],
+            "decoding 10000000000 draws against [0-9]+ competitors needs [0-9.]+ GB",
+        ),
+        (
+            # the T = 3 row: 274 codewords in 3-d, some with caps past 1
+            ["exponent-sweep", "--omega", PI_ARG, "--energy", "1", "--eps", "0.15",
+             "--rate", "2.7", "--t-list", "3,4", "--samples", "10000000000"],
+            "decoding 10000000000 draws against [0-9]+ competitors needs [0-9.]+ GB",
+        ),
+    ],
+    ids=[
+        "oracle-candidates", "oracle-dim", "simulate-dim", "spectrum-order", "dof-order",
+        "simulate-samples", "exponent-sweep-samples",
+    ],
+)
+def test_an_input_above_the_budget_exits_2_before_it_allocates(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert re.search(message + ", above the 2 GB limit", err), err
     assert not out.exists()
@@ -317,6 +390,26 @@ def test_bounds_refuses_invalid_spectrum_file(tmp_path, capsys, index, value, me
     )
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [None, "x"])
+def test_bounds_refuses_a_spectrum_file_whose_trace_error_is_not_a_number(
+    tmp_path, capsys, value
+):
+    spec_file = tmp_path / "spec10.json"
+    assert main(["spectrum", "--omega", PI_ARG, "--t-obs", "10", "--out", str(spec_file)]) == 0
+    record = json.loads(spec_file.read_text())
+    spec_file.write_text(json.dumps(record | {"trace_error": value}))
+    out = tmp_path / "bounds.json"
+    code = main(
+        [
+            "bounds", "--omega", PI_ARG, "--t-obs", "10", "--energy", "1", "--eps", "0.25",
+            "--delta", "0.1", "--use-spectrum", str(spec_file), "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert "malformed spectrum record" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field", ["omega", "t_obs"])

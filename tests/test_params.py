@@ -22,11 +22,13 @@ from epscap.geometry import (
     working_dimension,
 )
 from epscap.params import (
+    DENSE_BYTES,
     MAX_CODEBOOK_ENERGY,
     MAX_CODEBOOK_EPS,
     MAX_SEED,
     MIN_SAMPLES,
     SignalSpaceParams,
+    require_dense,
     require_int,
     require_seed,
 )
@@ -169,6 +171,12 @@ def test_require_int_names_an_upper_bound():
     assert require_int("n", 5, 0, 5) == 5
     with pytest.raises(ConfigurationError, match=r"^n must be an integer in \[0, 5\], got 6$"):
         require_int("n", 6, 0, 5)
+
+
+def test_require_dense_admits_the_budget_and_refuses_a_byte_more():
+    require_dense(DENSE_BYTES, "never")
+    with pytest.raises(ConfigurationError, match=r"^an array needs 2\.0 GB in all, above the 2 GB limit$"):
+        require_dense(DENSE_BYTES + 1, "an array needs", " in all")
 
 
 def test_successes_refuse_bools_and_out_of_range_counts():

@@ -379,6 +379,8 @@ def test_record_rejects_invalid_eigenvalues(spec_t10, index, value, message):
         (lambda r: r.pop("quad_order"), "malformed spectrum record: 'quad_order'"),
         (lambda r: r.update(lambdas=[]), "needs a non-empty list of eigenvalues"),
         (lambda r: r.update(lambdas=[[0.5]]), "needs a non-empty list of eigenvalues"),
+        (lambda r: r.update(trace_error=None), "malformed spectrum record: "),
+        (lambda r: r.update(trace_error="x"), "malformed spectrum record: "),
     ],
 )
 def test_record_refuses_a_missing_key_or_no_eigenvalue_list(spec_t10, change, message):
@@ -386,6 +388,15 @@ def test_record_refuses_a_missing_key_or_no_eigenvalue_list(spec_t10, change, me
     change(record)
     with pytest.raises(ValueError, match=re.escape(message)):
         spectrum_from_record(record)
+
+
+@pytest.mark.parametrize("clip_floor", [0.5, None])
+def test_a_records_clip_floor_is_not_read(spec_t10, clip_floor):
+    # every spectrum is clipped to CLIP_FLOOR: a record's 0.5 must not raise
+    # the degrees-of-freedom floor to 50, nor a null break it
+    back = spectrum_from_record(spectrum_record(spec_t10) | {"clip_floor": clip_floor})
+    assert back.clip_floor == CLIP_FLOOR
+    assert degrees_of_freedom(back, 1.0, 1e-3) == degrees_of_freedom(spec_t10, 1.0, 1e-3)
 
 
 def test_degrees_of_freedom_refuses_a_spectrum_all_above_the_threshold():
