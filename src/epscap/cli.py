@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -101,21 +102,23 @@ def _signal_params(args, t_obs: float) -> SignalSpaceParams:
     )
 
 
-def _emit(args, payload: dict, rows: list[dict], table=None) -> int:
+def _emit(args, payload: dict, rows: Iterable[dict], table=None) -> int:
     """Write one artifact: the payload as JSON, the rows as CSV, or table lines.
 
     Each row maps column name to cell, and the first row's names head the
-    CSV and the default table. The manifest records every parsed argument
-    of the subcommand.
+    CSV and the default table. rows is iterated only for those two forms,
+    so a generator builds no row for JSON or a given table. The manifest
+    records every parsed argument of the subcommand.
     """
     parameters = {k: v for k, v in vars(args).items() if k not in ("handler", "seed")}
     manifest = run_manifest(args.command, parameters, seed=getattr(args, "seed", None))
     if args.emit == "json":
         data = json_bytes(payload | {"manifest": manifest})
     elif args.emit == "csv":
+        rows = list(rows)
         data = csv_bytes(list(rows[0]), [list(row.values()) for row in rows], manifest)
     else:
-        lines = _render_table(rows) if table is None else table
+        lines = _render_table(list(rows)) if table is None else table
         data = ("\n".join(lines) + "\n").encode()
     if args.out:
         _write_whole(resolve_output_path(args.out), lambda fh: fh.write(data))
@@ -227,7 +230,7 @@ def _cmd_spectrum(args) -> int:
         # the name np.savez gives a bare path
         path = path if path.endswith(".npz") else path + ".npz"
         _write_whole(path, lambda fh: np.savez(fh, **arrays))
-    rows = [{"n": i + 1, "lambda": lam} for i, lam in enumerate(spectrum.lambdas)]
+    rows = ({"n": i + 1, "lambda": lam} for i, lam in enumerate(spectrum.lambdas))
     table = _quantity_table({
         "nominal_dimension": spectrum.nominal_dimension,
         "quad_order": spectrum.quad_order,
@@ -328,12 +331,12 @@ def _cmd_simulate(args) -> int:
         return _emit(args, payload, [{"notice": "rate too low"}], table)
 
     result = outcome.result
-    rows = [
+    rows = (
         {"codeword_index": int(i), "error_fraction": fraction, "ci_low": low, "ci_high": high}
         for i, fraction, (low, high) in zip(
             result.eval_indices, result.error_fractions, result.error_fraction_cis
         )
-    ]
+    )
     table = _quantity_table({
         "n_codewords": outcome.n_codewords,
         "capped": outcome.capped,
@@ -672,11 +675,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=None, help="override the working dimension")
     p.add_argument("--mu", type=_positive_float, default=None,
                    help="accuracy level for spectrum-driven dimension choice")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-messages", type=int, default=2**18)
-    p.add_argument("--retries", type=int, default=3)
-    p.add_argument("--max-eval", type=int, default=512,
+    p.add_argument("--samples", type=int, default=ExperimentConfig.samples)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
+    p.add_argument("--max-messages", type=int, default=ExperimentConfig.max_codewords)
+    p.add_argument("--retries", type=int, default=ExperimentConfig.retries)
+    p.add_argument("--max-eval", type=int, default=ExperimentConfig.max_eval_codewords,
                    help="codewords evaluated per run: the subset of smallest 64-bit content "
                         "key, or, where their 2*eps-balls take at most the body, the first "
                         "codewords of a code drawn only around them")
@@ -693,7 +696,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--use-spectrum", action="store_true",
                    help="use measured spectra (slower) instead of the ball idealization")
-    p.add_argument("--max-messages", type=int, default=2**18)
+    p.add_argument("--max-messages", type=int, default=ExperimentConfig.max_codewords)
     p.add_argument("--max-eval", type=int, default=256)
     _add_emit(p)
     p.set_defaults(handler=_cmd_exponent_sweep)

@@ -152,13 +152,18 @@ def screen_margin(sq: np.ndarray, dtype=np.float64, dim: int = 0) -> float:
 # --- samplers ---
 
 
+def require_points(n: int, dim: int) -> None:
+    """Refuse a draw of n points in dim dimensions above DENSE_BYTES."""
+    require_dense(8 * n * dim, f"drawing {n} points in {dim} dimensions needs")
+
+
 def sample_uniform_ball(dim: int, radius: float, rng: np.random.Generator, size: int):
     """(size, dim) uniform points in the dim-ball: isotropic direction times U^(1/dim) radius,
-    refused above DENSE_BYTES before any draw (every point array is drawn here)."""
+    refused by require_points before any draw (every point array is drawn here)."""
     dim = require_int("dim", dim)
     require_finite("radius", radius, nonnegative=True)
     n = require_int("size", size)
-    require_dense(8 * n * dim, f"drawing {n} points in {dim} dimensions needs")
+    require_points(n, dim)
     direction = rng.standard_normal((n, dim))
     # np.linalg.norm(axis=1)'s values, bit for bit; the direction is then scaled in place
     norms = np.sqrt(row_square_sums(direction))[:, None]

@@ -47,6 +47,7 @@ from .geometry import (
     log2_satisfying_size,
     per_unit_time_report,
     row_blocks,
+    require_points,
     sample_uniform_ball,
     sample_uniform_caps,
     sample_uniform_ellipsoid,
@@ -796,7 +797,7 @@ def _random_code_estimate(
     draws only the codewords they can see (_neighbourhood); any other run
     draws the whole code for estimate_error_fraction. Either draw is refused
     with a ConfigurationError, before it is allocated, when its points would
-    pass DENSE_BYTES (sample_uniform_ball).
+    pass DENSE_BYTES (require_points).
     """
     dim = len(radii)
     if max_eval_codewords is not None and max_eval_codewords < m:
@@ -844,6 +845,8 @@ def _neighbourhood(
     rng = np.random.default_rng([*seed, 1])
     n = int(rng.binomial(m - k, share))
     dim = len(radii)
+    # before the 8n-byte competitor index, not only the sampler's n points
+    require_points(n, dim)
     evaluated = generate_codebook(radii, k, seed).points
     near = rng.integers(k, size=n)
     ball = sample_uniform_ball(dim, 2.0 * eps, rng, size=n) if n else np.empty((0, dim))
@@ -951,7 +954,7 @@ def empirical_exponent_sweep(
     seed: int,
     samples: int = 2000,
     use_spectrum: bool = False,
-    max_codewords: int = 2**18,
+    max_codewords: int = ExperimentConfig.max_codewords,
     max_eval_codewords: int | None = 256,
 ) -> ExponentSweep:
     """Run the codebook experiment across window lengths at one rate.

@@ -27,10 +27,12 @@ and the work does not grow with the order: the order only sets how many
 eigenvalues are reported (modes below CLIP_FLOOR store the floor) and,
 for eigenvectors, the Gauss-Legendre nodes they are sampled at.
 
-Two checks can fail. The exact eigenvalues sum to the operator's trace,
+Three checks can fail. The exact eigenvalues sum to the operator's trace,
 N0, so trace_error = |sum of computed lambda - N0| measures the solve
-(2e-12 at N0 = 200, 1.4e-11 at N0 = 1000). And every mode's trailing
-Legendre coefficients must be negligible, or the basis truncated it.
+(2e-12 at N0 = 200, 1.4e-11 at N0 = 1000). Every mode's trailing
+Legendre coefficients must be negligible, or the basis truncated it. And
+the last mode solved must lie below CLIP_FLOOR, or the floor stored for
+the later ones would stand for larger eigenvalues.
 
 The stored eigenvalues are non-increasing. On the plateau, where 1 - lambda
 is below roundoff (the tests take 1e-13 as that floor), the recurrence's
@@ -72,6 +74,12 @@ logger = logging.getLogger(__name__)
 # lie strictly inside (0, 1), while a double-precision solve rounds the
 # leading plateau to 1 and cannot resolve the deep tail.
 CLIP_FLOOR = 1e-15
+
+# The smallest mu^2 / energy that degrees_of_freedom counts eigenvalues
+# against: 100 * CLIP_FLOOR, the 1e-13 below which the stored eigenvalues'
+# values and order are roundoff (ROADMAP, "Standing"). Lower it only after
+# a test shows the spectrum is accurate below it.
+RESOLUTION_FLOOR = 1e-13
 
 # A solved mode's last Legendre coefficients (of a unit coefficient vector)
 # must stay below this; a larger one means the basis cut the mode off.
@@ -319,10 +327,11 @@ def build_spectrum(
             is solved, when the Legendre Vandermonde and value array this
             needs would pass DENSE_BYTES.
 
-    Modes are solved until the eigenvalue falls below CLIP_FLOOR (the
-    later ones store the floor), starting from 16 past the asymptotic
-    count of eigenvalues above CLIP_FLOOR and doubling while that falls
-    short.
+    One solve covers the modes up to 16 past the asymptotic count of
+    eigenvalues above CLIP_FLOOR (all quad_order, when that is fewer); the
+    later ones store the floor. Raises NumericalError when fewer than
+    quad_order modes were solved and the last is not below CLIP_FLOOR, so
+    the floor never stands for an eigenvalue above it.
     """
     quad_order = _checked_order(omega, t_obs, quad_order)
     n0 = nominal_dimension(omega, t_obs)
@@ -335,15 +344,16 @@ def build_spectrum(
                       " together")
     above_floor = dof_asymptotic(max(n0, 2.0), 1.0, math.sqrt(CLIP_FLOOR))
     n_modes = min(quad_order, math.ceil(above_floor) + 16)
-    while True:
-        even, odd = _prolate_coefficients(c, _legendre_count(c, n_modes), n_modes)
-        steps = np.concatenate([[_prolate_lambda1(c, even)], _prolate_ratios(even, odd)])
-        raw_lambdas = np.cumprod(steps)
-        if not np.all(np.isfinite(raw_lambdas)):
-            raise NumericalError("prolate recurrence returned non-finite eigenvalues")
-        if raw_lambdas[-1] < CLIP_FLOOR or n_modes == quad_order:
-            break
-        n_modes = min(quad_order, 2 * n_modes)
+    even, odd = _prolate_coefficients(c, _legendre_count(c, n_modes), n_modes)
+    steps = np.concatenate([[_prolate_lambda1(c, even)], _prolate_ratios(even, odd)])
+    raw_lambdas = np.cumprod(steps)
+    if not np.all(np.isfinite(raw_lambdas)):
+        raise NumericalError("prolate recurrence returned non-finite eigenvalues")
+    if n_modes < quad_order and not raw_lambdas[-1] < CLIP_FLOOR:
+        raise NumericalError(
+            f"lambda_{n_modes} = {raw_lambdas[-1]:.3g}, the last of the {n_modes} prolate "
+            f"modes solved, is not below the clip floor {CLIP_FLOOR:g}"
+        )
 
     trace_error = abs(float(raw_lambdas.sum()) - n0)
     # the exact values strictly decrease; the running minimum takes out the
@@ -435,11 +445,10 @@ def degrees_of_freedom(spectrum: EigenSpectrum, energy: float, mu: float) -> int
     require_finite("energy", energy)
     require_finite("mu", mu)
     threshold = mu**2 / energy
-    floor = max(100.0 * spectrum.clip_floor, 1e-13)
-    if threshold < floor:
+    if threshold < RESOLUTION_FLOOR:
         raise InsufficientSpectrumError(
             f"accuracy threshold {threshold:.3e} is below the spectral "
-            f"resolution floor {floor:.3e}; recompute with higher precision"
+            f"resolution floor {RESOLUTION_FLOOR:.3e}; recompute with higher precision"
         )
     hits = np.nonzero(spectrum.lambdas <= threshold)[0]
     if len(hits) == 0:

@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import itertools
 import json
 import math
@@ -9,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +90,65 @@ def test_spectrum_payload_roundtrips(tmp_path):
     assert len(payload["lambdas"]) == 256
     assert payload["lambdas"][0] > 0.999
     assert payload["nominal_dimension"] == pytest.approx(10.0, abs=1e-6)
+
+
+def test_a_short_prolate_solve_raises_and_exits_3(monkeypatch, capsys):
+    # mutation: an asymptotic count of 1 solves 17 modes at N0 = 20, whose
+    # last eigenvalue is near 1; the floor must not stand for the rest
+    monkeypatch.setattr(spectrum, "dof_asymptotic", lambda n0, energy, mu: 1.0)
+    with pytest.raises(NumericalError, match="last of the 17 prolate modes solved"):
+        spectrum.build_spectrum(math.pi, 20.0)
+    assert main(["spectrum", "--omega", PI_ARG, "--t-obs", "20"]) == 3
+    assert "is not below the clip floor 1e-15" in capsys.readouterr().err
+
+
+def test_spectrum_csv_lists_the_json_eigenvalues(tmp_path):
+    argv = ["spectrum", "--omega", PI_ARG, "--t-obs", "20", "--order", "3000"]
+    lambdas = run_json(tmp_path, "spec", argv)["lambdas"]
+    _, header, rows = run_csv(tmp_path, "spec", argv)
+    assert header == ["n", "lambda"]
+    assert [(int(n), float(lam)) for n, lam in rows] == list(enumerate(lambdas, start=1))
+
+
+@pytest.mark.parametrize("emit, table", [("json", None), ("table", ["given"])])
+def test_emit_reads_no_row_for_json_or_a_given_table(tmp_path, emit, table):
+    def unread_rows():
+        raise AssertionError("a row was built")
+        yield
+
+    args = argparse.Namespace(command="spectrum", emit=emit, out=str(tmp_path / "out"))
+    assert cli._emit(args, {"n": 1}, unread_rows(), table) == 0
+    assert (tmp_path / "out").stat().st_size > 0
+
+
+def test_spectrum_and_simulate_hand_their_rows_over_unbuilt(tmp_path, monkeypatch):
+    lazy = []
+    emit = cli._emit
+
+    def spy(args, payload, rows, table=None):
+        lazy.append(iter(rows) is rows)
+        return emit(args, payload, rows, table)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    run_json(tmp_path, "spectrum", ["spectrum", "--omega", PI_ARG, "--t-obs", "20"])
+    run_json(tmp_path, "simulate", [
+        "simulate", "--omega", PI_ARG, "--t-obs", "4", "--energy", "1", "--eps", "0.15",
+        "--dim", "3", "--messages", "64", "--samples", "100",
+    ])
+    assert lazy == [True, True]
+
+
+def test_experiment_defaults_are_the_configs():
+    signal = ["--omega", "1", "--energy", "1", "--eps", "0.1"]
+    simulate = cli._PARSER.parse_args(["simulate", *signal, "--t-obs", "1"])
+    sweep = cli._PARSER.parse_args(["exponent-sweep", *signal, "--rate", "1", "--t-list", "1,2"])
+    config = simulation.ExperimentConfig
+    assert (simulate.samples, simulate.seed, simulate.max_messages, simulate.retries,
+            simulate.max_eval) == (config.samples, config.seed, config.max_codewords,
+                                   config.retries, config.max_eval_codewords)
+    assert sweep.max_messages == config.max_codewords
+    defaults = inspect.signature(simulation.empirical_exponent_sweep).parameters
+    assert defaults["max_codewords"].default == config.max_codewords
 
 
 def test_bounds_json_reports(tmp_path):
@@ -311,7 +373,15 @@ def test_a_codebook_draw_above_the_budget_exits_2(
         "--dim", "12", "--messages", size, "--max-messages", size, "--max-eval", max_eval,
         "--out", str(out),
     ]
-    assert main(argv) == 2
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # nothing sized by the refused draw comes first: a neighbourhood's 8-byte
+    # competitor index per candidate was 244 MB at 10^12 codewords
+    assert peak < 16e6
     err = capsys.readouterr().err
     assert re.search(message + ", above the 2 GB limit", err), err
     assert not out.exists()

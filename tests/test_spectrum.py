@@ -162,6 +162,29 @@ def test_too_few_legendre_coefficients_raise(monkeypatch):
         build_spectrum(math.pi, 20.0)
 
 
+@pytest.mark.parametrize("n0", [0.05, 0.5, 2.0, 20.0, 200.0, 1000.0])
+def test_one_prolate_solve_ends_far_below_the_clip_floor(monkeypatch, n0):
+    # the one solve's last mode lies 6 decades under the floor, so no input
+    # needs a second solve to reach it
+    solves, stored = [], []
+    solve, clip = spectrum._prolate_coefficients, spectrum._clip
+
+    def spy_solve(c, n_coeffs, n_modes):
+        solves.append(n_modes)
+        return solve(c, n_coeffs, n_modes)
+
+    def spy_clip(raw_lambdas):
+        stored.append(raw_lambdas.copy())
+        return clip(raw_lambdas)
+
+    monkeypatch.setattr(spectrum, "_prolate_coefficients", spy_solve)
+    monkeypatch.setattr(spectrum, "_clip", spy_clip)
+    spec = build_spectrum(math.pi, n0)
+    (n_modes,) = solves
+    assert n_modes < spec.quad_order
+    assert stored[0][n_modes - 1] <= 1e-6 * CLIP_FLOOR
+
+
 def test_kernel_matrix_symmetric():
     for order in (64, 65):
         km = build_kernel_matrix(math.pi, 6.0, quad_order=order)
