@@ -249,8 +249,11 @@ def _cmd_dof(args) -> int:
     row = {
         "n_dof": degrees_of_freedom(spectrum, args.energy, args.mu),
         "n0": spectrum.nominal_dimension,
-        "asymptotic": dof_asymptotic(spectrum.nominal_dimension, args.energy, args.mu),
     }
+    try:
+        row["asymptotic"] = dof_asymptotic(spectrum.nominal_dimension, args.energy, args.mu)
+    except ValueError:  # outside the expansion's domain: no prediction
+        row["asymptotic"] = None
     return _emit(args, row, [row])
 
 

@@ -86,6 +86,10 @@ def cap_fractions(dim: int, radius: float, distances) -> np.ndarray:
 
 
 ROW_BLOCK = 8192
+# The doubles (512 KB) any one blocked array may hold: packing's screen
+# product, operand and settle, the neighbour search's settle runs and the
+# decode's runs and candidate blocks.
+BLOCK_DOUBLES = 2**16
 
 
 def row_blocks(n_rows: int):
@@ -545,8 +549,9 @@ def greedy_pack(
       the points accepted before the block.
 
     The survivors are then settled in order against each other by the
-    same exact sums. Blocks widen as acceptances thin out, as far as a
-    block's screen product and operand stay within 2^16 doubles.
+    same exact sums, at most as many together as keep their pairwise
+    differences within BLOCK_DOUBLES. Blocks widen as acceptances thin
+    out, as far as a block's screen product and operand stay within it.
     """
     if ellipsoid.dim > 6:
         raise ConfigurationError(
@@ -567,13 +572,6 @@ def greedy_pack(
     return best
 
 
-# Doubles a block of _pack_candidates may hold in its screen product and
-# right operand ((accepted points + dim + 2) times block candidates, 512 KB)
-# and in the pairwise differences of the survivors settled together
-# (survivors^2 * dim).
-_PACK_PRODUCT = 2**16
-
-
 def _pack_candidates(pts: np.ndarray, min_sep_sq: float) -> int:
     """The count sequential packing accepts from pts, in order: screened a
     block at a time, tested exactly only where the screen cannot decide
@@ -584,7 +582,7 @@ def _pack_candidates(pts: np.ndarray, min_sep_sq: float) -> int:
     # an infinite margin (a screen that may overflow) decides nothing
     reject_below = min_sep_sq - margin
     clear_from = min_sep_sq + margin if margin < math.inf else math.nan
-    most = math.isqrt(_PACK_PRODUCT // dim)
+    most = math.isqrt(BLOCK_DOUBLES // dim)
     # the accepted points as the screen's left operands, whose first dim
     # columns are the points themselves, in a buffer doubled when full (a
     # row per candidate raised a sweep-then-pack process's peak by 1-2 MB)
@@ -624,9 +622,9 @@ def _pack_candidates(pts: np.ndarray, min_sep_sq: float) -> int:
         count += len(new)
         # the next block: about 8 candidates per point this one accepted,
         # from 64 to twice this block, and its product and right operand
-        # within _PACK_PRODUCT
+        # ((count + dim + 2) x width) within BLOCK_DOUBLES
         width = min(2 * len(block), max(64, 8 * len(block) // max(len(new), 1)))
-        width = max(1, min(width, _PACK_PRODUCT // (count + dim + 2)))
+        width = max(1, min(width, BLOCK_DOUBLES // (count + dim + 2)))
         start += len(block)
     return count
 

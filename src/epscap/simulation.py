@@ -40,6 +40,7 @@ from scipy.special import bdtr
 
 from .errors import ConfigurationError
 from .geometry import (
+    BLOCK_DOUBLES,
     BoundReport,
     Ellipsoid,
     cap_fractions,
@@ -70,17 +71,9 @@ from .spectrum import build_spectrum, degrees_of_freedom, require_window
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 # The neighbour screen's tile: this many evaluated codewords by this many
-# codewords. Its survivors are settled once they pass this many doubles of
-# offsets, in runs of at most that many.
+# codewords.
 _TILE_ROWS = 512
 _TILE_COLS = 256
-_SETTLE_DOUBLES = 2**19
-# The decode works through this many (codeword, competitor) pairs at a
-# time, and through its candidates in blocks whose arrays hold at most this
-# many doubles (512 KB): dim + 3 uniforms per candidate, and the product of
-# a codeword's candidates with its competitors' offsets.
-_PAIR_CHUNK = 2**14
-_PAIR_BLOCK = 2**16
 
 
 # --- codebooks ---
@@ -330,15 +323,12 @@ def _neighbor_lists(
     which bounds the settle's subnormal steps) plus screen_margin in
     float32, rounded up to a float32, where the rule drops it too; so the
     BLAS summation order, which changes with the thread count and the tile
-    shape, decides nothing. The settle applies the rule to the survivors,
-    in column order, whenever a row tile's held survivors pass
-    _SETTLE_DOUBLES of offsets or its columns end, a run of that many
-    doubles at a time: where every pair survives the screen (coordinates
-    near 1e-155, whose squared distances the smallest normal double
-    dwarfs) its memory stays bounded, and at criterion 7 (about 34,000
-    survivors of its 512 evaluated codewords by their 33,000 drawn
-    neighbours, or 14,000 by a whole code of 2^18) each row tile settles
-    once.
+    shape, decides nothing. The settle applies the rule to each tile's
+    survivors right after its product, in runs whose offsets fill at most
+    BLOCK_DOUBLES: where every pair survives the screen (coordinates near
+    1e-155, whose squared distances the smallest normal double dwarfs)
+    its memory stays bounded, and nothing outlives its tile but the
+    neighbours found.
 
     On a 2^18 x 12 codebook with 512 evaluated codewords (2-core x86-64,
     OpenBLAS on one thread) this takes about 0.1 s, the tile products 0.05
@@ -369,12 +359,16 @@ def _neighbor_lists(
     rhs = np.empty((min(m, _TILE_COLS), dim + 2), dtype=np.float32)
     scaled = np.empty((len(rhs), dim))
     tile = np.empty((len(lhs), len(rhs)), dtype=np.float32)
-    run = max(1, _SETTLE_DOUBLES // dim)
+    run = max(1, BLOCK_DOUBLES // dim)
     all_rows, all_cols = [], []
     for r0 in range(0, len(eval_idx), _TILE_ROWS):
         own = eval_idx[r0 : r0 + _TILE_ROWS]
         x = screen_operands(np.ldexp(points[own], k), sq[own], lhs[: len(own)])
-        hit_rows, hit_cols, held = [], [], 0
+        # the neighbours a row tile finds, joined once it ends (never an
+        # empty join: each codeword's pair with itself passes the screen);
+        # a pair of arrays per tile outweighs the lists where most tiles find
+        # few: 7.0 against 3.4 MiB on a whole code of 65,536 in 16-d
+        found_rows, found_cols = [], []
         for c0 in range(0, m, _TILE_COLS):
             c1 = min(c0 + _TILE_COLS, m)
             y = np.ldexp(points[c0:c1], k, out=scaled[: c1 - c0])
@@ -382,24 +376,19 @@ def _neighbor_lists(
             g = np.matmul(x, y.T, out=tile[: len(x), : len(y)])
             # one flat scan: the 2-d np.nonzero costs ten times as much here
             rows, cols = np.divmod(np.flatnonzero(g <= cutoff), len(y))
-            hit_rows.append(rows + r0)
-            hit_cols.append(cols + c0)
-            held += len(rows)
-            if held < run and c1 < m:
-                continue
-            rows, cols = np.concatenate(hit_rows), np.concatenate(hit_cols)
-            hit_rows, hit_cols, held = [], [], 0
             for a in range(0, len(rows), run):
-                r, c = rows[a : a + run], cols[a : a + run]
+                r, c = rows[a : a + run] + r0, cols[a : a + run] + c0
                 i = eval_idx[r]
                 offsets = points[c] - points[i]
                 keep = (np.einsum("ij,ij->i", offsets, offsets) <= within) & (c != i)
-                all_rows.append(r[keep])
-                all_cols.append(c[keep])
+                found_rows.append(r[keep])
+                found_cols.append(c[keep])
+        all_rows.append(np.concatenate(found_rows))
+        all_cols.append(np.concatenate(found_cols))
     rows, cols = np.concatenate(all_rows), np.concatenate(all_cols)
     # each tile's hits come row by row in ascending column order, and the
-    # tiles of a row, settled or not, in ascending column order, so a
-    # stable sort by row leaves every list ascending
+    # tiles of a row in ascending column order, so a stable sort by row
+    # leaves every list ascending
     cols = cols[np.argsort(rows, kind="stable")]
     starts = np.zeros(len(eval_idx) + 1, dtype=np.intp)
     np.cumsum(np.bincount(rows, minlength=len(eval_idx)), out=starts[1:])
@@ -426,8 +415,8 @@ def _decode(
     1 + c * (dim + 3) on: its cap, its point in that cap (the dim + 1
     uniforms of sample_uniform_caps) and its keep, with probability one
     over the number of caps the point lies in. The candidates of every
-    codeword are drawn together, in blocks of at most _PAIR_BLOCK doubles,
-    so that the memory does not grow with samples. Within a block a
+    codeword are drawn together, in blocks of at most BLOCK_DOUBLES
+    doubles, so that the memory does not grow with samples. Within a block a
     codeword's candidates are consecutive and its competitors are a run of
     the offsets, so one searchsorted on its running cap sums picks their
     caps, and one matrix product with its competitors' offsets gives every
@@ -476,7 +465,7 @@ def _decode(
     drawn = _binomial_counts(_uniforms(stream[live], np.uint64(0)), samples, totals[live])
     drawn_end, n_drawn = np.cumsum(drawn), int(drawn.sum())
     width = np.uint64(dim + 3)
-    block = max(1, _PAIR_BLOCK // max(int(lengths.max(initial=1)), dim + 3))
+    block = max(1, BLOCK_DOUBLES // max(int(lengths.max(initial=1)), dim + 3))
     for q0 in range(0, n_drawn, block):
         # candidates q0 on: each the c-th of its codeword r
         q = np.arange(q0, min(q0 + block, n_drawn))
@@ -530,8 +519,8 @@ def estimate_error_fraction(
     share (Karp, Luby and Madras, J. Algorithms 10, 1989). The bracket
     [max cap_j, min(1, S)] of the share needs no sampling. Every codeword
     draws from its own counter-based stream, and all are decoded in one
-    batch (_decode), run after run of about _PAIR_CHUNK (codeword,
-    competitor) pairs.
+    batch (_decode), run after run of codewords whose competitors'
+    offsets fill at most BLOCK_DOUBLES.
 
     With max_eval_codewords set below the codebook size, evaluation runs
     on that many codewords chosen by smallest 64-bit content key
@@ -570,13 +559,13 @@ def _estimate(
     """The estimate of a code of m codewords from its points' content keys
     and the evaluated codewords eval_idx's competitors (_neighbor_lists'
     format): the decode runs, the intervals, the brackets and the means."""
-    k = len(eval_idx)
+    k, dim = len(eval_idx), points.shape[1]
     error_counts = np.zeros(k, dtype=np.int64)
     brackets = np.zeros((k, 2))
     r0 = 0
     while r0 < k:
-        # at least one codeword, and as many more as fit in _PAIR_CHUNK pairs
-        fit = np.searchsorted(starts[1:], starts[r0] + _PAIR_CHUNK, side="right")
+        # at least one codeword, and as many more as one block of offsets holds
+        fit = np.searchsorted(starts[1:], starts[r0] + BLOCK_DOUBLES // dim, side="right")
         r1 = max(r0 + 1, int(fit))
         run = cols[starts[r0] : starts[r1]]
         error_counts[r0:r1], brackets[r0:r1] = _decode(

@@ -66,6 +66,27 @@ def test_dof_payload_shape(tmp_path):
     assert payload["manifest"]["version"]
 
 
+@pytest.mark.parametrize(
+    "t_obs, mu, n_dof",
+    [("20", "2", 0), ("0.5", "0.1", 2)],  # mu^2 above the energy; n0 below 1
+    ids=["mu-above-energy", "n0-below-1"],
+)
+def test_dof_counts_where_the_asymptotic_form_is_undefined(tmp_path, t_obs, mu, n_dof):
+    # the count needs only the spectrum; the expansion that refuses these
+    # inputs leaves its cell null instead of failing the command
+    with pytest.raises(ValueError):
+        spectrum.dof_asymptotic(float(t_obs), 1.0, float(mu))
+    argv = ["dof", "--omega", PI_ARG, "--t-obs", t_obs, "--energy", "1", "--mu", mu]
+    payload = run_json(tmp_path, "dof", argv)
+    assert (payload["n_dof"], payload["asymptotic"]) == (n_dof, None)
+    _, header, rows = run_csv(tmp_path, "dof", argv)
+    assert header == ["n_dof", "n0", "asymptotic"]
+    assert (rows[0][0], rows[0][2]) == (str(n_dof), "")
+    table = tmp_path / "dof.table"
+    assert main(argv + ["--emit", "table", "--out", str(table)]) == 0
+    assert table.read_text().splitlines()[2].split() == [str(n_dof), t_obs, "n/a"]
+
+
 def test_hz_flag_rescales_omega(tmp_path):
     rad = run_json(
         tmp_path,

@@ -33,6 +33,8 @@ CASES = {
     "oracle_pack": ORACLE + ["--mode", "pack"],
     "oracle_cover": ORACLE + ["--mode", "cover"],
     "dof": ["dof", "--omega", OMEGA, "--t-obs", "20", "--energy", "1", "--mu", "0.1"],
+    # mu^2 above the energy: a count of 0 and no asymptotic prediction
+    "dof_beyond_asymptotic": ["dof", "--omega", OMEGA, "--t-obs", "20", "--energy", "1", "--mu", "2"],
 }
 SWEEP_CONFIG = f"omega = {OMEGA}\nt_obs = 20\nenergy = 1\neps = 0.2\neps = 0.1\ndelta = 0.1\ndelta = 0.2\n"
 

@@ -268,7 +268,7 @@ def test_neighbour_block_width_changes_no_result(monkeypatch, book_12d, width):
     whole = run()
     monkeypatch.setattr(simulation, "_TILE_COLS", width)
     monkeypatch.setattr(simulation, "_TILE_ROWS", 24)
-    monkeypatch.setattr(simulation, "_SETTLE_DOUBLES", 12 * width)
+    monkeypatch.setattr(simulation, "BLOCK_DOUBLES", 12 * width)
     got = run()
     assert np.count_nonzero(whole.error_fractions) > 16
     for name, want in vars(whole).items():
@@ -278,11 +278,13 @@ def test_neighbour_block_width_changes_no_result(monkeypatch, book_12d, width):
             assert getattr(got, name) == want, name
 
 
-@pytest.mark.parametrize("chunk, block", [(1, 1), (7, 50), (300, 2**20)])
-def test_decode_runs_and_blocks_change_no_result(monkeypatch, chunk, block):
+@pytest.mark.parametrize("budget", [1, 50, 2**20])
+def test_decode_runs_and_blocks_change_no_result(monkeypatch, budget):
     # every draw is a function of (stream key, counter), so how the codewords
     # are split into runs of pairs, and their candidates into blocks, decides
-    # nothing; the codebook has coincident, S > 1 and cap-drawn codewords
+    # nothing; the codebook has coincident, S > 1 and cap-drawn codewords.
+    # A budget of one double gives runs of one codeword and blocks of one
+    # candidate
     rng = np.random.default_rng(31)
     points = sample_uniform_ball(3, 1.0, rng, size=150)
     points[:20] = points[rng.integers(20, 150, size=20)]
@@ -290,8 +292,7 @@ def test_decode_runs_and_blocks_change_no_result(monkeypatch, chunk, block):
     whole = estimate_error_fraction(book, 0.25, samples=100, seed=9)
     low, high = whole.error_fraction_brackets.T
     assert np.any(low == 1.0) and np.any((high == 1.0) & (low < 1.0)) and np.any(high < 1.0)
-    monkeypatch.setattr(simulation, "_PAIR_CHUNK", chunk)
-    monkeypatch.setattr(simulation, "_PAIR_BLOCK", block)
+    monkeypatch.setattr(simulation, "BLOCK_DOUBLES", budget)
     got = estimate_error_fraction(book, 0.25, samples=100, seed=9)
     for name, want in vars(whole).items():
         if isinstance(want, np.ndarray):
@@ -370,7 +371,8 @@ def test_neighbour_search_memory_does_not_grow_with_the_codebook():
 def test_neighbour_search_memory_is_bounded_where_every_pair_survives_the_screen():
     # at coordinates near 1e-155 the screen's cutoff holds the smallest
     # normal double, which dwarfs every squared distance: all 512 x 4,096
-    # pairs survive it (200 MB of offsets if settled at once), yet only
+    # pairs survive it (200 MB of offsets if settled at once, a 15 MB peak
+    # if a row tile's survivors are held across its products), yet only
     # about one in ten thousand is a neighbour
     book = generate_codebook(np.full(12, 1e-155), 4096, 1)
     eval_idx = np.arange(0, 4096, 8)
@@ -383,23 +385,52 @@ def test_neighbour_search_memory_is_bounded_where_every_pair_survives_the_screen
     assert_same_lists(
         per_codeword_lists(cols, starts), direct_neighbor_lists(book.points, eval_idx, 2.5e-156)
     )
-    assert peak < 32 * 2**20, peak
+    assert peak < 8 * 2**20, peak
+
+
+def criterion_7_config() -> ExperimentConfig:
+    """Criterion 7's run: 512 codewords of a 2^18-point code in 12-d."""
+    params = SignalSpaceParams(omega=math.pi, t_obs=12.0, energy=1.0, eps=0.25, delta=0.1)
+    return ExperimentConfig(params=params, dim_override=12, samples=1000, seed=20260821,
+                            max_codewords=2**18, retries=1, max_eval_codewords=512)
 
 
 def test_criterion_7_estimate_memory_does_not_hold_the_codebook():
     # 512 codewords of a 2^18-point code are evaluated; a run that draws the
-    # whole code holds its 25 MB of points
-    params = SignalSpaceParams(omega=math.pi, t_obs=12.0, energy=1.0, eps=0.25, delta=0.1)
-    config = ExperimentConfig(params=params, dim_override=12, samples=1000, seed=20260821,
-                              max_codewords=2**18, retries=1, max_eval_codewords=512)
+    # whole code holds its 25 MB of points, and a search that holds a row
+    # tile's screen survivors across its products about 5 MB more
     tracemalloc.start()
     try:
-        outcome = run_random_code_experiment(config)
+        outcome = run_random_code_experiment(criterion_7_config())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert outcome.n_codewords == 2**18 and len(outcome.result.error_fractions) == 512
-    assert peak < 16 * 2**20, peak
+    assert peak < 8 * 2**20, peak
+
+
+def test_criterion_7_neighbour_search_memory_is_a_few_blocks(monkeypatch):
+    # the search on criterion 7's neighbourhood (512 evaluated codewords and
+    # about 33,000 candidates drawn in their balls) settles each tile's
+    # 260-odd survivors at once: beyond its inputs it holds the tile, its
+    # operands, the scaled squared norms and the 34,000 neighbours found,
+    # not every survivor of a row tile (8.3 MB)
+    peaks, search = [], simulation._neighbor_lists
+
+    def traced(points, eval_idx, eps):
+        tracemalloc.start()
+        try:
+            lists = search(points, eval_idx, eps)
+            peaks.append((len(points), tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+        return lists
+
+    monkeypatch.setattr(simulation, "_neighbor_lists", traced)
+    run_random_code_experiment(criterion_7_config())
+    [(n_points, peak)] = peaks
+    assert n_points > 30_000
+    assert peak < 4 * 2**20, peak
 
 
 def test_neighbour_lists_are_the_same_with_blas_threads_free():
@@ -450,7 +481,7 @@ def test_a_failed_codeword_stops_the_others(monkeypatch, threads):
             estimate_error_fraction(book, 0.1, samples=100, seed=1)
         return local.batches
 
-    monkeypatch.setattr(simulation, "_PAIR_BLOCK", 256)  # many batches per estimate
+    monkeypatch.setattr(simulation, "BLOCK_DOUBLES", 256)  # many batches per estimate
     monkeypatch.setattr(simulation, "sample_uniform_caps", caps)
     local.batches, local.failing = 0, None
     estimate_error_fraction(book, 0.1, samples=100, seed=1)
@@ -597,7 +628,7 @@ def test_decode_memory_does_not_grow_with_samples():
     # the criterion-7 decode: 512 evaluated codewords of a 2^18 x 12
     # codebook. Expanding every (candidate, competitor) pair at once would
     # hold about 60 MB at 10,000 samples and grow with them; the blocks of
-    # _PAIR_BLOCK pairs and the per-codeword arrays stay under a fixed budget
+    # BLOCK_DOUBLES and the per-codeword arrays stay under a fixed budget
     points = generate_codebook(np.ones(12), 2**18, seed=[20260821, 0]).points
     keys = simulation._codeword_keys(1, points)
     eval_idx = simulation._smallest_keys(keys, points, 512)
